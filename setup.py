@@ -1,8 +1,8 @@
-"""Build script: compiles the optional matching-enumeration kernel.
+"""Build script: compiles the optional brute-force matching kernel.
 
-The extension is a pure speedup; when Cython or a C compiler is missing the
-package installs without it and mapgenus falls back to the pure-Python twin
-at import time.
+The extension is a compiled twin of ``_mapcore_py``, the enumeration that
+cross-checks the Tutte-recursion map counts; when Cython or a C compiler is
+missing the package installs without it.
 """
 
 from setuptools import Extension, setup
@@ -22,6 +22,6 @@ try:
         compiler_directives={"language_level": 3},
     )
 except ImportError:
-    print("Cython not available; skipping the compiled kernel (pure fallback active)")
+    print("Cython not available; skipping the compiled brute-force kernel")
 
 setup(ext_modules=extensions)

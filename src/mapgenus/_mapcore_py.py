@@ -1,10 +1,11 @@
 """Pure-Python kernel for exhaustive matching enumeration on fat graphs.
 
-This is the fallback twin of the compiled extension ``_mapcore``; both
-expose ``genus_tally(j, m)`` and must produce identical tallies.  The walk
-is the hot loop of the whole package, so this module sticks to flat lists,
-local variable caching and an explicit undo stack instead of nicer
-abstractions.
+This is the twin of the compiled extension ``_mapcore``; both expose
+``genus_tally(j, m)`` and must produce identical tallies.  The walk is the
+assumption-free cross-check of the Tutte-recursion counts in
+``fatgraph_oracle``; it visits all (jm-1)!! matchings, so this module sticks
+to flat lists, local variable caching and an explicit undo stack instead of
+nicer abstractions.
 """
 
 from __future__ import annotations

@@ -245,7 +245,8 @@ def payload_report(nu: int) -> dict:
             "status": "pass" if sum(counts.values()) == 96 else "fail",
         }
     )
-    return {"nu": nu, "identities": out, "status": "pass"}
+    status = "pass" if all(entry["status"] == "pass" for entry in out) else "fail"
+    return {"nu": nu, "identities": out, "status": status}
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,8 @@ def dispatch(argv) -> int:
         print("engine error: %s" % exc, file=sys.stderr)
         return 1
     sys.stdout.write(render(payload, args.format))
-    return 0
+    # a document that reports a failed check still prints, then exits 1
+    return 1 if payload.get("status") == "fail" else 0
 
 
 def main() -> int:

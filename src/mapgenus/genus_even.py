@@ -598,7 +598,7 @@ def solve_eg(
     g: int,
     ztable: ZTable,
     etable: ETable,
-    kappa_cap: int = 16,
+    kappa_cap: int = fatgraph_oracle.HALF_EDGE_CAP,
 ) -> EEntry:
     """Determine the genus-g coefficient from the tau recursion.
 
@@ -649,12 +649,9 @@ def solve_eg(
     # non-resonant orders must be reproduced (surplus consistency is inside
     # series_to_ratfn); the resonant read-backs face the matching oracle
     for m in resonant:
-        kappa_known = None
-        if (2 * nu * m) % 2 == 0 and 2 * nu * m <= kappa_cap:
+        if 2 * nu * m <= kappa_cap:
             kappa_known = fatgraph_oracle.kappa_counts(2 * nu, m, cap=kappa_cap).get(g, 0)
-        if kappa_known is not None:
-            expected = Q(kappa_known, factorial(m)) * Q(1, 1)
-            if series.coeff(m) != expected:
+            if series.coeff(m) != Q(kappa_known, factorial(m)):
                 raise VerificationFailure(
                     "resonant coefficient m=%d disagrees with the matching oracle" % m
                 )
@@ -719,7 +716,9 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
     }
 
 
-def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, kappa_cap: int = 16) -> ETable:
+def build_etable(
+    nu: int, g_max: int, ztable: ZTable | None = None, kappa_cap: int = fatgraph_oracle.HALF_EDGE_CAP
+) -> ETable:
     if ztable is None:
         ztable = build_ztable(nu, g_max, T=max(5 * g_max + 12, 16))
     etable = ETable(nu, ztable)

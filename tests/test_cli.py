@@ -70,6 +70,26 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     assert code == 1 and "injected" in err
 
 
+def test_maps_five_quartic_vertices(capsys):
+    code, out, _ = run(capsys, "maps", "--valence", "4", "--vertices", "5")
+    assert code == 0
+    assert json.loads(out) == {"0": 17915904, "1": 192098304, "2": 348033024, "3": 58060800}
+
+
+def test_report_failed_entry_fails_document(monkeypatch, capsys):
+    # a wrong matching tally must turn the whole report into a failure
+    from types import SimpleNamespace
+
+    import mapgenus.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "fatgraph_oracle", SimpleNamespace(kappa_counts=lambda j, m: {0: 36, 1: 59}))
+    code, out, _ = run(capsys, "report", "--nu", "2")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert {"tag": "matching_tally", "status": "fail"} in doc["identities"]
+
+
 def test_determinism_byte_identical(capsys):
     _, out1, _ = run(capsys, "zg", "--nu", "2", "--g", "1")
     _, out2, _ = run(capsys, "zg", "--nu", "2", "--g", "1")

@@ -97,5 +97,21 @@ def test_kernel_twins_agree():
         assert pure[1] == disc
 
 
+def _brute_force(j, m):
+    counts, disconnected = genus_tally_pure(j, m)
+    return {g: c for g, c in enumerate(counts) if c}, disconnected
+
+
+def test_recursion_matches_brute_force():
+    # every (j, m) with jm <= 16 that the suite uses, counts and disconnected
+    for (j, m) in [(4, 1), (4, 2), (4, 3), (3, 2), (3, 4), (2, 3), (2, 4), (6, 1), (6, 2), (5, 2), (8, 1)]:
+        assert kappa_tally(j, m) == _brute_force(j, m), (j, m)
+
+
+def test_recursion_matches_brute_force_at_four_quartic_vertices():
+    # the one 15!! walk kept as assumption-free ground truth
+    assert kappa_tally(4, 4) == _brute_force(4, 4)
+
+
 def test_kernel_kind_reported():
     assert KERNEL_KIND in ("compiled", "pure")

@@ -293,16 +293,29 @@ def test_full_stack_at_valence_eight():
         assert etable.series(g).coeff(2) * factorial(2) == two_vertex[g]
 
 
-@pytest.mark.skipif(
-    "MAPGENUS_SLOW" not in __import__("os").environ,
-    reason="full 19!! enumeration (~2 min compiled); set MAPGENUS_SLOW=1",
-)
-def test_e3_resonant_readback_against_full_enumeration(nu2):
+def test_e3_resonant_readback_at_five_vertices(nu2):
+    """The one-face read-back of e_3 against the recursion's (4,5) counts,
+    which build_etable also checks internally."""
     from math import factorial
 
     from mapgenus.fatgraph_oracle import kappa_counts
 
     _, etable = nu2
     counts = kappa_counts(4, 5, cap=20)
+    assert counts == {0: 17915904, 1: 192098304, 2: 348033024, 3: 58060800}
+    assert etable.entries[3].series.coeff(5) * factorial(5) == 58060800
+
+
+@pytest.mark.skipif(
+    "MAPGENUS_SLOW" not in __import__("os").environ,
+    reason="full 19!! brute-force enumeration (~2 min compiled, ~50 min pure); set MAPGENUS_SLOW=1",
+)
+def test_e3_resonant_readback_against_full_enumeration(nu2):
+    from math import factorial
+
+    from mapgenus.fatgraph_oracle import genus_tally_pure
+
+    _, etable = nu2
+    counts, _ = genus_tally_pure(4, 5)
     assert etable.entries[3].series.coeff(5) * factorial(5) == counts[3]
 
