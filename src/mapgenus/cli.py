@@ -34,6 +34,7 @@ from .lattice_oracle import (
     WeightSpec,
     asymptotic_match,
     recurrence_table,
+    status_of,
     verify_hirota,
     verify_lattice_equations,
 )
@@ -181,22 +182,23 @@ def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> di
     ]
     if with_t1:
         reports.append(verify_lattice_equations(table, "toda_t1"))
+    identities = [
+        {
+            "equation": r["equation"],
+            "tag": r["equation"],
+            "n": [s["n"] for s in r["sites"]],
+            "status": r["status"],
+            "first_failure": None,
+        }
+        for r in reports
+    ]
     return {
         "nu": nu,
         "n_max": nmax,
         "t_order": torder,
         "with_t1": with_t1,
-        "identities": [
-            {
-                "equation": r["equation"],
-                "tag": r["equation"],
-                "n": [s["n"] for s in r["sites"]],
-                "status": r["status"],
-                "first_failure": None,
-            }
-            for r in reports
-        ],
-        "status": "pass",
+        "identities": identities,
+        "status": status_of(identities),
     }
 
 
@@ -210,33 +212,19 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
     for gg in range(1, g + 1):
         reports.append(continuum_even.verify_string_antiderivative(nu, gg))
         reports.append(continuum_even.verify_continuum_toda(nu, gg, ztable))
-    return {
-        "nu": nu,
-        "g": g,
-        "identities": [
-            {"tag": r["identity"], "status": r["status"]} for r in reports
-        ],
-        "status": "pass",
-    }
+    identities = [{"tag": r["identity"], "status": r["status"]} for r in reports]
+    return {"nu": nu, "g": g, "identities": identities, "status": status_of(identities)}
 
 
 def payload_verify_odd(nu: int, order: int) -> dict:
-    reports = [verify_odd_identities_report(nu)]
+    coefficients = continuum_odd.verify_odd_identities(nu)
     pair = continuum_odd.solve_leading_odd(nu, order)
-    reports.append(continuum_odd.verify_leading_residuals(pair))
-    return {
-        "nu": nu,
-        "order": order,
-        "identities": [
-            {"tag": "coefficient_identities", "status": reports[0]["status"]},
-            {"tag": "leading_pair_residuals", "status": reports[1]["status"]},
-        ],
-        "status": "pass",
-    }
-
-
-def verify_odd_identities_report(nu: int) -> dict:
-    return continuum_odd.verify_odd_identities(nu)
+    residuals = continuum_odd.verify_leading_residuals(pair)
+    identities = [
+        {"tag": "coefficient_identities", "status": coefficients["status"]},
+        {"tag": "leading_pair_residuals", "status": residuals["status"]},
+    ]
+    return {"nu": nu, "order": order, "identities": identities, "status": status_of(identities)}
 
 
 def payload_trivalent(mmax: int) -> dict:
@@ -260,8 +248,7 @@ def payload_report(nu: int) -> dict:
             "status": "pass" if sum(counts.values()) == 96 else "fail",
         }
     )
-    status = "pass" if all(entry["status"] == "pass" for entry in out) else "fail"
-    return {"nu": nu, "identities": out, "status": status}
+    return {"nu": nu, "identities": out, "status": status_of(out)}
 
 
 # ---------------------------------------------------------------------------

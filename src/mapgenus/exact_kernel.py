@@ -39,19 +39,22 @@ def qparse(s: str) -> Fraction:
     return Q(s)
 
 
+def _qscale(xs) -> tuple[int, list[int]]:
+    """(d, [x*d for x in xs]) with d the lcm of the denominators of xs."""
+    d = _int_lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
 def _qconv(a, b, n: int) -> list[Fraction]:
     """Coefficients 0..n of the product of two Fraction sequences.
 
     Each operand is scaled once to integer numerators over the lcm of its
-    denominators, so the convolution runs on plain ints and each output
-    coefficient costs a single gcd (in the Fraction constructor) instead of
-    one per partial product.
+    denominators (``_qscale``), so the convolution runs on plain ints and
+    each output coefficient costs a single gcd (in the Fraction
+    constructor) instead of one per partial product.
     """
-    a, b = a[: n + 1], b[: n + 1]
-    da = _int_lcm(*(x.denominator for x in a))
-    db = _int_lcm(*(x.denominator for x in b))
-    ia = [x.numerator * (da // x.denominator) for x in a]
-    ib = [y.numerator * (db // y.denominator) for y in b]
+    da, ia = _qscale(a[: n + 1])
+    db, ib = _qscale(b[: n + 1])
     out = [0] * (n + 1)
     for i, x in enumerate(ia):
         if x:

@@ -109,6 +109,39 @@ def test_report_failed_entry_fails_document(monkeypatch, capsys):
     assert {"tag": "matching_tally", "status": "fail"} in doc["identities"]
 
 
+def test_verify_lattice_failed_identity_fails_document(monkeypatch, capsys):
+    # a failed Hirota report must print a "fail" document and exit 1
+    import mapgenus.cli as cli_mod
+
+    failed = {
+        "equation": "hirota",
+        "sites": [{"n": 1, "check": "tau_product", "status": "fail"}],
+        "status": "fail",
+    }
+    monkeypatch.setattr(cli_mod, "verify_hirota", lambda table: failed)
+    code, out, _ = run(capsys, "verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2")
+    doc = json.loads(out)
+    assert code == 1 and doc["status"] == "fail"
+    statuses = {i["tag"]: i["status"] for i in doc["identities"]}
+    assert statuses == {"string": "pass", "toda": "pass", "hirota": "fail"}
+
+
+def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, capsys):
+    import mapgenus.continuum_even as continuum_even
+    import mapgenus.continuum_odd as continuum_odd
+
+    monkeypatch.setattr(
+        continuum_odd, "verify_leading_residuals", lambda pair, P=None: {"status": "fail"}
+    )
+    code, out, _ = run(capsys, "verify", "odd", "--nu", "1", "--order", "6")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    monkeypatch.setattr(
+        continuum_even, "verify_burgers", lambda nu, T: {"identity": "leading_transport", "status": "fail"}
+    )
+    code, out, _ = run(capsys, "verify", "continuum", "--nu", "2", "--g", "1")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+
+
 def test_determinism_byte_identical(capsys):
     _, out1, _ = run(capsys, "zg", "--nu", "2", "--g", "1")
     _, out2, _ = run(capsys, "zg", "--nu", "2", "--g", "1")

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from mapgenus.errors import RejectedInput, VerificationFailure
@@ -7,6 +10,7 @@ from mapgenus.lattice_oracle import (
     WeightSpec,
     deformed_moments,
     recurrence_table,
+    status_of,
     verify_hirota,
     verify_lattice_equations,
 )
@@ -118,3 +122,168 @@ def test_weight_spec_validation():
         WeightSpec(nu=0, g_s=Q(1))
     with pytest.raises(RejectedInput):
         WeightSpec(nu=2, g_s=Q(0))
+
+
+def test_reports_derive_status_from_sites():
+    table = recurrence_table(spec_nu2(4), n_max=7, T=3)
+    for report in (verify_lattice_equations(table, "string"), verify_hirota(table)):
+        assert report["sites"] and report["status"] == status_of(report["sites"]) == "pass"
+    assert status_of([{"status": "pass"}, {"status": "fail"}]) == "fail"
+    assert status_of([{"status": "pass"}]) == "pass"
+
+
+# -- BiSeries arithmetic against schoolbook Fraction references -------------
+
+rng = random.Random(20261018)
+
+COPRIME_DENOMS = (1, 7, 11, 13, 17)
+SHARED_DENOMS = (2, 6, 12, 18, 30)
+
+
+def total(key):
+    return key[0] + key[1]
+
+
+def cut(d, T):
+    return {key: v for key, v in d.items() if v and total(key) <= T}
+
+
+def naive_mul(a, b, T):
+    """Truncated product, one Fraction operation per pair of terms."""
+    out = {}
+    for (r1, k1), x in a.items():
+        for (r2, k2), y in b.items():
+            key = (r1 + r2, k1 + k2)
+            if total(key) <= T:
+                out[key] = out.get(key, Q(0)) + x * y
+    return cut(out, T)
+
+
+def naive_div(a, b, T):
+    """a * (1/b) with 1/b = (1/b0) sum_i (-(b - b0)/b0)^i, T terms."""
+    b0 = b[(0, 0)]
+    rest = {key: -v / b0 for key, v in cut(b, T).items() if key != (0, 0)}
+    inv = {(0, 0): 1 / b0}
+    power = {(0, 0): Q(1)}
+    for _ in range(T):
+        power = naive_mul(power, rest, T)
+        for key, v in power.items():
+            inv[key] = inv.get(key, Q(0)) + v / b0
+    return naive_mul(cut(a, T), cut(inv, T), T)
+
+
+def naive_log(f, T):
+    """log(1 + x) = sum_i (-1)^(i+1) x^i / i."""
+    x = {key: v for key, v in cut(f, T).items() if key != (0, 0)}
+    out = {}
+    power = {(0, 0): Q(1)}
+    for i in range(1, T + 1):
+        power = naive_mul(power, x, T)
+        for key, v in power.items():
+            out[key] = out.get(key, Q(0)) + v * Q((-1) ** (i + 1), i)
+    return cut(out, T)
+
+
+def rand_biseries(T, with_t1, denoms, const=None, zero_share=0.3):
+    """Mixed-sign rationals over denoms on every key of total degree <= T
+    (t-only keys without t1), with explicit zero entries; const pins the
+    constant term."""
+    d = {}
+    for r in range(T + 1 if with_t1 else 1):
+        for k in range(T + 1 - r):
+            if rng.random() < zero_share:
+                d[(r, k)] = 0
+            else:
+                d[(r, k)] = Q(rng.randint(-10**4, 10**4), rng.choice(denoms))
+    if const is not None:
+        d[(0, 0)] = const
+    return BiSeries(T, d)
+
+
+def operand_cases(count=36, max_T=6):
+    """(a, b): t-only and (t1, t), coprime and shared denominators, unequal
+    truncations, b a unit with a mixed-sign constant term."""
+    for n in range(count):
+        with_t1 = n % 2 == 1
+        Ta, Tb = rng.randint(0, max_T), rng.randint(0, max_T)
+        a = rand_biseries(Ta, with_t1, (COPRIME_DENOMS, SHARED_DENOMS)[n % 3 == 0])
+        b0 = Q(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice(SHARED_DENOMS))
+        b = rand_biseries(Tb, with_t1 or n % 4 == 0, (COPRIME_DENOMS, SHARED_DENOMS)[n % 4 < 2], b0)
+        yield a, b
+
+
+def canonical(s):
+    return all(type(v) is Fraction and v for v in s.d.values())
+
+
+def test_biseries_product_matches_naive():
+    for a, b in operand_cases():
+        T = min(a.trunc, b.trunc)
+        for prod in (a * b, b * a):
+            assert prod.trunc == T and canonical(prod)
+            assert prod.d == naive_mul(a.d, b.d, T)
+    a = rand_biseries(5, True, COPRIME_DENOMS)
+    # a zero written into the table in place, as test_corrupted_table_fails does
+    a.d[(1, 1)] = Q(0)
+    b = rand_biseries(4, True, SHARED_DENOMS)
+    assert (a * b).d == naive_mul(a.d, b.d, 4)
+    assert (a * BiSeries(5, {})).is_zero() and (a * BiSeries(5, {})).trunc == 5
+
+
+def test_biseries_sums_match_naive():
+    for a, b in operand_cases():
+        T = min(a.trunc, b.trunc)
+        keys = set(cut(a.d, T)) | set(cut(b.d, T))
+        for sign, res in ((1, a + b), (-1, a - b)):
+            assert res.trunc == T and canonical(res)
+            assert res.d == cut({key: a.coeff(*key) + sign * b.coeff(*key) for key in keys}, T)
+        assert (b - a).d == (-(a - b)).d
+        assert (a + Q(1, 3)).d == cut({**a.d, (0, 0): a.constant() + Q(1, 3)}, a.trunc)
+        assert (2 - a).d == cut({**(-a).d, (0, 0): 2 - a.constant()}, a.trunc)
+
+
+def test_biseries_scalar_operands():
+    a = rand_biseries(5, True, SHARED_DENOMS)
+    for q in (Q(-3, 7), 5, Q(0)):
+        assert (a * q).d == (q * a).d == cut({key: v * q for key, v in a.d.items()}, 5)
+    assert (a / Q(2, 3)).d == {key: v * Q(3, 2) for key, v in a.d.items()}
+    assert (a / -4).d == {key: v / -4 for key, v in a.d.items()}
+    with pytest.raises(RejectedInput):
+        a / 0
+
+
+def test_biseries_quotient_matches_naive():
+    for a, b in operand_cases():
+        T = min(a.trunc, b.trunc)
+        quo = a / b
+        assert quo.trunc == T and canonical(quo)
+        assert quo.d == naive_div(a.d, b.d, T)
+        # a product divided by a unit factor gives the other factor back
+        assert ((a * b) / b).d == cut(a.d, T)
+    # a derivative of a constant has truncation -1 and divides to zero
+    below = BiSeries(0, {(0, 0): 3}).diff("t")
+    assert below / BiSeries(2, {(0, 0): 2, (0, 1): 1}) == BiSeries(-1, {})
+
+
+def test_biseries_log_matches_naive():
+    for a, b in operand_cases(count=24, max_T=5):
+        f = BiSeries(a.trunc, {**a.d, (0, 0): Q(1)})
+        g = BiSeries(b.trunc, {**b.d, (0, 0): Q(1)})
+        for h in (f, g):
+            log_h = h.log()
+            assert log_h.trunc == h.trunc and canonical(log_h)
+            assert log_h.d == naive_log(h.d, h.trunc)
+        assert (f * g).log() == f.log() + g.log()
+    assert BiSeries.const(1, 0).log() == BiSeries(0, {})
+
+
+def test_biseries_non_units_rejected():
+    a = rand_biseries(4, True, COPRIME_DENOMS)
+    non_unit = rand_biseries(4, True, SHARED_DENOMS, const=0)
+    with pytest.raises(RejectedInput):
+        a / non_unit
+    with pytest.raises(RejectedInput):
+        a / BiSeries(4, {})
+    for c in (2, Q(-1), 0):
+        with pytest.raises(RejectedInput):
+            rand_biseries(3, True, SHARED_DENOMS, const=c).log()
