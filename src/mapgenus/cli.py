@@ -118,6 +118,8 @@ def payload_z0(nu: int, order: int) -> dict:
 
 
 def payload_zg(nu: int, g: int, order: int | None) -> dict:
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
     T = order if order is not None else max(3 * g + 12, 16)
     table = continuum_even.build_ztable(nu, g, T=T)
     entry = table.entries[g]
@@ -132,14 +134,17 @@ def payload_zg(nu: int, g: int, order: int | None) -> dict:
 
 
 def payload_eg(nu: int, g: int, order: int | None) -> dict:
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
     if g < 2:
-        etable = genus_even.ETable(nu, continuum_even.build_ztable(nu, 1, T=order or 16))
+        T = order if order is not None else 16
+        etable = genus_even.ETable(nu, continuum_even.build_ztable(nu, 1, T=T))
         lr = etable.logrational(g)
         return {
             "nu": nu,
             "g": g,
             "closed_form": {
-                "rational": ratfn_to_json(lr.rat),
+                "rational": ratfn_to_json(lr.rat.to_ratfn()),
                 "log_z0": qstr(lr.c0),
                 "log_base": qstr(lr.c1),
             },
@@ -172,6 +177,8 @@ def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
 
 
 def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
+    if nmax < 1:
+        raise RejectedInput("--nmax must be >= 1")
     g_s = Q(1, nmax)
     spec = WeightSpec(nu=nu, g_s=g_s, include_t1=with_t1)
     table = recurrence_table(spec, n_max=nmax + nu + 1, T=torder)
@@ -203,6 +210,8 @@ def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> di
 
 
 def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
     T = order if order is not None else max(3 * g + 12, 16)
     reports = [
         continuum_even.verify_string_functional(nu, max(T, 20)),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import RejectedInput
-from .exact_kernel import Poly, Q
+from .exact_kernel import Q
 
 Partition = tuple[int, ...]
 
@@ -192,12 +192,6 @@ class LatticePath:
     @property
     def end(self) -> int:
         return self.start + sum(self.steps)
-
-    def levels(self) -> list[int]:
-        out = [self.start]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return out
 
     def downstep_levels(self) -> list[int]:
         """Lattice location after each downstep, in path order."""

@@ -38,6 +38,7 @@ from .combinatorics import (
 )
 from .errors import RejectedInput, VerificationFailure
 from .exact_kernel import (
+    DLaurent,
     GradedSeries,
     Poly,
     Q,
@@ -345,10 +346,6 @@ def _eps_mul(a, b, N):
     return out
 
 
-def _eps_scale(a, s):
-    return [None if x is None else x * s for x in a]
-
-
 def _eps_add(a, b, N):
     out = [None] * (N + 1)
     for i in range(N + 1):
@@ -459,8 +456,13 @@ def substitute_jets(jet: JetExpression, family: JetFamily, N: int):
 class ZEntry:
     g: int
     series: Series
-    ratfn: RatFn
-    laurent: tuple[Fraction, ...]  # z_g/z0 coefficients by pole order of the base
+    ratfn: RatFn  # the reconstructed form, as printed
+    over_z0: DLaurent  # z_g/z0 as a Laurent polynomial in D
+
+    @property
+    def laurent(self) -> tuple[Fraction, ...]:
+        """z_g/z0 coefficients by pole order of the base, 0..5g-1."""
+        return self.over_z0.pole_coeffs()
 
 
 class ZTable:
@@ -475,17 +477,11 @@ class ZTable:
         self.zetas = data.zetas
         self.base = Poly([nu, -(nu - 1)])
         self.entries: dict[int, ZEntry] = {
-            0: ZEntry(0, data.z0, RatFn.from_poly(Poly.x(), var="z0"), (Q(1),))
+            0: ZEntry(0, data.z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
         }
 
     def series(self, g: int) -> Series:
         return self.entries[g].series
-
-    def ratfn(self, g: int) -> RatFn:
-        return self.entries[g].ratfn
-
-    def laurent(self, g: int) -> tuple[Fraction, ...]:
-        return self.entries[g].laurent
 
     def z_list(self, g_max: int) -> list[Series]:
         return [self.series(g) for g in range(g_max + 1)]
@@ -495,23 +491,6 @@ class ZTable:
 
     def top_coefficient(self, g: int) -> Fraction:
         return self.entries[g].laurent[5 * g - 1]
-
-
-def _poly_compose(p: Poly, q: Poly) -> Poly:
-    acc = Poly.zero()
-    for a in reversed(p.c):
-        acc = acc * q + Poly.const(a)
-    return acc
-
-
-def laurent_at_base(num: Poly, nu: int, pole: int) -> tuple[Fraction, ...]:
-    """Coefficients of num/ (nu-(nu-1)z)^pole by pole order 0..pole, writing
-    z = (nu - D)/(nu - 1) and reading off powers of D."""
-    sub = Poly([Q(nu, nu - 1), Q(-1, nu - 1)])  # z as a polynomial in D
-    in_d = _poly_compose(num, sub)
-    if in_d.degree > pole:
-        raise RejectedInput("numerator degree exceeds pole order")
-    return tuple(in_d.coeff(pole - p) for p in range(pole + 1))
 
 
 def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
@@ -565,20 +544,17 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
         raise VerificationFailure(
             "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 1)
         )
-    z_poly = Poly.x()
-    if not (z_poly.divides(ratfn.num) and Poly([-1, 1]).divides(ratfn.num)):
+    if not (Poly.x().divides(ratfn.num) and Poly([-1, 1]).divides(ratfn.num)):
         raise VerificationFailure("numerator of z_%d lacks the z0 (z0-1) factor" % g)
-    # Laurent data of z_g / z0 about the base zero; the monic denominator
-    # differs from the base power by (-(nu-1))^pole
-    reduced = (ratfn.num // z_poly) * Q(-(nu - 1)) ** (5 * g - 1)
-    laurent = laurent_at_base(reduced, nu, 5 * g - 1)
+    over_z0 = DLaurent.from_ratfn(ratfn, nu).div_z()
+    laurent = over_z0.pole_coeffs()
     for p in range(2 * g):
         if laurent[p] != 0:
             raise VerificationFailure(
                 "minimal pole order of z_%d/%s is %d < %d"
                 % (g, "z0", p, 2 * g)
             )
-    entry = ZEntry(g, z_series, ratfn, laurent)
+    entry = ZEntry(g, z_series, ratfn, over_z0)
     ztable.entries[g] = entry
     return entry
 

@@ -1,12 +1,17 @@
 """Exact arithmetic substrate: rationals, polynomials, truncated series,
-reduced rational functions, graded (self-similar) series and exact linear
-solving.
+the ring of Laurent polynomials in D = nu - (nu-1) z, reduced rational
+functions, graded (self-similar) series and exact linear solving.
 
 Everything is built on ``fractions.Fraction``; there is no floating point
 anywhere.  Truncated series arithmetic narrows to the minimum truncation of
 its operands so no result ever claims more precision than its inputs carry.
-Every polynomial and series product runs through one integer-numerator
-convolution (``_qconv``), with one gcd per output coefficient.
+Every polynomial, series and D-Laurent product runs through one
+integer-numerator convolution (``_qconv``), with one gcd per output
+coefficient.
+
+The genus coefficients are computed in ``DLaurent``, where sums and products
+need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
+reconstruction (``series_to_ratfn``), read-back and printing.
 """
 
 from __future__ import annotations
@@ -88,10 +93,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly(())
-
-    @staticmethod
     def one() -> "Poly":
         return Poly((1,))
 
@@ -126,17 +127,6 @@ class Poly:
         other = _as_poly(other)
         n = max(len(self.c), len(other.c))
         return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -190,9 +180,6 @@ class Poly:
             return self
         lead = self.c[-1]
         return Poly([x / lead for x in self.c])
-
-    def derivative(self) -> "Poly":
-        return Poly([i * self.c[i] for i in range(1, len(self.c))])
 
     def eval(self, x: QLike) -> Fraction:
         acc = Q(0)
@@ -462,14 +449,15 @@ class RatFn:
             if lead != 1:
                 den_base = den_base.monic()
                 num = num * (Q(1) / (lead ** den_pow))
-            # cancel full powers of the base first (cheap, common case)
+            # cancel full powers of the base first (cheap, common case); a
+            # linear base is irreducible, so what is left is already coprime
             while den_pow > 0 and not num.is_zero():
                 quo, rem = num.divmod(den_base)
                 if rem.is_zero():
                     num, den_pow = quo, den_pow - 1
                 else:
                     break
-            if den_pow > 0:
+            if den_pow > 0 and den_base.degree > 1:
                 g = poly_gcd(num, den_base ** den_pow)
                 if g.degree > 0:
                     num = num // g
@@ -498,94 +486,8 @@ class RatFn:
     def den(self) -> Poly:
         return self.den_base ** self.den_pow
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den_pow == 0
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def _same_base(self, other: "RatFn") -> bool:
-        return self.den_base == other.den_base
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFn.const(other, self.var)
-        if other.den_pow == 0:
-            num = self.num + other.num * self.den_base ** self.den_pow
-            return RatFn(num, self.den_base, self.den_pow, self.var)
-        if self.den_pow == 0:
-            return other + self
-        if self._same_base(other):
-            p = max(self.den_pow, other.den_pow)
-            num = (
-                self.num * self.den_base ** (p - self.den_pow)
-                + other.num * self.den_base ** (p - other.den_pow)
-            )
-            return RatFn(num, self.den_base, p, self.var)
-        num = self.num * other.den() + other.num * self.den()
-        return RatFn(num, self.den() * other.den(), 1, self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatFn.__new__(RatFn)
-        out.num, out.den_base, out.den_pow, out.var = -self.num, self.den_base, self.den_pow, self.var
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFn.const(other, self.var)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = RatFn.__new__(RatFn)
-            out.num, out.den_base, out.den_pow, out.var = self.num * other, self.den_base, self.den_pow, self.var
-            return out
-        if other.den_pow == 0:
-            return RatFn(self.num * other.num, self.den_base, self.den_pow, self.var)
-        if self.den_pow == 0:
-            return RatFn(self.num * other.num, other.den_base, other.den_pow, self.var)
-        if self._same_base(other):
-            return RatFn(self.num * other.num, self.den_base, self.den_pow + other.den_pow, self.var)
-        return RatFn(self.num * other.num, self.den() * other.den(), 1, self.var)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise RejectedInput("division by zero")
-            return self * (Q(1) / Q(other))
-        if other.is_zero():
-            raise RejectedInput("division by the zero rational function")
-        return self * RatFn(other.den(), other.num, 1, self.var)
-
-    def __rtruediv__(self, other):
-        return RatFn.const(other, self.var) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFn.const(1, self.var) / self ** (-n)
-        return RatFn(self.num ** n, self.den_base, self.den_pow * n, self.var)
-
-    def derivative(self) -> "RatFn":
-        if self.den_pow == 0:
-            return RatFn.from_poly(self.num.derivative(), self.var)
-        # d/dz num/b^p = (num' b - p num b') / b^(p+1)
-        num = self.num.derivative() * self.den_base - self.den_pow * self.num * self.den_base.derivative()
-        return RatFn(num, self.den_base, self.den_pow + 1, self.var)
-
-    def eval(self, x: QLike) -> Fraction:
-        d = self.den_base.eval(x) ** self.den_pow
-        if d == 0:
-            raise PoleAtBasepoint("denominator vanishes at %s" % (x,))
-        return self.num.eval(x) / d
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -603,13 +505,6 @@ class RatFn:
         return "RatFn((%r) / (%r)^%d)" % (self.num, self.den_base, self.den_pow)
 
 
-def ratfn_normalize(num: Poly, den: Poly, var: str = "z") -> RatFn:
-    """gcd-reduced rational function with monic denominator."""
-    if den.is_zero():
-        raise RejectedInput("zero denominator")
-    return RatFn(num, den, 1, var)
-
-
 def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
     """Expand r(z(x)) as a series in x, exactly, to order T (default: z.trunc)."""
     if T is None:
@@ -623,6 +518,166 @@ def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
     num_s = zq.eval_poly(r.num)
     den_s = zq.eval_poly(r.den_base) ** r.den_pow
     return num_s / den_s
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in D = nu - (nu-1) z
+# ---------------------------------------------------------------------------
+
+class DLaurent:
+    """Laurent polynomial sum_i c[i] * D^(lo+i) in D = nu - (nu-1) z.
+
+    This is the ring of the genus coefficients: their only pole sits at the
+    zero of D, and z = (nu - D)/(nu - 1) keeps every polynomial in z inside
+    it, so sums, products and d/dz need no gcd.  Both ends of c are nonzero;
+    zero is the empty tuple at lo = 0.  Products run through ``_qconv``.
+    """
+
+    __slots__ = ("nu", "lo", "c")
+
+    def __init__(self, nu: int, lo: int, coeffs):
+        c = [x if type(x) is Fraction else Q(x) for x in coeffs]
+        start, end = 0, len(c)
+        while start < end and c[start] == 0:
+            start += 1
+        while end > start and c[end - 1] == 0:
+            end -= 1
+        self.nu = nu
+        self.lo = lo + start if end > start else 0
+        self.c = tuple(c[start:end])
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def const(nu: int, q: QLike) -> "DLaurent":
+        return DLaurent(nu, 0, (q,))
+
+    @staticmethod
+    def z(nu: int) -> "DLaurent":
+        """The variable itself, z = nu/(nu-1) - D/(nu-1)."""
+        return DLaurent(nu, 0, (Q(nu, nu - 1), Q(-1, nu - 1)))
+
+    @staticmethod
+    def from_ratfn(r: RatFn, nu: int) -> "DLaurent":
+        """r as a Laurent polynomial in D; r must be a polynomial or have a
+        power of D as denominator (in monic form, of z - nu/(nu-1))."""
+        mono = Poly([Q(-nu, nu - 1), 1])
+        k = r.den_base.degree
+        if k and r.den_base != mono ** k:
+            raise RejectedInput("denominator is not a power of D = %d - %d z" % (nu, nu - 1))
+        z = DLaurent.z(nu)
+        acc = DLaurent(nu, 0, ())
+        for a in reversed(r.num.c):
+            acc = acc * z + a
+        # (z - nu/(nu-1))^P = (-D/(nu-1))^P
+        P = k * r.den_pow
+        return acc * DLaurent(nu, -P, (Q(-(nu - 1)) ** P,))
+
+    def to_ratfn(self) -> RatFn:
+        """The same function as a reduced RatFn in z."""
+        nu = self.nu
+        D = Poly([nu, -(nu - 1)])
+        P = max(0, -self.lo)
+        num = Poly(())
+        for a in reversed(self.c):
+            num = num * D + a
+        return RatFn(num * D ** (self.lo + P), D, P, "z0")
+
+    # -- structure -------------------------------------------------------------
+
+    def coeff(self, k: int) -> Fraction:
+        """Coefficient of D^k."""
+        i = k - self.lo
+        return self.c[i] if 0 <= i < len(self.c) else Q(0)
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def pole_coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients of D^0, D^-1, ..., D^-P by pole order 0..P."""
+        if self.lo + len(self.c) > 1:
+            raise RejectedInput("positive powers of D have no pole-order form")
+        return tuple(self.coeff(-p) for p in range(max(0, -self.lo) + 1))
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def _ring(self, other) -> "DLaurent":
+        if isinstance(other, (int, Fraction)):
+            return DLaurent.const(self.nu, other)
+        if not isinstance(other, DLaurent):
+            raise RejectedInput("cannot coerce %r to DLaurent" % (other,))
+        if other.nu != self.nu:
+            raise RejectedInput("valence mismatch: %d vs %d" % (self.nu, other.nu))
+        return other
+
+    def __add__(self, other):
+        other = self._ring(other)
+        lo = min(self.lo, other.lo)
+        hi = max(self.lo + len(self.c), other.lo + len(other.c))
+        return DLaurent(self.nu, lo, [self.coeff(k) + other.coeff(k) for k in range(lo, hi)])
+
+    def __neg__(self):
+        return DLaurent(self.nu, self.lo, [-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + (-self._ring(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return DLaurent(self.nu, self.lo, [x * other for x in self.c])
+        other = self._ring(other)
+        if not self.c or not other.c:
+            return DLaurent(self.nu, 0, ())
+        n = len(self.c) + len(other.c) - 2
+        return DLaurent(self.nu, self.lo + other.lo, _qconv(self.c, other.c, n))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise RejectedInput("negative DLaurent power")
+        out = DLaurent.const(self.nu, 1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def dz(self) -> "DLaurent":
+        """d/dz = -(nu-1) d/dD."""
+        s = 1 - self.nu
+        return DLaurent(self.nu, self.lo - 1, [s * (self.lo + i) * a for i, a in enumerate(self.c)])
+
+    def div_z(self, k: int = 1) -> "DLaurent":
+        """Exact quotient by z^k; raises RejectedInput when z^k does not
+        divide.  z = (nu - D)/(nu - 1) is a unit times D - nu, so each step
+        is one synthetic division by D - nu with a zero remainder."""
+        nu = self.nu
+        c = self.c
+        for _ in range(k):
+            # Horner at D = nu from the top, b_i = c_i + nu b_(i+1): the
+            # quotient by D - nu is b_1, b_2, ... and the remainder b_0
+            b = [Q(0)] * (len(c) + 1)
+            for i in range(len(c) - 1, -1, -1):
+                b[i] = c[i] + nu * b[i + 1]
+            if b[0]:
+                raise RejectedInput("z does not divide this Laurent polynomial")
+            # f / z = -(nu-1) f / (D - nu)
+            c = [(1 - nu) * x for x in b[1:-1]]
+        return DLaurent(nu, self.lo, c)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DLaurent.const(self.nu, other)
+        if not isinstance(other, DLaurent):
+            return NotImplemented
+        return (self.nu, self.lo, self.c) == (other.nu, other.lo, other.c)
+
+    def __repr__(self):
+        terms = ["%s*D^%d" % (qstr(a), self.lo + i) for i, a in enumerate(self.c) if a]
+        return "DLaurent[nu=%d](%s)" % (self.nu, " + ".join(terms) or "0")
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +834,6 @@ class GradedSeries:
 
     def coeff(self, j: int) -> Fraction:
         return self.c[j] if 0 <= j <= self.trunc else Q(0)
-
-    def exponent2(self, j: int) -> int:
-        return self.base2 + j * self.step2
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c)

@@ -1,8 +1,22 @@
+import hashlib
 import json
 import os
 import stat
 
+import pytest
+
 from mapgenus.cli import cache_lookup_or_compute, dispatch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# sha256 of the canonical closed-form documents (genus 0 and 1 print
+# their rational part through DLaurent.to_ratfn)
+CLOSED_FORM_DIGESTS = {
+    "eg --nu 2 --g 0": "9dccd8033e8ecbb80b788ff6281e9a49299a419db0bce0ba65e07ff22ba320ba",
+    "eg --nu 2 --g 1": "05e19bcf8cd9a3a40f0f9e76ff6256c8e60299fc2583c18b8b0fdfe27b110d3b",
+    "eg --nu 3 --g 0": "ba2fa8b2a22b9b20a7b93f702dbbf26cc84ca2edd3676d33c7e366a04581acac",
+    "eg --nu 3 --g 1": "23e150ac4b5d8e9c98befe40a1c74c9baeb9c3ae54cd84a637b9721fdf63fc76",
+}
 
 
 def run(capsys, *argv):
@@ -140,6 +154,35 @@ def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, ca
     )
     code, out, _ = run(capsys, "verify", "continuum", "--nu", "2", "--g", "1")
     assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eg", "--nu", "2", "--g", "-1"),
+        ("zg", "--nu", "2", "--g", "-1"),
+        ("verify", "lattice", "--nu", "2", "--nmax", "0"),
+        ("verify", "continuum", "--nu", "2", "--g", "-2"),
+        ("eg", "--nu", "2", "--g", "0", "--series-order", "0"),
+        ("eg", "--nu", "2", "--g", "1", "--series-order", "0"),
+    ],
+)
+def test_invalid_input_is_usage_error(capsys, argv):
+    # rejected up front: exit 2, a one-line message, no document
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_canonical_eg_zg_documents_are_pinned(capsys):
+    with open(os.path.join(ROOT, "perfbench", "digests.json")) as fh:
+        digests = {k: v for k, v in json.load(fh).items() if k.split()[0] in ("eg", "zg")}
+    assert len(digests) >= 5
+    digests.update(CLOSED_FORM_DIGESTS)
+    for command, digest in sorted(digests.items()):
+        code, out, _ = run(capsys, "--no-cache", *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_determinism_byte_identical(capsys):

@@ -10,6 +10,7 @@ from mapgenus.errors import (
     RejectedInput,
 )
 from mapgenus.exact_kernel import (
+    DLaurent,
     GradedSeries,
     Poly,
     Q,
@@ -19,7 +20,6 @@ from mapgenus.exact_kernel import (
     qparse,
     qstr,
     ratfn_from_json,
-    ratfn_normalize,
     ratfn_to_json,
     ratfn_to_series,
     series_compose,
@@ -62,7 +62,6 @@ def test_poly_basics():
     assert p.degree == 2
     assert Poly([]).degree == -1
     assert p.eval(3) == 16
-    assert p.derivative() == Poly([2, 2])
     q, r = (p * Poly([0, 1])).divmod(Poly([1, 1]))
     assert q == Poly([0, 1]) * Poly([1, 1]) and r.is_zero()
 
@@ -119,26 +118,113 @@ def test_series_mixed_truncation_narrows():
 
 
 def test_ratfn_normalize_examples():
-    z = Poly([0, 1])
-    one = ratfn_normalize(z - 1, z - 1)
+    z_minus_1 = Poly([-1, 1])
+    one = RatFn(z_minus_1, z_minus_1, 1)
     assert one == RatFn.const(1)
-    r = ratfn_normalize(Poly([2, 2]), Poly([4]))
+    r = RatFn(Poly([2, 2]), Poly([4]), 1)
     assert r.is_polynomial() and r.num == Poly([Q(1, 2), Q(1, 2)])
-    r = ratfn_normalize(Poly([2, -3, 1]), Poly([-2, 1]))  # (z-1)(z-2)/(z-2)
+    r = RatFn(Poly([2, -3, 1]), Poly([-2, 1]), 1)  # (z-1)(z-2)/(z-2)
     assert r.is_polynomial() and r.num == Poly([-1, 1])
     with pytest.raises(RejectedInput):
-        ratfn_normalize(Poly([1]), Poly([]))
+        RatFn(Poly([1]), Poly([]), 1)
 
 
-def test_ratfn_arithmetic_and_derivative():
-    z = Poly([0, 1])
-    r = RatFn(Poly([1]), Poly([2, -1]), 1)  # 1/(2-z)
+# -- Laurent polynomials in D = nu - (nu-1) z ---------------------------------
+
+
+def at(x, z):
+    """x evaluated at z through D = nu - (nu-1) z."""
+    d = x.nu - (x.nu - 1) * Q(z)
+    return sum((a * d ** (x.lo + i) for i, a in enumerate(x.c)), Q(0))
+
+
+def ratfn_deriv_at(r, z):
+    """(N / B^P)' = N'/B^P - P N B'/B^(P+1) at z, from the coefficient lists."""
+    n, b, p = r.num, r.den_base, r.den_pow
+    dn = Poly([i * a for i, a in enumerate(n.c)][1:])
+    db = Poly([i * a for i, a in enumerate(b.c)][1:])
+    bz = b.eval(z)
+    return dn.eval(z) / bz ** p - p * n.eval(z) * db.eval(z) / bz ** (p + 1)
+
+
+def rand_dlaurent(nu):
+    length = rng.randint(0, 7)
+    return DLaurent(nu, rng.randint(-6, 2), rand_coeffs(length, (COPRIME_DENOMS, SHARED_DENOMS)[nu % 2]))
+
+
+def test_dlaurent_arithmetic_and_derivative():
+    z = DLaurent.z(2)
+    r = DLaurent(2, -1, (1,))  # 1/(2-z) is D^-1 at nu = 2
     s = r * r + r
-    assert s.eval(0) == Q(1, 4) + Q(1, 2)
-    dr = r.derivative()
-    assert dr.eval(0) == Q(1, 4)
-    assert (r / r) == RatFn.const(1)
-    assert (RatFn.from_poly(z) - RatFn.from_poly(z)).is_zero()
+    assert at(s, 0) == Q(1, 4) + Q(1, 2)
+    dr = r.dz()
+    assert at(dr, 0) == Q(1, 4)
+    assert r * DLaurent(2, 1, (1,)) == DLaurent.const(2, 1)
+    assert (z - z).is_zero()
+
+
+def test_dlaurent_ring_matches_evaluation():
+    for _ in range(60):
+        nu = rng.randint(2, 4)
+        a, b = rand_dlaurent(nu), rand_dlaurent(nu)
+        q = rand_q(9)
+        for x in (Q(0), Q(1), Q(-3, 2), Q(5, 7), rand_q(20)):
+            if nu - (nu - 1) * x == 0:
+                continue
+            assert at(a + b, x) == at(a, x) + at(b, x)
+            assert at(a - b, x) == at(a, x) - at(b, x)
+            assert at(a * b, x) == at(a, x) * at(b, x)
+            assert at(a * q, x) == at(a, x) * q and at(a + q, x) == at(a, x) + q
+            assert at(a ** 3, x) == at(a, x) ** 3
+            assert at(a.dz(), x) == ratfn_deriv_at(a.to_ratfn(), x)
+        assert DLaurent.from_ratfn(a.to_ratfn(), nu) == a
+        assert a * b == b * a and (a + b) - b == a
+        for k in (1, 2, 3):
+            assert (a * DLaurent.z(nu) ** k).div_z(k) == a
+
+
+def test_dlaurent_exact_quotients_and_pole_reads():
+    with pytest.raises(RejectedInput):
+        DLaurent.const(2, 1).div_z()
+    with pytest.raises(RejectedInput):
+        DLaurent(3, -2, (1, 4)).div_z()
+    with pytest.raises(RejectedInput):
+        (DLaurent.z(2) * DLaurent(2, -1, (1,))).div_z(2)  # z0 once, not twice
+    assert DLaurent.const(2, 0).div_z(3).is_zero()
+    # at nu = 2, z0 = 2 - D: z0 (z0 - 1) / D^2 over z0 is (1 - D)/D^2
+    f = DLaurent.z(2) * (DLaurent.z(2) - 1) * DLaurent(2, -2, (1,))
+    assert f.div_z().pole_coeffs() == (Q(0), Q(-1), Q(1))
+    assert DLaurent.const(3, 0).pole_coeffs() == (Q(0),)
+    with pytest.raises(RejectedInput):
+        DLaurent.z(2).pole_coeffs()
+    with pytest.raises(RejectedInput):
+        DLaurent(2, 0, (1,)) + DLaurent(3, 0, (1,))
+
+
+def test_dlaurent_from_ratfn_rejects_foreign_denominators():
+    with pytest.raises(RejectedInput):
+        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([-5, 1]), 1), 2)
+    with pytest.raises(RejectedInput):
+        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([2, -1]), 2), 3)  # D at nu=2, not 3
+    # a power of D written as one denominator is still a power of D
+    square = RatFn(Poly([1]), Poly([4, -4, 1]), 1)  # 1/(2 - z)^2
+    assert DLaurent.from_ratfn(square, 2) == DLaurent(2, -2, (1,))
+
+
+def test_dlaurent_roundtrips_on_genus_tables():
+    from mapgenus.continuum_even import build_ztable
+    from mapgenus.genus_even import build_etable
+
+    for nu, g_max in ((2, 3), (3, 2)):
+        ztable = build_ztable(nu, g_max, T=5 * g_max + 12)
+        etable = build_etable(nu, g_max, ztable=ztable)
+        for g, entry in ztable.entries.items():
+            lz = DLaurent.from_ratfn(entry.ratfn, nu)
+            assert lz == DLaurent.z(nu) * entry.over_z0 and lz.div_z() == entry.over_z0
+            assert ratfn_to_json(lz.to_ratfn()) == ratfn_to_json(entry.ratfn)
+        for g, entry in etable.entries.items():
+            assert DLaurent.from_ratfn(entry.ratfn, nu) == entry.rat
+            assert ratfn_to_json(entry.rat.to_ratfn()) == ratfn_to_json(entry.ratfn)
 
 
 def test_ratfn_to_series_examples():

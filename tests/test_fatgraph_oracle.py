@@ -89,14 +89,6 @@ def test_relabeling_invariance():
     assert genus_of(FatGraph(1, 6, conj)) == g0
 
 
-def test_kernel_twins_agree():
-    for (j, m) in [(4, 1), (3, 2), (4, 2), (2, 4), (3, 4), (5, 2)]:
-        pure = genus_tally_pure(j, m)
-        counts, disc = kappa_tally(j, m)
-        assert {g: c for g, c in enumerate(pure[0]) if c} == counts
-        assert pure[1] == disc
-
-
 def _brute_force(j, m):
     counts, disconnected = genus_tally_pure(j, m)
     return {g: c for g, c in enumerate(counts) if c}, disconnected

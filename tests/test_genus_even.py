@@ -1,10 +1,10 @@
 import pytest
 
 from mapgenus.continuum_even import build_ztable, verify_continuum_toda
-from mapgenus.exact_kernel import Poly, Q, RatFn
+from mapgenus.exact_kernel import DLaurent, Q
 from mapgenus.genus_even import (
     E_w_derivs,
-    base_poly,
+    LogRational,
     build_etable,
     c_constant,
     closed_e0_e1,
@@ -28,12 +28,18 @@ def nu2():
     return ztable, etable
 
 
+def at(x, z):
+    """x evaluated at z0 = z through D = nu - (nu-1) z0."""
+    d = x.nu - (x.nu - 1) * Q(z)
+    return sum((a * d ** (x.lo + i) for i, a in enumerate(x.c)), Q(0))
+
+
 def test_closed_forms_basic_values():
     e0, e1 = closed_e0_e1(2)
     # e0 vanishes at z0 = 1 (both summands)
-    assert e0.rat.eval(1) == 0 and e0.c0 == Q(1, 2)
+    assert at(e0.rat, 1) == 0 and e0.c0 == Q(1, 2)
     # d e0/dz0 at z0=1 equals 1/6 for the quartic case
-    slope = e0.rat.derivative().eval(1) + Q(1, 2)  # log z0 contributes 1/z0
+    slope = at(e0.rat.dz(), 1) + Q(1, 2)  # log z0 contributes 1/z0
     assert slope == Q(1, 6)
     assert e1.c1 == Q(-1, 12) and e1.rat.is_zero()
 
@@ -48,15 +54,14 @@ def test_e_series_match_map_counts(nu2):
 
 
 def test_du_rules():
-    from mapgenus.genus_even import LogRational, du_logrational
-
     e0, e1 = closed_e0_e1(2)
+    z = DLaurent.z(2)
     # d/du log z0 = c z0^nu / D, read off from the log part of e0
-    pure_log = LogRational(2, RatFn.const(0, "z0"), c0=Q(1))
-    assert du_logrational(pure_log).rat == RatFn(12 * Poly.x() ** 2, base_poly(2), 1, "z0")
+    pure_log = LogRational(2, DLaurent.const(2, 0), c0=Q(1))
+    assert pure_log.du().rat == 12 * z ** 2 * DLaurent(2, -1, (1,))
     # d/du log(nu-(nu-1)z0) = -(nu-1) c z0^(nu+1)/D^2, checked through e1
     d_e1 = e1.du()
-    expected = RatFn(Q(1, 12) * Poly.x() ** 3 * 12, base_poly(2), 2, "z0")
+    expected = Q(1, 12) * z ** 3 * 12 * DLaurent(2, -2, (1,))
     assert d_e1.rat == expected and d_e1.is_rational()
     # constants die
     zero = (e1 - e1).du()
@@ -102,16 +107,15 @@ def test_genus1_recursion_identity(nu2):
     rhs = hirota_rhs(2, 1, ztable, etable)
     e1 = etable.logrational(1)
     lhs = e1.grade_dw(0).grade_dw(-1)
-    assert (lhs - rhs).rat == RatFn.const(0, "z0")
+    assert (lhs - rhs).rat == DLaurent.const(2, 0)
     assert lhs.c0 == rhs.c0 and lhs.c1 == rhs.c1
 
 
 def test_log_term_generic_values(nu2):
     ztable, _ = nu2
-    z1 = ztable.ratfn(1)
-    z2 = ztable.ratfn(2)
-    z0 = RatFn.from_poly(Poly.x(), "z0")
-    expected = z2 / z0 - (z1 / z0) * (z1 / z0) * Q(1, 2)
+    z1_over_z0 = DLaurent.from_ratfn(ztable.entries[1].ratfn, 2).div_z()
+    z2_over_z0 = DLaurent.from_ratfn(ztable.entries[2].ratfn, 2).div_z()
+    expected = z2_over_z0 - z1_over_z0 * z1_over_z0 * Q(1, 2)
     assert log_term_ratfn(2, ztable) == expected
 
 
@@ -212,12 +216,10 @@ def test_map_count_integrality_and_support(nu2):
 def test_degree_matches_pole_order(nu2):
     """After removing the constant term the numerator degree is one below
     the pole order."""
-    from mapgenus.exact_kernel import RatFn
-
     _, etable = nu2
     for g in (2, 3):
         entry = etable.entries[g]
-        proper = entry.ratfn - RatFn.const(entry.laurent[0], "z0")
+        proper = (entry.rat - entry.laurent[0]).to_ratfn()
         assert proper.den_pow == 5 * g - 5
         assert proper.num.degree <= 5 * g - 6
 
