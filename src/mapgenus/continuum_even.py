@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .combinatorics import (
     c_valence,
@@ -329,51 +329,25 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
 # Substituting the two-scale expansion b2_{n+k} = sum_{h,j} n^(-2h-j)
 # (k^j / j!) dw^j f_h(u, w) into a lattice polynomial and collecting powers
 # of 1/n turns each lattice equation into a tower of exact GradedSeries
-# identities.  An "eps-poly" below is a list indexed by the power of 1/n.
-
-
-def _eps_mul(a, b, N):
-    out = [None] * (N + 1)
-    for i, x in enumerate(a):
-        if x is None:
-            continue
-        for j, y in enumerate(b):
-            if y is None or i + j > N:
-                continue
-            cur = out[i + j]
-            term = x * y
-            out[i + j] = term if cur is None else cur + term
-    return out
-
-
-def _eps_add(a, b, N):
-    out = [None] * (N + 1)
-    for i in range(N + 1):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out[i] = y
-        elif y is None:
-            out[i] = x
-        else:
-            out[i] = x + y
-    return out
+# identities, of which only the top order N is ever read.  It is reached in
+# two steps.  Collect: expand every term factor by factor over the jet
+# symbols (h, j) = dw^j f_h into a jet polynomial with exact coefficients;
+# the lattice difference cancels most monomials here, before any series is
+# touched.  Evaluate: multiply out the surviving monomials on the genus
+# family in Horner form, one series product per shared symbol prefix.
 
 
 class JetFamily:
-    """Precomputed spatial derivatives of the genus family f_0 .. f_gmax."""
+    """Spatial derivatives dw^j f_h of the genus family f_0 .. f_gmax; each
+    derivative is built on first use, so only the jets an expansion reads
+    are ever formed."""
 
-    def __init__(self, nu: int, z_series: list[Series], j_max: int):
-        self.nu = nu
+    def __init__(self, nu: int, z_series: list[Series]):
         self.step2 = 2 * (nu - 1)
-        self.derivs = []
-        for h, zs in enumerate(z_series):
-            f_h = GradedSeries.from_series(zs, base2=2 - 4 * h, step2=self.step2)
-            row = [f_h]
-            for _ in range(j_max):
-                row.append(row[-1].dw())
-            self.derivs.append(row)
-        self.j_max = j_max
+        self.derivs = [
+            [GradedSeries.from_series(zs, base2=2 - 4 * h, step2=self.step2)]
+            for h, zs in enumerate(z_series)
+        ]
         self.trunc = z_series[0].trunc if z_series else 0
 
     def gmax(self) -> int:
@@ -382,68 +356,95 @@ class JetFamily:
     def f(self, h: int) -> GradedSeries:
         return self.derivs[h][0]
 
-    def site_factor(self, kappa: int, N: int):
-        """eps-poly of b2 at relative offset kappa: entry d collects every
-        (h, j) with 2h + j = d, weighted kappa^j / j!."""
-        out = [None] * (N + 1)
-        for d in range(N + 1):
-            acc = None
-            for h in range(min(d // 2, self.gmax()) + 1):
-                j = d - 2 * h
-                if j > self.j_max:
-                    continue
-                term = self.derivs[h][j] * Q(kappa ** j, factorial(j))
-                acc = term if acc is None else acc + term
-            out[d] = acc
-        return out
+    def jet(self, h: int, j: int) -> GradedSeries:
+        row = self.derivs[h]
+        while len(row) <= j:
+            row.append(row[-1].dw())
+        return row[j]
 
-    def jet_symbol(self, j: int, N: int):
-        """eps-poly of the jet symbol dw^j f across the genus family."""
-        out = [None] * (N + 1)
-        for h in range(min(N // 2, self.gmax()) + 1):
-            if j <= self.j_max:
-                out[2 * h] = self.derivs[h][j]
-        return out
+
+def _collect(factors, coeff, N: int, out: dict) -> None:
+    """Add the order-N part of coeff * prod(factors) to the jet polynomial
+    `out` (sorted symbol tuple -> coefficient).
+
+    Each factor is a list of (order, symbol, weight) options in ascending
+    order; a monomial's order is the sum of its symbols' orders."""
+    partial = {(0, ()): coeff}
+    last = len(factors) - 1
+    for i, options in enumerate(factors):
+        grown: dict = {}
+        for (d, mono), c in partial.items():
+            for e, sym, weight in options:
+                if d + e > N:
+                    break
+                if i == last and d + e != N:
+                    continue
+                key = (d + e, tuple(sorted(mono + (sym,))))
+                grown[key] = grown.get(key, 0) + c * weight
+        partial = grown
+    for (d, mono), c in partial.items():
+        if d == N:
+            out[mono] = out.get(mono, 0) + c
+
+
+def _evaluate(poly: dict, family: JetFamily):
+    """Sum of c * prod(dw^j f_h) over the nonzero monomials of a collected
+    jet polynomial, or None when every coefficient cancelled.
+
+    The sorted monomials are nested by their leading symbols (Horner form),
+    so the monomials below one prefix share a single series product per
+    symbol of that prefix, and a last symbol only scales its jet.  The
+    monomials of one collection all have the same length: their w-weights
+    must agree."""
+    trie: dict = {}
+    for mono, c in poly.items():
+        if c:
+            node = trie
+            for sym in mono[:-1]:
+                node = node.setdefault(sym, {})
+            node[mono[-1]] = c
+
+    def value(node):
+        total = None
+        for sym, child in node.items():
+            term = family.jet(*sym) * (value(child) if type(child) is dict else child)
+            total = term if total is None else total + term
+        return total
+
+    return value(trie)
 
 
 def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):
-    """eps-poly of a lattice polynomial under the two-scale substitution,
-    with the physical coupling replaced by t = -2 nu u."""
-    factors_cache: dict[int, list] = {}
-
-    def site(kappa):
-        if kappa not in factors_cache:
-            factors_cache[kappa] = family.site_factor(kappa, N)
-        return factors_cache[kappa]
-
-    total = [None] * (N + 1)
+    """Order-N (in 1/n) collection of a lattice polynomial under the
+    two-scale substitution, with the physical coupling replaced by
+    t = -2 nu u; None when nothing survives at that order."""
+    gmax = family.gmax()
+    sites: dict[int, list] = {}
+    groups: dict[int, dict] = {}
     for (t_deg, b_off, a_off), coeff in expr.terms.items():
         if a_off:
             raise RejectedInput("even-valence expansion does not carry a[] offsets")
-        eps = [None] * (N + 1)
-        eps[0] = GradedSeries.const("u", coeff, 0, family.step2, family.trunc)
+        factors = []
         for kappa in b_off:
-            eps = _eps_mul(eps, site(kappa), N)
+            if kappa not in sites:
+                sites[kappa] = sorted(
+                    (2 * h + j, (h, j), kappa ** j)
+                    for h in range(min(N // 2, gmax) + 1)
+                    for j in range(N - 2 * h + 1)
+                )
+            factors.append(sites[kappa])
+        c = coeff.numerator if coeff.denominator == 1 else coeff
+        _collect(factors, c, N, groups.setdefault(t_deg, {}))
+    total = None
+    for t_deg, poly in sorted(groups.items()):
+        for mono, c in poly.items():
+            poly[mono] = Q(c, prod(factorial(j) for _h, j in mono))
+        part = _evaluate(poly, family)
+        if part is None:
+            continue
         if t_deg:
-            scale = Q(-2 * nu) ** t_deg
-            eps = [None if x is None else (x * scale).xmul(t_deg) for x in eps]
-        total = _eps_add(total, eps, N)
-    return total
-
-
-def substitute_jets(jet: JetExpression, family: JetFamily, N: int):
-    """eps-poly of a jet expression evaluated on the genus family."""
-    total = [None] * (N + 1)
-    for (fpow, jets), coeff in jet.terms.items():
-        eps = [None] * (N + 1)
-        eps[0] = GradedSeries.const("u", coeff, 0, family.step2, family.trunc)
-        for _ in range(fpow):
-            eps = _eps_mul(eps, family.jet_symbol(0, N), N)
-        for j, r in jets:
-            sym = family.jet_symbol(j, N)
-            for _ in range(r):
-                eps = _eps_mul(eps, sym, N)
-        total = _eps_add(total, eps, N)
+            part = (part * Q(-2 * nu) ** t_deg).xmul(t_deg)
+        total = part if total is None else total + part
     return total
 
 
@@ -486,8 +487,8 @@ class ZTable:
     def z_list(self, g_max: int) -> list[Series]:
         return [self.series(g) for g in range(g_max + 1)]
 
-    def family(self, g_max: int, j_max: int) -> JetFamily:
-        return JetFamily(self.nu, self.z_list(g_max), j_max)
+    def family(self, g_max: int) -> JetFamily:
+        return JetFamily(self.nu, self.z_list(g_max))
 
     def top_coefficient(self, g: int) -> Fraction:
         return self.entries[g].laurent[5 * g - 1]
@@ -514,10 +515,9 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
             raise RejectedInput("lower-genus entries missing; build sequentially")
     T = ztable.T
     N = 2 * g + 1
-    family = ztable.family(g - 1, j_max=N)
+    family = ztable.family(g - 1)
     expr = lattice_equation_exprs(nu, "string")
-    eps = expand_lattice_polynomial(expr, family, nu, N)
-    R = eps[N]
+    R = expand_lattice_polynomial(expr, family, nu, N)
     if R is None:
         raise VerificationFailure("empty order-%d collection" % N)
     f0 = family.f(0)
@@ -570,19 +570,26 @@ def build_ztable(nu: int, g_max: int, T: int | None = None) -> ZTable:
 
 def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     """The order-n^(-2g) collection of the continuum coupling-flow hierarchy
-    holds on the solved genus family: du f_g equals the collected jet terms."""
+    holds on the solved genus family: du f_g equals the collected jet terms.
+
+    Jet symbol dw^j f expands to sum_h n^(-2h) dw^j f_h, and the genus-h
+    right-hand side enters at order 2h."""
     N = 2 * g
-    family = ztable.family(g, j_max=2 * g + 1)
-    rhs = [None] * (N + 1)
+    family = ztable.family(g)
+    poly: dict = {}
     for h in range(g + 1):
-        sub = substitute_jets(toda_jet(nu, h), family, N - 2 * h)
-        shifted = [None] * (N + 1)
-        for d, val in enumerate(sub):
-            if val is not None:
-                shifted[d + 2 * h] = val
-        rhs = _eps_add(rhs, shifted, N)
+        M = N - 2 * h
+        symbols: dict[int, list] = {}
+        for (fpow, jets), coeff in toda_jet(nu, h).terms.items():
+            factors = []
+            for j, r in ((0, fpow),) + jets:
+                if j not in symbols:
+                    symbols[j] = [(2 * k, (k, j), 1) for k in range(min(M // 2, family.gmax()) + 1)]
+                factors += [symbols[j]] * r
+            _collect(factors, coeff, M, poly)
+    rhs = _evaluate(poly, family)
     lhs = family.f(g).dx()
-    residual = lhs - rhs[N].truncate(lhs.trunc)
+    residual = lhs - rhs.truncate(lhs.trunc)
     if not residual.is_zero():
         raise VerificationFailure("continuum hierarchy fails at nu=%d, g=%d" % (nu, g))
     return {"identity": "continuum_hierarchy", "nu": nu, "g": g, "status": "pass"}

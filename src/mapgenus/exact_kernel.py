@@ -763,12 +763,20 @@ def series_to_ratfn(
     other orders), so the system determines both the rational function and
     the skipped coefficients.  Every order up to s.trunc is an equation, so
     surplus orders beyond the unknown count act as exact consistency
-    checks; any mismatch raises ReconstructionFailed (a wrong ansatz), and
-    a rank-deficient system raises InsufficientData.
+    checks; any mismatch raises ReconstructionFailed (a wrong ansatz).  A
+    system without at least one surplus order, or a rank-deficient one,
+    raises InsufficientData: an unchecked reconstruction never ships.
     """
     if z.coeff(1) == 0:
         raise RejectedInput("substitution series is not a change of variable at order 1")
     T = min(s.trunc, z.trunc)
+    skip = sorted(k for k in skip if k <= T)
+    unknowns = max_num_deg + 1 + len(skip)
+    if T + 1 <= unknowns:
+        raise InsufficientData(
+            "%d orders for %d unknowns leave no surplus order to check the reconstruction"
+            % (T + 1, unknowns)
+        )
     den_s = (z.eval_poly(base) ** max_pole_ord).truncate(T)
     target = s.truncate(T) * den_s
     # columns: series of z^i for i <= max_num_deg, then one column per
@@ -778,7 +786,6 @@ def series_to_ratfn(
     for _ in range(max_num_deg):
         zpow = zpow * z.truncate(T)
         cols.append(zpow)
-    skip = sorted(k for k in skip if k <= T)
     for m in skip:
         shifted = [Q(0)] * (T + 1)
         for k in range(m, T + 1):
@@ -853,7 +860,7 @@ class GradedSeries:
         self._check(other, need_base=True)
         base2 = other.base2 if self.is_zero() else self.base2
         T = min(self.trunc, other.trunc)
-        return GradedSeries(self.var, [self.coeff(j) + other.coeff(j) for j in range(T + 1)], base2, self.step2, T)
+        return GradedSeries(self.var, [x + y for x, y in zip(self.c, other.c)], base2, self.step2, T)
 
     def __neg__(self):
         return GradedSeries(self.var, [-x for x in self.c], self.base2, self.step2, self.trunc)

@@ -10,12 +10,16 @@ from mapgenus.cli import cache_lookup_or_compute, dispatch
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # sha256 of the canonical closed-form documents (genus 0 and 1 print
-# their rational part through DLaurent.to_ratfn)
+# their rational part through DLaurent.to_ratfn; the higher-genus jobs reach
+# past the benchmark's valences and genera)
 CLOSED_FORM_DIGESTS = {
     "eg --nu 2 --g 0": "9dccd8033e8ecbb80b788ff6281e9a49299a419db0bce0ba65e07ff22ba320ba",
     "eg --nu 2 --g 1": "05e19bcf8cd9a3a40f0f9e76ff6256c8e60299fc2583c18b8b0fdfe27b110d3b",
     "eg --nu 3 --g 0": "ba2fa8b2a22b9b20a7b93f702dbbf26cc84ca2edd3676d33c7e366a04581acac",
     "eg --nu 3 --g 1": "23e150ac4b5d8e9c98befe40a1c74c9baeb9c3ae54cd84a637b9721fdf63fc76",
+    "eg --nu 2 --g 6": "143bc77b77eb453b4ed454bca3c2a343ce547a7ba90c9753367d381cf1d41337",
+    "zg --nu 4 --g 3": "e5a4533b11d967bc9fe4abcf01648b2de83f4bf827a6ad6b7a73ee59d8c1f530",
+    "eg --nu 4 --g 3": "fb9b7672a8fbd1ebeef5ef9a4b8644ceb3b1bdf767c89fcbdc5a4933d6346ad6",
 }
 
 
@@ -154,6 +158,15 @@ def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, ca
     )
     code, out, _ = run(capsys, "verify", "continuum", "--nu", "2", "--g", "1")
     assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+def test_reconstruction_without_surplus_order_is_insufficient(capsys):
+    # z_2 has 7 numerator unknowns: 7 orders would fit them with nothing
+    # left to check the fit, so an eighth order is required
+    code, out, err = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "6")
+    assert code == 3 and out == "" and "surplus" in err
+    code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "7")
+    assert code == 0 and json.loads(out)["pole_order"] == 9
 
 
 @pytest.mark.parametrize(

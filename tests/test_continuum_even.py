@@ -1,7 +1,11 @@
+from math import factorial
+
+from mapgenus.combinatorics import LatticePolynomial, lattice_equation_exprs
 from mapgenus.continuum_even import (
     JetExpression,
     build_ztable,
     catalan_data,
+    expand_lattice_polynomial,
     functional_residual,
     hodograph_solution,
     solve_zg,
@@ -12,7 +16,7 @@ from mapgenus.continuum_even import (
     verify_string_antiderivative,
     verify_string_functional,
 )
-from mapgenus.exact_kernel import Poly, Q, RatFn, Series, ratfn_to_series
+from mapgenus.exact_kernel import GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series
 
 
 def test_catalan_data_examples():
@@ -157,3 +161,89 @@ def test_burgers_coefficient_counts_paths():
 
     for nu in (1, 2, 3):
         assert d_coeff(nu, (1,), "toda") == (nu + 1) * len(lattice_paths(2 * nu, 2, 0))
+
+
+# -- schoolbook reference for the lattice expansion ---------------------------
+# An eps-poly is a list indexed by the power of 1/n; every lattice site is
+# expanded into one and the products are multiplied out in full.
+
+
+def _eps_mul(a, b, N):
+    out = [None] * (N + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x is None or y is None or i + j > N:
+                continue
+            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
+    return out
+
+
+def _reference_expansion(expr, z_series, nu, N):
+    """Order-N coefficient of the two-scale substitution, term by term."""
+    step2 = 2 * (nu - 1)
+    trunc = z_series[0].trunc
+    derivs = []
+    for h, zs in enumerate(z_series):
+        row = [GradedSeries.from_series(zs, base2=2 - 4 * h, step2=step2)]
+        while len(row) <= N:
+            row.append(row[-1].dw())
+        derivs.append(row)
+
+    def site_factor(kappa):
+        out = [None] * (N + 1)
+        for h, row in enumerate(derivs):
+            for j in range(N - 2 * h + 1):
+                term = row[j] * Q(kappa ** j, factorial(j))
+                out[2 * h + j] = term if out[2 * h + j] is None else out[2 * h + j] + term
+        return out
+
+    total = None
+    for (t_deg, b_off, _a_off), coeff in expr.terms.items():
+        eps = [GradedSeries.const("u", coeff, 0, step2, trunc)] + [None] * N
+        for kappa in b_off:
+            eps = _eps_mul(eps, site_factor(kappa), N)
+        top = eps[N]
+        if top is None:
+            continue
+        if t_deg:
+            top = (top * Q(-2 * nu) ** t_deg).xmul(t_deg)
+        total = top if total is None else total + top
+    return total
+
+
+def _same_graded(a, b):
+    return a.c == b.c and a.base2 == b.base2 and a.trunc == b.trunc and a.step2 == b.step2
+
+
+def test_lattice_expansion_matches_schoolbook_products():
+    for nu, g_top, T in ((2, 5, 14), (3, 4, 12), (4, 3, 10)):
+        table = build_ztable(nu, g_top - 1, T=T)
+        expr = lattice_equation_exprs(nu, "string")
+        for g in range(1, g_top + 1):
+            N = 2 * g + 1
+            got = expand_lattice_polynomial(expr, table.family(g - 1), nu, N)
+            want = _reference_expansion(expr, table.z_list(g - 1), nu, N)
+            assert _same_graded(got, want), (nu, g)
+
+
+def test_lattice_expansion_sees_every_term():
+    # bumping one lattice coefficient by 1 adds exactly that monomial's
+    # expansion, so a collector that drops or merges terms wrongly fails
+    nu, g = 2, 2
+    N = 2 * g + 1
+    table = build_ztable(nu, g - 1, T=10)
+    family = table.family(g - 1)
+    expr = lattice_equation_exprs(nu, "string")
+    base = expand_lattice_polynomial(expr, family, nu, N)
+    for key in sorted(expr.terms):
+        t_deg, b_off, _ = key
+        if not any(b_off):
+            continue
+        bumped = LatticePolynomial(dict(expr.terms))
+        bumped.terms[key] += 1
+        got = expand_lattice_polynomial(bumped, family, nu, N)
+        single = LatticePolynomial.monomial(1, b_off, t_deg=t_deg)
+        delta = _reference_expansion(single, table.z_list(g - 1), nu, N)
+        assert not delta.is_zero()
+        assert not _same_graded(got, base)
+        assert _same_graded(got, base + delta), key
