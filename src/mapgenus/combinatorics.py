@@ -235,14 +235,6 @@ def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[LatticeP
     return out
 
 
-def dyck_path_count(j: int, m1: int, m2: int) -> int:
-    """Closed-form count of free Dyck paths: choose the downstep positions."""
-    d2 = j + m1 - m2
-    if d2 % 2 or d2 < 0:
-        return 0
-    return comb(j, d2 // 2)
-
-
 # ---------------------------------------------------------------------------
 # lattice polynomials: entries of powers of the recursion operator
 # ---------------------------------------------------------------------------
@@ -312,37 +304,6 @@ class LatticePolynomial:
             out.update(b)
             out.update(a)
         return out
-
-    def substitute(self, b2_map, a_map=None, t_value=None):
-        """Evaluate with b2[k] -> b2_map(k), a[k] -> a_map(k), t -> t_value.
-
-        The images only need to support + and *; a zero start value is taken
-        from 0 * (first term), so any commutative ring with int scalars works.
-        """
-        total = None
-        for (t_deg, b_off, a_off), coeff in self.terms.items():
-            term = coeff
-            if t_deg:
-                if t_value is None:
-                    raise RejectedInput("term carries t but no t value supplied")
-                for _ in range(t_deg):
-                    term = term * t_value
-            for k in b_off:
-                term = term * b2_map(k)
-            for k in a_off:
-                if a_map is None:
-                    raise RejectedInput("term carries a[] but no a map supplied")
-                term = term * a_map(k)
-            total = term if total is None else total + term
-        return total
-
-    def specialize_counts(self) -> Fraction:
-        """b2[k] -> 1, a[k] -> 0, t -> 1: recovers the bare path count."""
-        total = Q(0)
-        for (t_deg, b_off, a_off), coeff in self.terms.items():
-            if not a_off:
-                total += coeff
-        return total
 
     def __eq__(self, other):
         return isinstance(other, LatticePolynomial) and self.terms == other.terms

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .combinatorics import operator_power_entry
 from .errors import DegenerateTable, RejectedInput, VerificationFailure
 from .exact_kernel import Q, Series, _qscale
 
@@ -352,8 +351,43 @@ def _site_range(table: RecurrenceTable, reach: int) -> range:
 
 
 def _first_nonzero(res: BiSeries):
-    key = min(res.d)
+    """The term of lowest total degree r+k, ties broken by (r, k): the
+    first order at which the total-degree truncation sees the residual."""
+    key = min(res.d, key=lambda rk: (rk[0] + rk[1], rk))
     return key, res.d[key]
+
+
+def operator_power_row(table: RecurrenceTable, r: int, j: int) -> dict[int, BiSeries]:
+    """Entries (L^j)_{r,c} for c = r-2, r-1 of the recursion operator L,
+    x p_l = p_{l+1} + a_l p_l + b2_l p_{l-1}, by transfer: the row vector
+    e_r is multiplied by L one step at a time,
+
+        next[l+1] += v[l],   next[l] += v[l] a_l,   next[l-1] += v[l] b2_l,
+
+    so each walk prefix is multiplied once, not once per walk.  After a step
+    with ``left`` steps to go, only the levels r-2-left <= l <= r-1+left can
+    still reach a target column, and only those are kept; the highest level
+    read is then r + floor((j-1)/2).  Products with a zero weight are
+    skipped; a_l is zero below level 0, where no valid table has a walk.
+    """
+    zero = BiSeries(table.T, {})
+    v = {r: BiSeries.const(1, table.T)}
+    for left in range(j - 1, -1, -1):
+        lo, hi = r - 2 - left, r - 1 + left
+        nxt: dict[int, BiSeries] = {}
+        for l, x in v.items():
+            for m, w in ((l + 1, None), (l, table.a.get(l, zero)), (l - 1, table.b2[l])):
+                if not lo <= m <= hi or (w is not None and w.is_zero()):
+                    continue
+                y = x if w is None else x * w
+                nxt[m] = nxt[m] + y if m in nxt else y
+        v = nxt
+    return {c: v.get(c, zero) for c in (r - 2, r - 1)}
+
+
+def _power_rows(table: RecurrenceTable, sites: range, j: int) -> dict[int, dict[int, BiSeries]]:
+    """operator_power_row for the rows n and n+1 of every site n, each once."""
+    return {r: operator_power_row(table, r, j) for r in {*sites, *(n + 1 for n in sites)}}
 
 
 def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
@@ -361,58 +395,48 @@ def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
 
     Residuals must vanish identically as truncated series; the first
     offending (site, order) is reported otherwise.  The operator-power
-    entries are taken in their general (flat-step weighted) form, which
-    reduces to the even-weight form when the linear deformation is off:
-    paths below the boundary always carry the vanishing b2 weight, so the
-    relative-offset substitution is exact at every site n >= 1.
+    entries come from ``operator_power_row``: the rows n and n+1 are
+    stepped through L once each and shared by the sites that read them.
+    The entries are the general (flat-step weighted) ones, which reduce to
+    the even-weight form when the linear deformation is off, since a_l
+    vanishes identically and its products are skipped.
+
+    Boundary: b2_l vanishes for l <= 0, so no walk passes below level 0
+    and the semi-infinite operator is exact at every site n >= 1.  At the
+    top, rows n and n+1 with j <= 2 nu steps read levels up to n + nu, so
+    the sites are n = 1 .. n_max - nu.
     """
     spec = table.spec
     nu = spec.nu
-    t_series = BiSeries.var_t(table.T)
-    zero = BiSeries(table.T, {})
     sites = []
-
-    def maps_at(n):
-        return (
-            lambda k: table.b2[n + k],
-            lambda k: table.a[n + k] if n + k >= 0 else zero,
-        )
+    site_range = _site_range(table, nu)
 
     if kind == "string":
-        top = operator_power_entry(1, 1, 0, False) + operator_power_entry(
-            2 * nu - 1, 1, 0, False
-        ).times_t()
-        expr = top - top.shift(-1)
-        reach = max(expr.offsets())
-        for n in _site_range(table, reach):
-            b2_map, a_map = maps_at(n)
-            val = expr.substitute(b2_map, a_map, t_value=t_series)
-            res = val - spec.g_s
+        # (L + t L^(2nu-1))_{n+1,n} - (L + t L^(2nu-1))_{n,n-1} = g_s,
+        # with (L)_{r,r-1} = b2_r
+        t_series = BiSeries.var_t(table.T)
+        top = {
+            r: table.b2[r] + t_series * row[r - 1]
+            for r, row in _power_rows(table, site_range, 2 * nu - 1).items()
+        }
+        for n in site_range:
+            res = top[n + 1] - top[n] - spec.g_s
             _record(sites, n, res, kind)
     elif kind == "toda":
         # 2 nu g_s db2_n/dt = (a_{n-1}-a_n)(L^2nu)_{n,n-1}
         #                     + (L^2nu)_{n,n-2} - (L^2nu)_{n+1,n-1}
         # 2 nu g_s da_n/dt  = (L^2nu)_{n,n-1} - (L^2nu)_{n+1,n}
-        e_pp = operator_power_entry(2 * nu, 1, -1, False)
-        e_mm = operator_power_entry(2 * nu, 0, -2, False)
-        e_mid = operator_power_entry(2 * nu, 0, -1, False)
-        e_up = operator_power_entry(2 * nu, 1, 0, False)
-        reach = max(e_pp.offsets() | e_up.offsets())
-        for n in _site_range(table, reach):
-            b2_map, a_map = maps_at(n)
-            mid = e_mid.substitute(b2_map, a_map)
+        rows = _power_rows(table, site_range, 2 * nu)
+        for n in site_range:
+            mid = rows[n][n - 1]
             res = (
                 2 * nu * spec.g_s * table.b2[n].diff("t")
-                + e_pp.substitute(b2_map, a_map)
-                - e_mm.substitute(b2_map, a_map)
-                - (a_map(-1) - a_map(0)) * mid
+                + rows[n + 1][n - 1]
+                - rows[n][n - 2]
+                - (table.a[n - 1] - table.a[n]) * mid
             )
             _record(sites, n, res, kind)
-            res_a = (
-                2 * nu * spec.g_s * table.a[n].diff("t")
-                + e_up.substitute(b2_map, a_map)
-                - mid
-            )
+            res_a = 2 * nu * spec.g_s * table.a[n].diff("t") + rows[n + 1][n] - mid
             _record(sites, n, res_a, "toda_diagonal")
     elif kind == "toda_t1":
         if not spec.include_t1:

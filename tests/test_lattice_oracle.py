@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from mapgenus.combinatorics import operator_power_entry
 from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import Q
 from mapgenus.lattice_oracle import (
     BiSeries,
     WeightSpec,
+    _record,
     deformed_moments,
+    operator_power_row,
     recurrence_table,
     status_of,
     verify_hirota,
@@ -83,6 +86,96 @@ def test_corrupted_table_fails():
     table.b2[3] = bad
     with pytest.raises(VerificationFailure):
         verify_lattice_equations(table, "string")
+
+
+def bumped(s, key):
+    """A copy of s with 1 added to the coefficient at key."""
+    bad = BiSeries(s.trunc, dict(s.d))
+    bad.d[key] = bad.coeff(*key) + 1
+    return bad
+
+
+def test_corrupted_b2_fails_toda():
+    table = recurrence_table(spec_nu2(4), n_max=7, T=4)
+    table.b2[3] = bumped(table.b2[3], (0, 2))
+    # site 1 is the first whose rows reach level 3 = n + nu
+    with pytest.raises(VerificationFailure, match=r"^toda(_diagonal)? residual nonzero at n=1,"):
+        verify_lattice_equations(table, "toda")
+
+
+def test_corrupted_diagonal_fails_string_and_toda():
+    table = recurrence_table(spec_nu2(4, with_t1=True), n_max=7, T=4)
+    table.a[3] = bumped(table.a[3], (1, 1))
+    # a flat step at level 3 = n + nu - 1 first enters L^3 at site 2
+    with pytest.raises(VerificationFailure, match=r"^string residual nonzero at n=2,"):
+        verify_lattice_equations(table, "string")
+    with pytest.raises(VerificationFailure, match=r"^toda(_diagonal)? residual nonzero at n=1,"):
+        verify_lattice_equations(table, "toda")
+
+
+def eval_path_polynomial(poly, table):
+    """A lattice polynomial at site 0 of the table, one product per factor
+    of every monomial: b2[k] -> b2_k, a[k] -> a_k, zero below level 0."""
+    zero = BiSeries(table.T, {})
+    total = zero
+    for (t_deg, b_off, a_off), coeff in poly.terms.items():
+        assert t_deg == 0
+        term = BiSeries.const(coeff, table.T)
+        for k in b_off:
+            term = term * table.b2[k]
+        for k in a_off:
+            term = term * (table.a[k] if k >= 0 else zero)
+        total = total + term
+    return total
+
+
+def test_transfer_rows_match_path_sums():
+    for nu in (1, 2, 3, 4):
+        # (L^j)_{n+1, n+1+dc} as path sums, offsets relative to the site n
+        entries = {
+            (j, dc): operator_power_entry(j, 1, 1 + dc, False)
+            for j in (2 * nu - 1, 2 * nu)
+            for dc in (-2, -1)
+        }
+        # the highest offset they read is nu, which bounds the sites
+        assert max(set().union(*(e.offsets() for e in entries.values()))) == nu
+        for with_t1 in (False, True):
+            n_max = nu + 2
+            spec = WeightSpec(nu=nu, g_s=Q(1, 3), include_t1=with_t1)
+            table = recurrence_table(spec, n_max=n_max, T=2)
+            # rows n and n+1 of every site n = 1 .. n_max - nu
+            for r in range(1, n_max - nu + 2):
+                for (j, dc), entry in entries.items():
+                    expected = eval_path_polynomial(entry.shift(r - 1), table)
+                    got = operator_power_row(table, r, j)[r + dc]
+                    assert got == expected, (nu, with_t1, r, j, dc)
+
+
+def test_transfer_work_bound(monkeypatch):
+    """string + toda on the table of `verify lattice --nu 3 --nmax 8
+    --torder 5 --with-t1` take at most 1,500 series products (684 by
+    transfer); multiplying out every Motzkin walk takes 9,351."""
+    table = recurrence_table(WeightSpec(nu=3, g_s=Q(1, 8), include_t1=True), n_max=12, T=5)
+    calls = []
+    mul = BiSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(BiSeries, "__mul__", counted)
+    for kind in ("string", "toda"):
+        assert verify_lattice_equations(table, kind)["status"] == "pass"
+    assert len(calls) <= 1500
+
+
+def test_failure_reports_lowest_total_order():
+    # lexicographic order would name t1^0 t^2; the truncation sees t1^1 first
+    with pytest.raises(VerificationFailure, match=r"at n=3, order t1\^1 t\^0: 2$"):
+        _record([], 3, BiSeries(4, {(0, 2): Q(5), (1, 0): Q(2)}), "string")
+    # equal total degree: the lower power of t1 first
+    with pytest.raises(VerificationFailure, match=r"order t1\^0 t\^2: 5$"):
+        _record([], 3, BiSeries(4, {(1, 1): Q(7), (0, 2): Q(5), (0, 3): Q(1)}), "toda")
 
 
 def test_t1_flow_equations():
