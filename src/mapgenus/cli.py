@@ -228,10 +228,9 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
 def payload_verify_odd(nu: int, order: int) -> dict:
     coefficients = continuum_odd.verify_odd_identities(nu)
     pair = continuum_odd.solve_leading_odd(nu, order)
-    residuals = continuum_odd.verify_leading_residuals(pair)
     identities = [
         {"tag": "coefficient_identities", "status": coefficients["status"]},
-        {"tag": "leading_pair_residuals", "status": residuals["status"]},
+        {"tag": "leading_pair_residuals", "status": pair.residuals["status"]},
     ]
     return {"nu": nu, "order": order, "identities": identities, "status": status_of(identities)}
 

@@ -85,17 +85,17 @@ class TriPoly:
     def times_s(self) -> "TriPoly":
         return TriPoly({(s + 1, h, f): v for (s, h, f), v in self.terms.items()})
 
-    def eval_graded(self, h: GradedSeries, f: GradedSeries) -> GradedSeries:
-        """Evaluate on graded series fields; plain s multiplies as the time
+    def eval_graded(self, powers: "GradedPowers") -> GradedSeries:
+        """Evaluate on the graded series fields of ``powers``, reading every
+        h^a f^b from its shared table; plain s multiplies as the time
         variable (one weight step down per power)."""
+        h = powers.h
         total = None
-        one = GradedSeries.const(h.var, 1, 0, h.step2, h.trunc)
         for (sdeg, hdeg, fdeg), coeff in self.terms.items():
-            term = one * coeff
-            if hdeg:
-                term = term * h ** hdeg
-            if fdeg:
-                term = term * f ** fdeg
+            if hdeg or fdeg:
+                term = powers.get(hdeg, fdeg) * coeff
+            else:
+                term = GradedSeries.const(h.var, coeff, 0, h.step2, h.trunc)
             if sdeg:
                 term = term.xmul(sdeg)
             total = term if total is None else total + term
@@ -114,6 +114,40 @@ class TriPoly:
             )
             bits.append("%s %s" % (v, mono or "1"))
         return "TriPoly(%s)" % " + ".join(bits) if bits else "TriPoly(0)"
+
+
+class GradedPowers:
+    """The products h^a f^b of two graded series fields, each multiplied
+    out once and shared by every polynomial evaluated on the same (h, f):
+    a pure power by one product from the one below it, a mixed product
+    h^a f^b on first use."""
+
+    __slots__ = ("h", "f", "_hp", "_fp", "_mixed")
+
+    def __init__(self, h: GradedSeries, f: GradedSeries):
+        self.h = h
+        self.f = f
+        self._hp = [None, h]
+        self._fp = [None, f]
+        self._mixed: dict[tuple[int, int], GradedSeries] = {}
+
+    @staticmethod
+    def _pure(table: list, k: int) -> GradedSeries:
+        while len(table) <= k:
+            table.append(table[-1] * table[1])
+        return table[k]
+
+    def get(self, a: int, b: int) -> GradedSeries:
+        """h^a f^b for (a, b) != (0, 0)."""
+        if not b:
+            return self._pure(self._hp, a)
+        if not a:
+            return self._pure(self._fp, b)
+        out = self._mixed.get((a, b))
+        if out is None:
+            out = self._pure(self._hp, a) * self._pure(self._fp, b)
+            self._mixed[(a, b)] = out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +238,23 @@ def verify_odd_identities(nu: int) -> dict:
 
 class OddLeadingPair:
     """h0, f0 as graded series in s: h0 carries weight w^(1/2 + j(nu-1/2)),
-    f0 weight w^(1 + j(nu-1/2)) at order s^j (doubled exponents)."""
+    f0 weight w^(1 + j(nu-1/2)) at order s^j (doubled exponents).
+
+    ``powers`` is the shared table of products h0^a f0^b; ``residuals`` is
+    the report of the identity suite that ``solve_leading_odd`` ran on the
+    pair."""
 
     def __init__(self, nu: int, h0: GradedSeries, f0: GradedSeries):
         self.nu = nu
         self.h0 = h0
         self.f0 = f0
+        self.powers = GradedPowers(h0, f0)
+        self.residuals: dict | None = None
+
+
+def _widen(g: GradedSeries, T: int) -> GradedSeries:
+    """g with its truncation raised to T, the new orders zero."""
+    return GradedSeries(g.var, g.c, g.base2, g.step2, T)
 
 
 def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:
@@ -218,32 +263,35 @@ def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:
 
     Starting from (h, f) = (0, w), each pass through
         h <- -(2nu+1) s B12(h, f),    f <- w - (2nu+1) s B11(h, f)
-    gains one order in s; the fixed point satisfies the leading transport
-    system and its conservation form identically, and the string system
-    normalized with right side (0, 1) (the printed extra factor of s does
-    not come out of the hodograph differentiation; pinned here и recorded).
+    fixes one more order in s: the factor s makes order p of the images
+    depend on orders below p alone, so pass p runs at truncation p on the
+    result of pass p-1 and the loop ends at p = T.  The hodograph residuals
+    are then checked at the full truncation T.  The fixed point satisfies
+    the leading transport system and its conservation form identically,
+    and the string system normalized with right side (0, 1) (the printed
+    extra factor of s does not come out of the hodograph differentiation;
+    pinned here and recorded).  The identity suite runs once, and its
+    report is kept as ``pair.residuals``.
     """
     if T < 1:
         raise RejectedInput("need at least one series order")
     P = odd_coeff_polys(nu)
     w = 2 * nu + 1
     step2 = 2 * nu - 1
-    h = GradedSeries("s", [0], base2=1, step2=step2, trunc=T)
-    f = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
-    w_series = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
-    for _ in range(T + 1):
-        h_new = -w * P["B12"].eval_graded(h, f).xmul(1)
-        f_new = w_series - w * P["B11"].eval_graded(h, f).xmul(1)
-        if h_new == h and f_new == f:
-            break
-        h, f = h_new, f_new
-    # fixed point reached: residuals of the hodograph relations
-    if not (h + w * P["B12"].eval_graded(h, f).xmul(1)).is_zero():
-        raise VerificationFailure("hodograph fixed point not reached for h")
-    if not (f + w * P["B11"].eval_graded(h, f).xmul(1) - w_series).is_zero():
-        raise VerificationFailure("hodograph fixed point not reached for f")
+    h = GradedSeries("s", [0], base2=1, step2=step2, trunc=0)
+    f = GradedSeries("s", [1], base2=2, step2=step2, trunc=0)
+    for p in range(1, T + 1):
+        powers = GradedPowers(_widen(h, p), _widen(f, p))
+        h = -w * P["B12"].eval_graded(powers).xmul(1)
+        f = GradedSeries("s", [1], 2, step2, p) - w * P["B11"].eval_graded(powers).xmul(1)
     pair = OddLeadingPair(nu, h, f)
-    verify_leading_residuals(pair, P)
+    # fixed point reached: residuals of the hodograph relations
+    if not (h + w * P["B12"].eval_graded(pair.powers).xmul(1)).is_zero():
+        raise VerificationFailure("hodograph fixed point not reached for h")
+    w_series = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
+    if not (f + w * P["B11"].eval_graded(pair.powers).xmul(1) - w_series).is_zero():
+        raise VerificationFailure("hodograph fixed point not reached for f")
+    pair.residuals = verify_leading_residuals(pair, P)
     return pair
 
 
@@ -252,21 +300,21 @@ def verify_leading_residuals(pair: OddLeadingPair, P=None) -> dict:
     if P is None:
         P = odd_coeff_polys(nu)
     w = 2 * nu + 1
-    h, f = pair.h0, pair.f0
-    B11 = P["B11"].eval_graded(h, f)
-    B12 = P["B12"].eval_graded(h, f)
+    h, f, powers = pair.h0, pair.f0, pair.powers
+    B11 = P["B11"].eval_graded(powers)
+    B12 = P["B12"].eval_graded(powers)
     r1 = h.dx() + w * (B11 * h.dw() + B12 * f.dw()).truncate(h.trunc - 1)
     r2 = f.dx() + w * (f * B12 * h.dw() + B11 * f.dw()).truncate(h.trunc - 1)
     if not (r1.is_zero() and r2.is_zero()):
         raise VerificationFailure("leading transport system fails at nu=%d" % nu)
-    Psi1 = P["Psi1"].eval_graded(h, f)
-    Psi2 = P["Psi2"].eval_graded(h, f)
+    Psi1 = P["Psi1"].eval_graded(powers)
+    Psi2 = P["Psi2"].eval_graded(powers)
     c1 = h.dx() + Psi1.dw().truncate(h.trunc - 1)
-    c2 = (f + h * h * Q(1, 2)).dx() + (Psi2 + h * Psi1).dw().truncate(h.trunc - 1)
+    c2 = (f + powers.get(2, 0) * Q(1, 2)).dx() + (Psi2 + h * Psi1).dw().truncate(h.trunc - 1)
     if not (c1.is_zero() and c2.is_zero()):
         raise VerificationFailure("conservation-law form fails at nu=%d" % nu)
-    A11 = P["A11"].eval_graded(h, f)
-    A12 = P["A12"].eval_graded(h, f)
+    A11 = P["A11"].eval_graded(powers)
+    A12 = P["A12"].eval_graded(powers)
     s1 = A11 * h.dw() + A12 * f.dw()
     one = GradedSeries("s", [1], base2=0, step2=h.step2, trunc=h.trunc)
     s2 = f * A12 * h.dw() + A11 * f.dw() - one

@@ -70,6 +70,18 @@ def _qconv(a, b, n: int) -> list[Fraction]:
     return [Fraction(s, d) for s in out]
 
 
+def _power(base, n: int):
+    """base ** n for n >= 1 by square-and-multiply from the top bit: one
+    squaring per lower bit and one product per lower set bit, none of them
+    by one and no squaring past the last bit."""
+    out = base
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Q
 # ---------------------------------------------------------------------------
@@ -141,14 +153,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise RejectedInput("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Poly.one()
 
     def divmod(self, other: "Poly"):
         other = _as_poly(other)
@@ -323,14 +328,7 @@ class Series:
     def __pow__(self, n: int):
         if n < 0:
             raise RejectedInput("negative series power; divide instead")
-        result = Series.one(self.var, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Series.one(self.var, self.trunc)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -636,14 +634,7 @@ class DLaurent:
     def __pow__(self, n: int):
         if n < 0:
             raise RejectedInput("negative DLaurent power")
-        out = DLaurent.const(self.nu, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else DLaurent.const(self.nu, 1)
 
     def dz(self) -> "DLaurent":
         """d/dz = -(nu-1) d/dD."""
@@ -880,14 +871,7 @@ class GradedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise RejectedInput("negative graded power")
-        out = GradedSeries.const(self.var, 1, 0, self.step2, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else GradedSeries.const(self.var, 1, 0, self.step2, self.trunc)
 
     def __truediv__(self, other: "GradedSeries"):
         self._check(other, need_base=False)

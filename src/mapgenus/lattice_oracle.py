@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import lcm as _int_lcm
 
 from .errors import DegenerateTable, RejectedInput, VerificationFailure
 from .exact_kernel import Q, Series, _qscale
@@ -33,6 +34,20 @@ from .exact_kernel import Q, Series, _qscale
 # ---------------------------------------------------------------------------
 # bivariate truncated series in (t1, t), truncation by total degree
 # ---------------------------------------------------------------------------
+
+def _convolve_into(out: dict, ia, ib, T: int, m: int = 1) -> dict:
+    """out[(r, k)] += m x y over the term pairs of two ``BiSeries._ints``
+    lists whose total degree stays <= T; returns out."""
+    for e1, r1, k1, x in ia:
+        room = T - e1
+        x *= m
+        for e2, r2, k2, y in ib:
+            if e2 > room:
+                break
+            key = (r1 + r2, k1 + k2)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
 
 class BiSeries:
     """Truncated bivariate series sum c[(r,k)] t1^r t^k with r+k <= trunc.
@@ -112,14 +127,7 @@ class BiSeries:
         T = min(self.trunc, other.trunc)
         da, ia = self._ints(T)
         db, ib = other._ints(T)
-        out: dict = {}
-        for e1, r1, k1, x in ia:
-            room = T - e1
-            for e2, r2, k2, y in ib:
-                if e2 > room:
-                    break
-                key = (r1 + r2, k1 + k2)
-                out[key] = out.get(key, 0) + x * y
+        out = _convolve_into({}, ia, ib, T)
         d = da * db
         return BiSeries(T, {key: Fraction(s, d) for key, s in out.items() if s})
 
@@ -223,39 +231,40 @@ class WeightSpec:
             raise RejectedInput("string coefficient and 't Hooft parameter must be positive")
 
 
-def _gaussian_moment(p: int, g_s: Fraction) -> Fraction:
-    """p-th Gaussian moment over the mass: (p-1)!! g_s^(p/2) for even p, else 0."""
-    if p % 2:
-        return Q(0)
-    out = Q(1)
-    k = p - 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out * g_s ** (p // 2)
-
-
 def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
     """Moments of the deformed weight, normalized by the Gaussian mass.
 
     m_k(t) = sum_i (1/i!) (-t/(2 nu g_s))^i (k + 2 nu i - 1)!! g_s^((k+2nu i)/2)
     for even weight order; the t1 mode adds the analogous sum over the linear
-    deformation, truncated by total degree.
+    deformation, truncated by total degree.  The Gaussian moments
+    (p-1)!! g_s^(p/2) and the (r, i) prefactors come from running tables
+    built once per call, so each entry costs one product.
     """
     if T < 0:
         raise RejectedInput("truncation order must be >= 0")
     two_nu = 2 * spec.nu
+    g_s = spec.g_s
+    r_max = T if spec.include_t1 else 0
+    # gauss[q] = (2q-1)!! g_s^q, the Gaussian moment of order p = 2q, for
+    # every p = k + 2 nu i + r with r <= T - i, so p <= k_max + 2 nu T
+    gauss = [Q(1)]
+    for q in range(1, (k_max + two_nu * T) // 2 + 1):
+        gauss.append(gauss[-1] * (2 * q - 1) * g_s)
+    # (-1)^i / (i! (2 nu g_s)^i) and (-1)^r / (r! g_s^r)
+    ci = [Q(1)]
+    for i in range(1, T + 1):
+        ci.append(ci[-1] / (-i * two_nu * g_s))
+    cr = [Q(1)]
+    for r in range(1, r_max + 1):
+        cr.append(cr[-1] / (-r * g_s))
+    prefactor = [(r, i, ci[i] * cr[r]) for i in range(T + 1) for r in range(min(r_max, T - i) + 1)]
     out = []
     for k in range(k_max + 1):
         d = {}
-        for i in range(T + 1):
-            ci = Q((-1) ** i, factorial(i)) * Q(1, (two_nu * spec.g_s) ** i)
-            r_top = T - i if spec.include_t1 else 0
-            for r in range(r_top + 1):
-                g = _gaussian_moment(k + two_nu * i + r, spec.g_s)
-                if g:
-                    cr = Q((-1) ** r, factorial(r)) * Q(1, spec.g_s ** r)
-                    d[(r, i)] = ci * cr * g
+        for r, i, c in prefactor:
+            p = k + two_nu * i + r
+            if not p % 2:
+                d[(r, i)] = c * gauss[p // 2]
         out.append(BiSeries(T, d))
     return out
 
@@ -281,6 +290,20 @@ class RecurrenceTable:
         return self.b2[n].at_t1_zero()
 
 
+def _fused_row_entry(T: int, plain, products) -> BiSeries:
+    """plain - sum(u * v for u, v in products), every operand given as
+    BiSeries._ints(T) output: the products and the difference accumulate
+    in one integer pass over a common denominator, with one Fraction per
+    output key."""
+    dp, ip = plain
+    den = _int_lcm(dp, *(du * dv for (du, _), (dv, _) in products))
+    m = den // dp
+    out = {(r, k): x * m for _, r, k, x in ip}
+    for (du, iu), (dv, iv) in products:
+        _convolve_into(out, iu, iv, T, -(den // (du * dv)))
+    return BiSeries(T, {key: Fraction(s, den) for key, s in out.items() if s})
+
+
 def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
     """Build the recurrence data from moments by the exact moment-recurrence
     (Chebyshev) algorithm.
@@ -288,6 +311,12 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
     sigma[k][l] are the mixed moments of the monic orthogonal polynomials;
     norms h_k = sigma[k][k] are units (positive at t = 0), every division
     below is by a unit series, and det H_n = h_0 ... h_{n-1}.
+
+    The row k+1 is sigma[k+1][l] = sigma[k][l+1] - a_k sigma[k][l] -
+    b2_k sigma[k-1][l].  By orthogonality sigma[k+1][l] = 0 for l <= k, so
+    those entries are set to zero and never computed; each remaining entry
+    is one fused integer pass (``_fused_row_entry``), with a_k, b2_k and
+    every row entry scaled to integer numerators once.
     """
     if n_max < 2:
         raise RejectedInput("n_max must be >= 2")
@@ -296,6 +325,8 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
     zero = BiSeries(T, {})
     sigma_prev = [zero] * (L + 2)  # row k-1, padded
     sigma = list(moments) + [zero]
+    ints = {l: s._ints(T) for l, s in enumerate(sigma)}  # row k, scaled
+    ints_prev: dict = {}
     a: dict[int, BiSeries] = {}
     b2: dict[int, BiSeries] = {n: zero for n in range(-2 * n_max, 1)}
     norms: dict[int, BiSeries] = {}
@@ -319,16 +350,22 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
                 )
         if k == n_max:
             break
-        # next row of mixed moments
+        # next row of mixed moments, zero below the diagonal
         row_len = L - k
-        nxt = []
-        for l in range(row_len):
-            entry = sigma[l + 1] - a[k] * sigma[l]
-            if k >= 1:
-                entry = entry - b2[k] * sigma_prev[l]
-            nxt.append(entry)
-        sigma_prev = sigma
+        ia = None if a[k].is_zero() else a[k]._ints(T)
+        ib = b2[k]._ints(T) if k >= 1 else None
+        nxt = [zero] * (k + 1)
+        for l in range(k + 1, row_len):
+            products = []
+            if ia:
+                products.append((ia, ints[l]))
+            if ib:
+                products.append((ib, ints_prev[l]))
+            nxt.append(_fused_row_entry(T, ints[l + 1], products))
+        sigma_prev, ints_prev = sigma, ints
         sigma = nxt + [zero]
+        # the next row reads its own entries l >= k+2 only
+        ints = {l: nxt[l]._ints(T) for l in range(k + 2, row_len)}
     # tau2[n] = det H_n(t) / det H_n(0), via det H_n = prod_{k<n} h_k
     tau2: dict[int, BiSeries] = {0: BiSeries.const(1, T)}
     det = BiSeries.const(1, T)
@@ -482,13 +519,21 @@ def verify_hirota(table: RecurrenceTable) -> dict:
     identity for log tau2."""
     spec = table.spec
     sites = []
+    # log tau2[n] and its t1-derivative, each taken once per call and read
+    # from the table as it stands
+    @cache
+    def log_tau(n: int) -> BiSeries:
+        return table.tau2[n].log()
+
+    @cache
+    def dlog_tau(n: int) -> BiSeries:
+        return log_tau(n).diff("t1")
+
     for n in range(1, table.n_max):
         lhs = table.b2[n] * table.tau2[n] * table.tau2[n]
         rhs = table.tau2[n + 1] * table.tau2[n - 1] * (n * spec.g_s)
         _record(sites, n, lhs - rhs, "tau_product")
-        second_diff = (
-            table.tau2[n + 1].log() - 2 * table.tau2[n].log() + table.tau2[n - 1].log()
-        )
+        second_diff = log_tau(n + 1) - 2 * log_tau(n) + log_tau(n - 1)
         _record(
             sites,
             n,
@@ -496,11 +541,9 @@ def verify_hirota(table: RecurrenceTable) -> dict:
             "tau_second_difference",
         )
         if spec.include_t1:
-            res_a = table.a[n] + spec.g_s * (
-                table.tau2[n + 1].log().diff("t1") - table.tau2[n].log().diff("t1")
-            )
+            res_a = table.a[n] + spec.g_s * (dlog_tau(n + 1) - dlog_tau(n))
             _record(sites, n, res_a, "tau_log_derivative_a")
-            res_b = table.b2[n] - spec.g_s ** 2 * table.tau2[n].log().diff("t1").diff("t1")
+            res_b = table.b2[n] - spec.g_s ** 2 * dlog_tau(n).diff("t1")
             _record(sites, n, res_b, "tau_log_derivative_b")
     return {
         "equation": "hirota",

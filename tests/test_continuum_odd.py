@@ -1,5 +1,6 @@
 import pytest
 
+from mapgenus import cli, continuum_odd
 from mapgenus.combinatorics import trinomial
 from mapgenus.continuum_odd import (
     TriPoly,
@@ -11,8 +12,8 @@ from mapgenus.continuum_odd import (
     verify_leading_residuals,
     verify_odd_identities,
 )
-from mapgenus.errors import NoMatchingExists
-from mapgenus.exact_kernel import Q
+from mapgenus.errors import NoMatchingExists, VerificationFailure
+from mapgenus.exact_kernel import GradedSeries, Q
 from mapgenus.fatgraph_oracle import kappa_counts
 
 
@@ -93,3 +94,91 @@ def test_mu_zero_term_is_forced():
     broken = P["B12"] - TriPoly.monomial(2, f=1)
     assert P["Psi1"].d_f() != 3 * broken
     assert P["Psi1"].d_f() == 3 * P["B12"]
+
+
+def eval_full(poly, h, f):
+    """poly on (h, f), each monomial multiplied out on its own by powers."""
+    total = GradedSeries.const(h.var, 0, 0, h.step2, h.trunc)
+    for (sdeg, hdeg, fdeg), coeff in poly.terms.items():
+        term = GradedSeries.const(h.var, coeff, 0, h.step2, h.trunc) * h ** hdeg * f ** fdeg
+        total = total + term.xmul(sdeg)
+    return total
+
+
+def full_truncation_fixed_point(nu, T):
+    """The hodograph iteration with every pass at the full truncation T,
+    stopped when a pass changes nothing."""
+    P = odd_coeff_polys(nu)
+    w = 2 * nu + 1
+    step2 = 2 * nu - 1
+    h = GradedSeries("s", [0], base2=1, step2=step2, trunc=T)
+    f = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
+    w_series = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
+    for _ in range(T + 1):
+        h_new = -w * eval_full(P["B12"], h, f).xmul(1)
+        f_new = w_series - w * eval_full(P["B11"], h, f).xmul(1)
+        if h_new == h and f_new == f:
+            break
+        h, f = h_new, f_new
+    return h, f
+
+
+def test_growing_truncation_matches_full_truncation_fixed_point():
+    for nu in (1, 2, 3, 4):
+        for T in (1, 2, 3, 8, 24):
+            pair = solve_leading_odd(nu, T)
+            h, f = full_truncation_fixed_point(nu, T)
+            for got, want in ((pair.h0, h), (pair.f0, f)):
+                assert (got.c, got.base2, got.step2, got.trunc) == (
+                    want.c,
+                    want.base2,
+                    want.step2,
+                    want.trunc,
+                ), (nu, T)
+
+
+def test_shared_powers_evaluate_like_monomials():
+    pair = solve_leading_odd(3, 9)
+    for name, poly in odd_coeff_polys(3).items():
+        assert poly.eval_graded(pair.powers) == eval_full(poly, pair.h0, pair.f0), name
+
+
+def test_verify_odd_work_bound(monkeypatch):
+    """`verify odd --nu 4 --order 24` takes at most 1,000 graded products
+    (754 with growing truncation and shared powers) and runs the residual
+    suite once; full-truncation passes with a power per monomial and a
+    second residual run take 2,788."""
+    calls = []
+    mul = GradedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", counted)
+    monkeypatch.setattr(GradedSeries, "__rmul__", counted)
+    suites = []
+    residuals = continuum_odd.verify_leading_residuals
+
+    def once(pair, P=None):
+        suites.append(pair.h0.trunc)
+        return residuals(pair, P)
+
+    monkeypatch.setattr(continuum_odd, "verify_leading_residuals", once)
+    assert cli.payload_verify_odd(4, 24)["status"] == "pass"
+    assert suites == [24]
+    assert len(calls) <= 1000
+
+
+def test_hodograph_residual_checked_at_full_truncation(monkeypatch):
+    """Passes that read one order too few leave the top orders wrong, and
+    the hodograph residuals after the loop, at the full truncation, catch
+    it."""
+    widen = continuum_odd._widen
+
+    def short(g, T):
+        return widen(g.truncate(max(T - 2, 0)), T)
+
+    monkeypatch.setattr(continuum_odd, "_widen", short)
+    with pytest.raises(VerificationFailure, match="hodograph fixed point"):
+        solve_leading_odd(2, 6)

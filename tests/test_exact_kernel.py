@@ -411,3 +411,37 @@ def test_series_power_matches_repeated_products():
     for n in range(6):
         assert p ** n == acc
         acc = acc * p
+
+
+def test_powers_of_every_ring_match_repeated_products(monkeypatch):
+    """Poly, Series, DLaurent and GradedSeries share one square-and-multiply
+    power: equal to repeated products, the identity at n = 0, and for
+    n >= 1 one squaring per bit below the top plus one product per lower
+    set bit, none of them by one."""
+    bases = [
+        Poly(rand_coeffs(3, SHARED_DENOMS) + [Q(2, 5)]),
+        Series("t", rand_coeffs(6, COPRIME_DENOMS)) + 1,
+        DLaurent(3, -2, rand_coeffs(3, COPRIME_DENOMS) + [Q(-4, 7)]),
+        GradedSeries("s", rand_coeffs(6, SHARED_DENOMS), base2=1, step2=3),
+    ]
+    for base in bases:
+        cls = type(base)
+        acc = base ** 0
+        assert acc * base == base
+        calls = []
+        mul = cls.__mul__
+
+        def counted(self, other, mul=mul):
+            calls.append(1)
+            return mul(self, other)
+
+        for n in range(1, 14):
+            acc = acc * base
+            calls.clear()
+            monkeypatch.setattr(cls, "__mul__", counted)
+            power = base ** n
+            monkeypatch.setattr(cls, "__mul__", mul)
+            assert power == acc, (cls.__name__, n)
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, (cls.__name__, n)
+    graded = bases[3] ** 0
+    assert graded.base2 == 0 and graded.trunc == bases[3].trunc

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -380,3 +381,113 @@ def test_biseries_non_units_rejected():
     for c in (2, Q(-1), 0):
         with pytest.raises(RejectedInput):
             rand_biseries(3, True, SHARED_DENOMS, const=c).log()
+
+
+# -- the recurrence table against the full Chebyshev algorithm ---------------
+
+
+def direct_moments(spec, k_max, T):
+    """Each moment coefficient straight from its formula,
+    (-1)^(i+r) / (i! r! (2 nu g_s)^i g_s^r) (p-1)!! g_s^(p/2), p = k + 2 nu i + r."""
+    g_s = spec.g_s
+    out = []
+    for k in range(k_max + 1):
+        d = {}
+        for i in range(T + 1):
+            for r in range(T - i + 1 if spec.include_t1 else 1):
+                p = k + 2 * spec.nu * i + r
+                if p % 2:
+                    continue
+                double_factorial = 1
+                for odd in range(p - 1, 0, -2):
+                    double_factorial *= odd
+                d[(r, i)] = (
+                    Q((-1) ** (i + r), factorial(i) * factorial(r))
+                    / ((2 * spec.nu * g_s) ** i * g_s ** r)
+                    * double_factorial
+                    * g_s ** (p // 2)
+                )
+        out.append(BiSeries(T, d))
+    return out
+
+
+def full_chebyshev(spec, n_max, T):
+    """b2, a and tau2 by the moment recurrence with every mixed moment
+    sigma[k][l] built by series arithmetic, those below the diagonal
+    included; returns them with the full sigma rows."""
+    L = 2 * n_max + 1
+    zero = BiSeries(T, {})
+    rows = [direct_moments(spec, L, T)]
+    a, b2 = {}, {}
+    for k in range(n_max + 1):
+        sigma = rows[k]
+        a[k] = sigma[k + 1] / sigma[k] - (rows[k - 1][k] / rows[k - 1][k - 1] if k else zero)
+        if k:
+            b2[k] = sigma[k] / rows[k - 1][k - 1]
+        if k == n_max:
+            break
+        nxt = []
+        for l in range(L - k):
+            entry = sigma[l + 1] - a[k] * sigma[l]
+            if k:
+                entry = entry - b2[k] * rows[k - 1][l]
+            nxt.append(entry)
+        rows.append(nxt)
+    tau2 = {0: BiSeries.const(1, T)}
+    det = BiSeries.const(1, T)
+    for n in range(1, n_max + 1):
+        det = det * rows[n - 1][n - 1]
+        tau2[n] = det / det.constant()
+    return a, b2, tau2, rows
+
+
+def test_moments_match_direct_formula():
+    for nu in (1, 2, 3, 4):
+        for with_t1 in (False, True):
+            spec = WeightSpec(nu=nu, g_s=Q(2, 7), include_t1=with_t1)
+            assert deformed_moments(spec, 9, 4) == direct_moments(spec, 9, 4)
+
+
+def test_table_matches_full_chebyshev_recurrence():
+    """The table skips the mixed moments below the diagonal; the full
+    recurrence computes them, finds them zero, and gives the same b2, a
+    and tau2."""
+    for nu in (1, 2, 3, 4):
+        for with_t1 in (False, True):
+            spec = WeightSpec(nu=nu, g_s=Q(1, 5), include_t1=with_t1)
+            n_max, T = nu + 3, 3
+            table = recurrence_table(spec, n_max, T)
+            a, b2, tau2, rows = full_chebyshev(spec, n_max, T)
+            for k, row in enumerate(rows):
+                assert all(row[l].is_zero() for l in range(k)), (nu, with_t1, k)
+            assert {n: table.a[n] for n in a} == a
+            assert {n: table.b2[n] for n in b2} == b2
+            assert table.tau2 == tau2
+            assert all(table.b2[n].is_zero() for n in table.b2 if n <= 0)
+
+
+def test_hirota_log_work_bound(monkeypatch):
+    """One log of each tau2[n] and of each b2[n]/(n g_s) per call: 2 n_max
+    logs, where a log per use takes 7 (n_max - 1)."""
+    n_max = 10
+    table = recurrence_table(spec_nu2(6, with_t1=True), n_max=n_max, T=4)
+    calls = []
+    log = BiSeries.log
+
+    def counted(self):
+        calls.append(1)
+        return log(self)
+
+    monkeypatch.setattr(BiSeries, "log", counted)
+    assert verify_hirota(table)["status"] == "pass"
+    assert len(calls) <= 2 * n_max
+
+
+def test_hirota_reads_the_table_on_every_call():
+    """The logs live for one call only: a tau2 entry corrupted in place
+    after a passing call fails the next one."""
+    table = recurrence_table(spec_nu2(6, with_t1=True), n_max=7, T=4)
+    assert verify_hirota(table)["status"] == "pass"
+    table.tau2[4].d[(1, 2)] = table.tau2[4].coeff(1, 2) + 1
+    with pytest.raises(VerificationFailure, match=r"^tau_product residual nonzero at n=3,"):
+        verify_hirota(table)
