@@ -138,7 +138,7 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
         raise RejectedInput("genus must be >= 0")
     if g < 2:
         T = order if order is not None else 16
-        etable = genus_even.ETable(nu, continuum_even.build_ztable(nu, 1, T=T))
+        etable = genus_even.ETable(nu, continuum_even.ZTable(nu, T))
         lr = etable.logrational(g)
         return {
             "nu": nu,
@@ -170,6 +170,8 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
 
 
 def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
+    if genus is not None and genus < 0:
+        raise RejectedInput("--genus must be >= 0")
     counts = fatgraph_oracle.kappa_counts(valence, vertices)
     if genus is not None:
         return {str(genus): counts.get(genus, 0)}

@@ -112,19 +112,19 @@ def monomial_sym_eval(lam: Partition, xs) -> Fraction:
     Zero by convention when lam has more parts than xs has entries; 0**0
     counts as 1 when padded zero exponents meet zero entries.
     """
-    xs = [Q(x) for x in xs]
     if len(lam) > len(xs):
         return Q(0)
     exps = tuple(lam) + (0,) * (len(xs) - len(lam))
-    total = Q(0)
+    # integer points (as d_coeff passes) stay in int arithmetic throughout
+    total = 0
     for perm in _distinct_permutations(exps):
-        term = Q(1)
+        term = 1
         for x, e in zip(xs, perm):
             if e:
                 term *= x ** e
             # e == 0 contributes a factor 1 even when x == 0
         total += term
-    return total
+    return Q(total)
 
 
 def c_valence(nu: int) -> int:
@@ -188,20 +188,6 @@ class LatticePath:
 
     steps: tuple[int, ...]
     start: int
-
-    @property
-    def end(self) -> int:
-        return self.start + sum(self.steps)
-
-    def downstep_levels(self) -> list[int]:
-        """Lattice location after each downstep, in path order."""
-        out = []
-        lvl = self.start
-        for s in self.steps:
-            lvl += s
-            if s == -1:
-                out.append(lvl)
-        return out
 
 
 def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[LatticePath]:
@@ -297,13 +283,6 @@ class LatticePolynomial:
                 for (t, b, a), v in self.terms.items()
             }
         )
-
-    def offsets(self) -> set[int]:
-        out: set[int] = set()
-        for (_, b, a) in self.terms:
-            out.update(b)
-            out.update(a)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, LatticePolynomial) and self.terms == other.terms

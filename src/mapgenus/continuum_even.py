@@ -9,8 +9,8 @@ variable u satisfies
 
     z0 = 1 + c u z0^nu,        c = 2 nu binom(2 nu - 1, nu - 1),
 
-so z0 has positive higher-Catalan coefficients and u = -t x^(nu-1)/(2 nu)
-in terms of the physical coupling t of the lattice oracle.  In this
+so z0 has positive higher-Catalan coefficients and u = -t/(2 nu) in terms
+of the physical coupling t of the lattice oracle.  In this
 orientation the hodograph relation reads w = f0 - c u f0^nu and the leading
 transport equation is df0/du = c f0^nu dw f0.  The fat-graph and lattice
 oracles both pin this calibration; see the acceptance suite.
@@ -170,22 +170,6 @@ class JetExpression:
 
     def __sub__(self, other):
         return self + other * (-1)
-
-    def dw(self) -> "JetExpression":
-        """Formal spatial derivative: f -> f_w, f_(j) -> f_(j+1), Leibniz."""
-        out = JetExpression()
-        for (fpow, jets), coeff in self.terms.items():
-            jets_d = dict(jets)
-            if fpow:
-                bumped = dict(jets_d)
-                bumped[1] = bumped.get(1, 0) + 1
-                out = out + JetExpression.monomial(coeff * fpow, fpow - 1, bumped)
-            for j, r in jets_d.items():
-                bumped = dict(jets_d)
-                bumped[j] = r - 1
-                bumped[j + 1] = bumped.get(j + 1, 0) + 1
-                out = out + JetExpression.monomial(coeff * r, fpow, bumped)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, JetExpression) and self.terms == other.terms

@@ -366,7 +366,7 @@ def trivalent_closed_forms(T: int) -> dict[int, Series]:
     return {0: e0, 1: e1, 2: e2}
 
 
-def trivalent_checks(T: int = 6, m_max: int = 4, cap: int = fatgraph_oracle.HALF_EDGE_CAP) -> dict:
+def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
     """Expand the trivalent golden forms, freeze the single scale constant
     on one planar coefficient, then require every other coefficient to
     reproduce the matching oracle with no remaining freedom.
@@ -377,7 +377,7 @@ def trivalent_checks(T: int = 6, m_max: int = 4, cap: int = fatgraph_oracle.HALF
     if m_max % 2 or m_max < 2:
         raise RejectedInput("m_max must be even and >= 2")
     forms = trivalent_closed_forms(T)
-    kappa = {m: fatgraph_oracle.kappa_counts(3, m, cap=cap) for m in range(2, m_max + 1, 2)}
+    kappa = {m: fatgraph_oracle.kappa_counts(3, m) for m in range(2, m_max + 1, 2)}
     # calibration on (g=0, m=2): e0 = 6 tau + ... and kappa/(2! 3^2) = 2/3
     lead = forms[0].coeff(1)
     target = Q(kappa[2].get(0, 0), factorial(2) * 9)

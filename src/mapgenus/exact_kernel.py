@@ -40,10 +40,6 @@ def qstr(q: QLike) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def qparse(s: str) -> Fraction:
-    return Q(s)
-
-
 def _qscale(xs) -> tuple[int, list[int]]:
     """(d, [x*d for x in xs]) with d the lcm of the denominators of xs."""
     d = _int_lcm(*(x.denominator for x in xs))
@@ -393,33 +389,6 @@ def series_log(s: Series) -> Series:
     return (s.derivative() / s.truncate(s.trunc - 1)).integrate().truncate(s.trunc)
 
 
-def series_exp(s: Series) -> Series:
-    """Formal exp of a series with zero constant term (inverse of series_log)."""
-    if s.coeff(0) != 0:
-        raise RejectedInput("series_exp requires zero constant term")
-    out = [Q(0)] * (s.trunc + 1)
-    out[0] = Q(1)
-    # e' = s' e, solved order by order
-    for n in range(1, s.trunc + 1):
-        acc = Q(0)
-        for k in range(1, n + 1):
-            acc += k * s.coeff(k) * out[n - k]
-        out[n] = acc / n
-    return Series(s.var, out, s.trunc)
-
-
-def series_compose(f: Series, g: Series) -> Series:
-    """f(g) for a series g with zero constant term (Horner over series)."""
-    if g.coeff(0) != 0:
-        raise RejectedInput("series_compose requires inner series with zero constant term")
-    T = min(f.trunc, g.trunc)
-    acc = Series.zero(g.var, T)
-    gq = g.truncate(T)
-    for a in reversed(f.c[: T + 1]):
-        acc = acc * gq + a
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # reduced rational functions
 # ---------------------------------------------------------------------------
@@ -483,9 +452,6 @@ class RatFn:
 
     def den(self) -> Poly:
         return self.den_base ** self.den_pow
-
-    def is_polynomial(self) -> bool:
-        return self.den_pow == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -954,10 +920,6 @@ def series_to_json(s: Series) -> dict:
     return {"var": s.var, "trunc": s.trunc, "coeffs": [qstr(x) for x in s.c]}
 
 
-def series_from_json(d: dict) -> Series:
-    return Series(d["var"], [qparse(x) for x in d["coeffs"]], d["trunc"])
-
-
 def ratfn_to_json(r: RatFn, var: str = "z0") -> dict:
     return {
         "var": var,
@@ -966,11 +928,3 @@ def ratfn_to_json(r: RatFn, var: str = "z0") -> dict:
         "den_pow": r.den_pow,
     }
 
-
-def ratfn_from_json(d: dict) -> RatFn:
-    return RatFn(
-        Poly([qparse(x) for x in d["num"]]),
-        Poly([qparse(x) for x in d["den_base"]]),
-        d["den_pow"],
-        d.get("var", "z"),
-    )

@@ -1,5 +1,4 @@
-"""Map counts by genus: Tutte's root-edge recursion, with a brute-force
-enumeration over rotation systems as its assumption-free cross-check.
+"""Map counts by genus from Tutte's root-edge recursion.
 
 A fat graph is a pair (sigma, alpha) of permutations of the half-edges:
 sigma rotates the half-edges around each vertex (fixed canonically here),
@@ -14,21 +13,17 @@ the relabelling group exactly, so no automorphism groups are ever needed.
 ``kappa_tally`` counts them with Tutte's recursion on the root half-edge
 (W. T. Tutte, Bull. AMS 1968; Walsh and Lehman, JCTB 1972), memoised on the
 vertex degrees, in milliseconds where the brute-force walk over all
-(jm-1)!! matchings takes seconds.  The brute-force walk stays available as
-``genus_tally_pure`` (the pure-Python ``_mapcore_py``), the only
-enumeration kernel, which ``KERNEL_KIND`` names.
+(jm-1)!! matchings takes seconds.  That walk, ``_mapcore_py.genus_tally``,
+is the recursion's assumption-free cross-check; ``KERNEL_KIND`` names it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
 from .errors import NoMatchingExists, RejectedInput, SizeLimit, VerificationFailure
 from .exact_kernel import Q, Series
-
-from . import _mapcore_py
 
 KERNEL_KIND = "pure"
 
@@ -41,80 +36,6 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
-
-
-@dataclass(frozen=True)
-class FatGraph:
-    """m vertices of valence j with matching involution alpha on half-edges.
-
-    Half-edges j*v .. j*v+j-1 belong to vertex v in cyclic order; alpha maps
-    each half-edge to its partner.
-    """
-
-    m: int
-    j: int
-    alpha: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.m * self.j
-        if n % 2:
-            raise NoMatchingExists("odd half-edge count %d" % n)
-        if sorted(self.alpha) != list(range(n)):
-            raise RejectedInput("alpha is not a permutation of the half-edges")
-        for h, hp in enumerate(self.alpha):
-            if hp == h or self.alpha[hp] != h:
-                raise RejectedInput("alpha is not a fixed-point-free involution")
-
-    def sigma(self) -> tuple[int, ...]:
-        n = self.m * self.j
-        out = [0] * n
-        for v in range(self.m):
-            base = self.j * v
-            for i in range(self.j):
-                out[base + i] = base + (i + 1) % self.j
-        return tuple(out)
-
-
-def genus_of(graph: FatGraph) -> int | None:
-    """Genus of the glued surface, or None when the graph is disconnected.
-
-    Faces are cycles of sigma o alpha; vertices minus edges plus faces is
-    2 - 2g for connected maps (always an even combination, asserted here).
-    """
-    n = graph.m * graph.j
-    sigma = graph.sigma()
-    # connectivity on vertices through the matched edges
-    parent = list(range(graph.m))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    comps = graph.m
-    for h in range(n):
-        a, b = find(h // graph.j), find(graph.alpha[h] // graph.j)
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    if comps != 1:
-        return None
-    seen = [False] * n
-    faces = 0
-    for h in range(n):
-        if not seen[h]:
-            faces += 1
-            cur = h
-            while not seen[cur]:
-                seen[cur] = True
-                cur = sigma[graph.alpha[cur]]
-    euler = graph.m - n // 2 + faces
-    if euler % 2:
-        raise RejectedInput("odd Euler characteristic on a connected map")
-    g = (2 - euler) // 2
-    if g < 0:
-        raise RejectedInput("negative genus: inconsistent fat graph")
-    return g
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +124,3 @@ def eg_series_from_kappa(j: int, g: int, m_max: int, cap: int = HALF_EDGE_CAP) -
         coeffs.append(Q(kappa, factorial(m) * j ** m))
     return Series("u", coeffs, m_max)
 
-
-def genus_tally_pure(j: int, m: int):
-    """Brute-force walk over all matchings, the cross-check of `kappa_tally`."""
-    return _mapcore_py.genus_tally(j, m)

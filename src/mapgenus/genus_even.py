@@ -232,16 +232,6 @@ def planar_lift_deriv_formula(nu: int, p: int) -> LogRational:
     return out + tail
 
 
-def top_jet_bundle_is_regularized(nu: int) -> bool:
-    """The highest-jet bundle of the planar block carries an explicit factor
-    of the base: 1 - (2nu+1)(nu-1)/(nu(nu+1)) z0 + (nu-1)^2/(nu(nu+1)) z0^2
-    is divisible by nu - (nu-1) z0."""
-    z = DLaurent.z(nu)
-    quad = Q((nu - 1) ** 2, nu * (nu + 1)) * z ** 2 - Q((2 * nu + 1) * (nu - 1), nu * (nu + 1)) * z + 1
-    # a polynomial in D is divisible by D when its D^0 coefficient vanishes
-    return quad.coeff(0) == 0
-
-
 # ---------------------------------------------------------------------------
 # transport coefficient tables and vanishing checks
 # ---------------------------------------------------------------------------
@@ -396,17 +386,17 @@ def resummed_via_tables(etable: "ETable", k: int, p: int) -> LogRational:
     return e_k * Qt[(p, 0)] + LogRational(nu, wrapped)
 
 
-def E_w_derivs(etable: "ETable", h: int, p: int, cross_check: bool = True) -> LogRational:
+def E_w_derivs(etable: "ETable", h: int, p: int) -> LogRational:
     """p-th spatial derivative of the genus-h lift at w = 1.
 
-    Computed by the direct graded chain; optionally cross-checked against
-    the scaled-time resummation through the Q table (all h), against the
-    coefficient-table rebuild (h >= 1), and against the independent
+    Computed by the direct graded chain (``E_w_deriv``) and cross-checked
+    against the scaled-time resummation through the Q table (all h), against
+    the coefficient-table rebuild (h >= 1), and against the independent
     planar-jet formula (h = 0, p >= 3).
     """
     e_h = etable.logrational(h)
     direct = E_w_deriv(e_h, h, p)
-    if cross_check and p >= 1:
+    if p >= 1:
         nu = etable.nu
         Qt = q_table(nu, max(h, 0), p)
         # the scaled time u = (z0-1)/(c z0^nu): (nu-1)^j u^j du^j e_h is
@@ -466,13 +456,12 @@ def log_term_ratfn(g: int, ztable: ZTable) -> DLaurent:
     return total
 
 
-def c_constant(g: int, _memo={}) -> Fraction:
+@cache
+def c_constant(g: int) -> Fraction:
     """Constant term of the genus-g coefficient; a closed recursion with no
     valence dependence."""
     if g < 2:
         raise RejectedInput("constant-term recursion starts at genus 2")
-    if g in _memo:
-        return _memo[g]
     acc = Q(1, factorial(2 * g + 2)) - Q(1, factorial(2 * g) * 12)
     if g > 2:
         inner = Q(0)
@@ -481,9 +470,7 @@ def c_constant(g: int, _memo={}) -> Fraction:
                 2 * g - 2 * k + 2
             ) * c_constant(k)
         acc += inner / factorial(2 * g - 1)
-    out = -2 * factorial(2 * g - 3) * acc
-    _memo[g] = out
-    return out
+    return -2 * factorial(2 * g - 3) * acc
 
 
 @dataclass
@@ -536,7 +523,7 @@ def hirota_rhs(nu: int, g: int, ztable: ZTable, etable: ETable) -> LogRational:
         raise RejectedInput("tau recursion starts at genus 1")
     total = LogRational(nu, log_term_ratfn(g, ztable))
     for ell in range(1, g + 1):
-        d = E_w_derivs(etable, g - ell, 2 * ell + 2, cross_check=False)
+        d = E_w_deriv(etable.logrational(g - ell), g - ell, 2 * ell + 2)
         total = total - Q(2, factorial(2 * ell + 2)) * d
     if not total.is_rational():
         raise VerificationFailure("tau-recursion right-hand side kept log terms")
@@ -549,13 +536,7 @@ def hirota_rhs(nu: int, g: int, ztable: ZTable, etable: ETable) -> LogRational:
     return total
 
 
-def solve_eg(
-    nu: int,
-    g: int,
-    ztable: ZTable,
-    etable: ETable,
-    kappa_cap: int = fatgraph_oracle.HALF_EDGE_CAP,
-) -> EEntry:
+def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
     """Determine the genus-g coefficient from the tau recursion.
 
     The left side is diagonal on u-monomials with eigenvalue
@@ -564,7 +545,7 @@ def solve_eg(
     right-hand side (solvability), and the excluded coefficients are
     recovered by rational reconstruction over the non-resonant data, then
     cross-checked against the matching oracle wherever it reaches
-    (half-edge count at most kappa_cap)."""
+    (half-edge count at most ``fatgraph_oracle.HALF_EDGE_CAP``)."""
     if g < 2:
         raise RejectedInput("the genus solve starts at g = 2")
     rhs = hirota_rhs(nu, g, ztable, etable)
@@ -605,8 +586,8 @@ def solve_eg(
     # non-resonant orders must be reproduced (surplus consistency is inside
     # series_to_ratfn); the resonant read-backs face the matching oracle
     for m in resonant:
-        if 2 * nu * m <= kappa_cap:
-            kappa_known = fatgraph_oracle.kappa_counts(2 * nu, m, cap=kappa_cap).get(g, 0)
+        if 2 * nu * m <= fatgraph_oracle.HALF_EDGE_CAP:
+            kappa_known = fatgraph_oracle.kappa_counts(2 * nu, m).get(g, 0)
             if series.coeff(m) != Q(kappa_known, factorial(m)):
                 raise VerificationFailure(
                     "resonant coefficient m=%d disagrees with the matching oracle" % m
@@ -672,12 +653,10 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
     }
 
 
-def build_etable(
-    nu: int, g_max: int, ztable: ZTable | None = None, kappa_cap: int = fatgraph_oracle.HALF_EDGE_CAP
-) -> ETable:
+def build_etable(nu: int, g_max: int, ztable: ZTable | None = None) -> ETable:
     if ztable is None:
         ztable = build_ztable(nu, g_max, T=max(5 * g_max + 12, 16))
     etable = ETable(nu, ztable)
     for g in range(2, g_max + 1):
-        solve_eg(nu, g, ztable, etable, kappa_cap=kappa_cap)
+        solve_eg(nu, g, ztable, etable)
     return etable

@@ -221,14 +221,13 @@ class WeightSpec:
 
     nu: int
     g_s: Fraction
-    x: Fraction = Q(1)
     include_t1: bool = False
 
     def __post_init__(self):
         if self.nu < 1:
             raise RejectedInput("valence parameter must be >= 1")
-        if self.g_s <= 0 or self.x <= 0:
-            raise RejectedInput("string coefficient and 't Hooft parameter must be positive")
+        if self.g_s <= 0:
+            raise RejectedInput("string coefficient must be positive")
 
 
 def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
@@ -558,14 +557,13 @@ def verify_hirota(table: RecurrenceTable) -> dict:
 # matching the finite-n tables against the continuum coefficients
 # ---------------------------------------------------------------------------
 
-def asymptotic_match(
-    nu: int, G: int, n_range, T: int, x: Fraction = Q(1), ztable=None
-) -> dict:
-    """Compare b2_n/x against the genus expansion through genus G.
+def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
+    """Compare b2_n, tabulated at g_s = 1/n, against the genus expansion
+    through genus G.
 
     For each coupling order k <= T the residual
 
-        R_G(n) = n^(2G) ( [t^k] b2_n/x  -  sum_{g<G} n^(-2g) zeta_{g,k} )
+        R_G(n) = n^(2G) ( [t^k] b2_n  -  sum_{g<G} n^(-2g) zeta_{g,k} )
 
     must approach the genus-G series coefficient zeta_{G,k}; since every
     fixed coupling order here is a terminating polynomial in 1/n^2, the
@@ -579,23 +577,22 @@ def asymptotic_match(
     n_range = list(n_range)
     if len(n_range) < 2 or any(b <= a for a, b in zip(n_range, n_range[1:])):
         raise RejectedInput("n_range must be strictly increasing with >= 2 entries")
-    # genus-side targets: z_g(u) with u = -t x^(nu-1) / (2 nu)
-    scale = -(x ** (nu - 1)) * Q(1, 2 * nu)
+    # genus-side targets: z_g(u) with u = -t / (2 nu)
+    scale = Q(-1, 2 * nu)
     zeta = {}
     for g in range(G + 1):
         zs = ztable.series(g)
         zeta[g] = [zs.coeff(k) * scale ** k for k in range(T + 1)]
-    b2x = {}
+    b2 = {}
     for n in n_range:
-        spec = WeightSpec(nu=nu, g_s=Q(x, n), x=x)
-        table = recurrence_table(spec, n_max=n, T=T)
-        b2x[n] = table.b2_series_t(n) / x
+        table = recurrence_table(WeightSpec(nu=nu, g_s=Q(1, n)), n_max=n, T=T)
+        b2[n] = table.b2_series_t(n)
     orders = []
     for k in range(T + 1):
         errors = []
         for n in n_range:
             partial = sum(Q(n) ** (-2 * g) * zeta[g][k] for g in range(G))
-            R = Q(n) ** (2 * G) * (b2x[n].coeff(k) - partial)
+            R = Q(n) ** (2 * G) * (b2[n].coeff(k) - partial)
             errors.append(abs(R - zeta[G][k]))
         for e_prev, e_next in zip(errors, errors[1:]):
             if e_next > e_prev:

@@ -178,6 +178,7 @@ def test_reconstruction_without_surplus_order_is_insufficient(capsys):
         ("verify", "continuum", "--nu", "2", "--g", "-2"),
         ("eg", "--nu", "2", "--g", "0", "--series-order", "0"),
         ("eg", "--nu", "2", "--g", "1", "--series-order", "0"),
+        ("maps", "--valence", "4", "--vertices", "2", "--genus", "-1"),
     ],
 )
 def test_invalid_input_is_usage_error(capsys, argv):

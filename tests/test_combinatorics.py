@@ -94,13 +94,6 @@ def test_lattice_path_counts():
                 assert len(lattice_paths(j, m1, m2)) == dyck_path_count(j, m1, m2)
 
 
-def test_downstep_levels():
-    (path,) = lattice_paths(1, 1, 0)
-    assert path.downstep_levels() == [0]
-    counts = sorted(tuple(p.downstep_levels()) for p in lattice_paths(3, 1, 0))
-    assert counts == [(0, -1), (0, 0), (1, 0)]
-
-
 def b2(*offsets):
     return LatticePolynomial.monomial(1, offsets)
 
@@ -142,7 +135,7 @@ def test_bandwidth_bound():
     for nu in (1, 2, 3):
         for kind in ("string", "toda"):
             expr = lattice_equation_exprs(nu, kind)
-            assert all(abs(k) <= nu + 1 for k in expr.offsets())
+            assert all(abs(k) <= nu + 1 for (_, b, a) in expr.terms for k in b + a)
 
 
 def test_shift_invariance_of_generation():

@@ -53,14 +53,6 @@ def test_toda_jet_leading_terms():
     assert toda_jet(1, 1) == JetExpression.monomial(Q(1, 3), 1, {3: 1})
 
 
-def test_jet_dw_product_rule():
-    expr = JetExpression.monomial(1, 2, {1: 1})  # f^2 f_w
-    d = expr.dw()
-    assert d == JetExpression.monomial(2, 1, {1: 2}) + JetExpression.monomial(
-        1, 2, {2: 1}
-    )
-
-
 def test_string_antiderivative_identity():
     for nu, g in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         assert verify_string_antiderivative(nu, g)["status"] == "pass"

@@ -139,7 +139,7 @@ def test_transfer_rows_match_path_sums():
             for dc in (-2, -1)
         }
         # the highest offset they read is nu, which bounds the sites
-        assert max(set().union(*(e.offsets() for e in entries.values()))) == nu
+        assert max(k for e in entries.values() for (_, b, a) in e.terms for k in b + a) == nu
         for with_t1 in (False, True):
             n_max = nu + 2
             spec = WeightSpec(nu=nu, g_s=Q(1, 3), include_t1=with_t1)
