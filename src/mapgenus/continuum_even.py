@@ -388,14 +388,18 @@ def _evaluate(poly: dict, family: JetFamily):
                 node = node.setdefault(sym, {})
             node[mono[-1]] = c
 
-    def value(node):
-        total = None
-        for sym, child in node.items():
-            term = family.jet(*sym) * (value(child) if type(child) is dict else child)
-            total = term if total is None else total + term
-        return total
+    return _value(trie, family)
 
-    return value(trie)
+
+def _value(node: dict, family: JetFamily):
+    """One Horner level of ``_evaluate``.  A module-level function, not a
+    closure: a closure that calls itself is a reference cycle, and it would
+    keep the family and all its jets alive until the cyclic collector runs."""
+    total = None
+    for sym, child in node.items():
+        term = family.jet(*sym) * (_value(child, family) if type(child) is dict else child)
+        total = term if total is None else total + term
+    return total
 
 
 def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):

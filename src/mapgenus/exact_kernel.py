@@ -11,14 +11,22 @@ coefficient.
 
 The genus coefficients are computed in ``DLaurent``, where sums and products
 need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
-reconstruction (``series_to_ratfn``), read-back and printing.
+reconstruction (``series_to_ratfn``), read-back (``ratfn_to_series``) and
+printing.  Both work in powers of y = z - z(0) of the substitution series:
+its powers y^i start at x^i, so the change of basis is lower triangular and
+runs by forward substitution one way and integer dot products the other,
+over columns built once per (series, truncation) and kept in a small memo.
+``solve_linear`` (fraction-free Bareiss) only meets the block of skipped
+(resonant) orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import mul
 
 from .errors import (
     InsufficientData,
@@ -46,6 +54,17 @@ def _qscale(xs) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
+def _iconv(ia, ib, n: int) -> list[int]:
+    """Coefficients 0..n of the product of two int sequences."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(ia[: n + 1]):
+        if x:
+            for j, y in enumerate(ib[: n + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
 def _qconv(a, b, n: int) -> list[Fraction]:
     """Coefficients 0..n of the product of two Fraction sequences.
 
@@ -56,14 +75,8 @@ def _qconv(a, b, n: int) -> list[Fraction]:
     """
     da, ia = _qscale(a[: n + 1])
     db, ib = _qscale(b[: n + 1])
-    out = [0] * (n + 1)
-    for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib[: n + 1 - i], i):
-                if y:
-                    out[j] += x * y
     d = da * db
-    return [Fraction(s, d) for s in out]
+    return [Fraction(s, d) for s in _iconv(ia, ib, n)]
 
 
 def _power(base, n: int):
@@ -353,13 +366,6 @@ class Series:
         out = [Q(0)] + [self.c[i] / (i + 1) for i in range(self.trunc + 1)]
         return Series(self.var, out, self.trunc + 1)
 
-    def eval_poly(self, p: Poly) -> "Series":
-        """p(self) for a polynomial p, truncated like self."""
-        acc = Series.zero(self.var, self.trunc)
-        for a in reversed(p.c):
-            acc = acc * self + a
-        return acc if p.c else Series.zero(self.var, self.trunc)
-
     def __eq__(self, other):
         return (
             isinstance(other, Series)
@@ -467,21 +473,6 @@ class RatFn:
         if self.den_pow == 0:
             return "RatFn(%r)" % (self.num,)
         return "RatFn((%r) / (%r)^%d)" % (self.num, self.den_base, self.den_pow)
-
-
-def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
-    """Expand r(z(x)) as a series in x, exactly, to order T (default: z.trunc)."""
-    if T is None:
-        T = z.trunc
-    zq = z.truncate(min(T, z.trunc))
-    if zq.trunc < T:
-        raise RejectedInput("substitution series too short for requested order")
-    den_at = r.den_base.eval(zq.coeff(0)) ** r.den_pow
-    if den_at == 0:
-        raise PoleAtBasepoint("denominator vanishes at the expansion basepoint")
-    num_s = zq.eval_poly(r.num)
-    den_s = zq.eval_poly(r.den_base) ** r.den_pow
-    return num_s / den_s
 
 
 # ---------------------------------------------------------------------------
@@ -650,30 +641,19 @@ def solve_linear(rows, rhs):
     ReconstructionFailed when it is inconsistent.
 
     Rows are scaled to integers and eliminated fraction-free (Bareiss) to
-    keep intermediate entries from exploding; the systems solved here are
-    small (tens of unknowns) but their entries are huge rationals.
+    keep intermediate entries from exploding.  Reconstruction only passes
+    its resonant block: one column per skipped order, one row per surplus
+    order, after forward substitution has eliminated the numerator; the
+    rows beyond the rank are its exact consistency checks.
     """
     m = len(rows)
     if m == 0:
         raise InsufficientData("no equations")
     n = len(rows[0])
-    aug = []
-    for row, b in zip(rows, rhs):
-        ints = [Q(x) for x in row] + [Q(b)]
-        scale = 1
-        for x in ints:
-            scale = scale * x.denominator // _int_gcd(scale, x.denominator)
-        aug.append([int(x * scale) for x in ints])
-
-    prev = 1
-    piv_cols = []
-    r = 0
+    aug = [_qscale([Q(x) for x in row] + [Q(b)])[1] for row, b in zip(rows, rhs)]
+    prev, r = 1, 0
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if aug[i][col]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
@@ -682,25 +662,108 @@ def solve_linear(rows, rhs):
                 aug[i][j] = (aug[r][col] * aug[i][j] - aug[i][col] * aug[r][j]) // prev
             aug[i][col] = 0
         prev = aug[r][col]
-        piv_cols.append(col)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            raise ReconstructionFailed("inconsistent linear system")
-    if len(piv_cols) < n:
-        raise InsufficientData(
-            "underdetermined system: rank %d < %d unknowns" % (len(piv_cols), n)
-        )
+    if any(row[n] for row in aug[r:]):
+        raise ReconstructionFailed("inconsistent linear system")
+    if r < n:
+        raise InsufficientData("underdetermined system: rank %d < %d unknowns" % (r, n))
+    # full rank: the pivot of row k sits in column k
     sol = [Q(0)] * n
     for k in range(n - 1, -1, -1):
-        col = piv_cols[k]
         acc = Q(aug[k][n])
-        for j in range(col + 1, n):
+        for j in range(k + 1, n):
             acc -= aug[k][j] * sol[j]
-        sol[col] = acc / aug[k][col]
+        sol[k] = acc / aug[k][k]
     return sol
+
+
+# ---------------------------------------------------------------------------
+# rational reconstruction and read-back in powers of y = z - z(0)
+# ---------------------------------------------------------------------------
+
+def _taylor_shift(coeffs, a: Fraction) -> list[Fraction]:
+    """Coefficients of p(x + a) from those of p(x), exactly.
+
+    With a = p/q and n = deg p, q^n p(x + a) is an integer polynomial in
+    w = q x shifted by the integer p, so the classical O(n^2) shift runs on
+    plain ints with one gcd per output coefficient.
+    """
+    n = len(coeffs) - 1
+    d, ints = _qscale(coeffs)
+    p, q = a.numerator, a.denominator
+    acc = [c * q ** (n - i) for i, c in enumerate(ints)]
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            acc[j] += p * acc[j + 1]
+    return [Fraction(c, d * q ** (n - j)) for j, c in enumerate(acc)]
+
+
+def _inverse_power(g, p: int, n: int) -> list[Fraction]:
+    """Coefficients 0..n of g(y)^(-p) for a polynomial g with g(0) != 0.
+
+    From g f' = -p g' f (J.C.P. Miller's recurrence): each coefficient
+    costs deg g products, so no series division or power is formed."""
+    f = [Q(1) / g[0] ** p]
+    for k in range(1, n + 1):
+        acc = sum(((1 - p) * j - k) * g[j] * f[k - j] for j in range(1, min(k, len(g) - 1) + 1))
+        f.append(acc / (k * g[0]))
+    return f
+
+
+class _Basis:
+    """The columns y^0 .. y^T of one substitution series z(x) truncated at
+    T, with y = z - z(0), from its coefficients z_0 .. z_T.
+
+    ``rows[k]`` lists the x^k coefficients of y^0 .. y^k, column i in
+    integers over d^i with d the common denominator of y (y^i = column_i /
+    scales[i]).  Because y^i starts at x^i with the nonzero coefficient
+    z_1^i, the matrix is lower triangular: a series goes to its
+    y-coefficients by forward substitution (``to_y``) and back by one
+    integer dot product per order (``from_y``).
+    """
+
+    __slots__ = ("z0", "rows", "scales")
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        T = len(coeffs) - 1
+        self.z0 = coeffs[0]
+        d, y = _qscale((Q(0),) + coeffs[1:])
+        col = [1] + [0] * T
+        self.rows = [[] for _ in range(T + 1)]
+        self.scales = []
+        for i in range(T + 1):
+            if i:
+                col = _iconv(col, y, T)
+            for k in range(i, T + 1):
+                self.rows[k].append(col[k])
+            self.scales.append(d ** i)
+
+    def to_y(self, c) -> list[Fraction]:
+        """y-coefficients 0..T of the series with x-coefficients c, by
+        forward substitution down the triangle.  The coefficients found so
+        far are kept as integers over one common denominator, so each order
+        costs one integer dot product and a single gcd."""
+        d, r = _qscale(c)
+        den, nums, out = 1, [], []
+        for row, rk, scale in zip(self.rows, r, self.scales):
+            x = Fraction(rk * den - d * sum(map(mul, nums, row)), d * den * row[-1])
+            if den % x.denominator:
+                f = x.denominator // _int_gcd(den, x.denominator)
+                nums = [v * f for v in nums]
+                den *= f
+            nums.append(x.numerator * (den // x.denominator))
+            out.append(x * scale)
+        return out
+
+    def from_y(self, b) -> list[Fraction]:
+        """x-coefficients 0..T of sum_i b[i] y^i."""
+        d, ints = _qscale([x / s for x, s in zip(b, self.scales)])
+        return [Fraction(sum(map(mul, ints, row)), d) for row in self.rows]
+
+
+# a genus table solves and reads back every genus over one z0(u), so the
+# bases of the last few substitution series are kept
+_basis = lru_cache(maxsize=4)(_Basis)
 
 
 def series_to_ratfn(
@@ -715,47 +778,70 @@ def series_to_ratfn(
     """Reconstruct R = num / base**p with p <= max_pole_ord such that
     R(z(x)) agrees with s at every non-skipped order.
 
-    Coefficients of s at skipped orders are treated as unknowns alongside
-    the numerator coefficients (their placeholder values never leak into
-    other orders), so the system determines both the rational function and
-    the skipped coefficients.  Every order up to s.trunc is an equation, so
-    surplus orders beyond the unknown count act as exact consistency
-    checks; any mismatch raises ReconstructionFailed (a wrong ansatz).  A
-    system without at least one surplus order, or a rank-deficient one,
-    raises InsufficientData: an unchecked reconstruction never ships.
+    The equations num(z(x)) = s(x) base(z(x))^p hold at every order up to
+    s.trunc.  They are solved in powers of y = z - z(0): the column y^i
+    starts at x^i, so the system is lower triangular and one forward
+    substitution takes s to its y-coefficients.  There base^p is a
+    polynomial, the y-coefficients 0 .. max_num_deg of s base^p are the
+    numerator's, and the orders beyond are surplus consistency checks.
+
+    The coefficient of s at each skipped order m is an unknown sigma_m (its
+    placeholder value never leaks into other orders): it adds sigma_m x^m
+    to s, so every numerator coefficient and every surplus order is affine
+    in the sigmas.  Without sigmas each surplus order must vanish; with
+    them the surplus orders are the only system ``solve_linear`` sees, one
+    column per skipped order.  A mismatch raises ReconstructionFailed (a
+    wrong ansatz).  Fewer orders than unknowns plus one, or surplus orders
+    that do not fix the sigmas, raise InsufficientData: an unchecked
+    reconstruction never ships.  The exact binomial shift y = z - z(0)
+    returns the numerator in powers of z.
     """
     if z.coeff(1) == 0:
         raise RejectedInput("substitution series is not a change of variable at order 1")
     T = min(s.trunc, z.trunc)
     skip = sorted(k for k in skip if k <= T)
-    unknowns = max_num_deg + 1 + len(skip)
+    n = max_num_deg
+    unknowns = n + 1 + len(skip)
     if T + 1 <= unknowns:
         raise InsufficientData(
             "%d orders for %d unknowns leave no surplus order to check the reconstruction"
             % (T + 1, unknowns)
         )
-    den_s = (z.eval_poly(base) ** max_pole_ord).truncate(T)
-    target = s.truncate(T) * den_s
-    # columns: series of z^i for i <= max_num_deg, then one column per
-    # skipped order for the unknown coefficient sigma_m of x^m in s
-    zpow = Series.one(z.var, T)
-    cols = [zpow]
-    for _ in range(max_num_deg):
-        zpow = zpow * z.truncate(T)
-        cols.append(zpow)
-    for m in skip:
-        shifted = [Q(0)] * (T + 1)
-        for k in range(m, T + 1):
-            shifted[k] = -den_s.coeff(k - m)
-        cols.append(Series(z.var, shifted, T))
-    rows = [[col.coeff(k) for col in cols] for k in range(T + 1)]
-    rhs = [target.coeff(k) for k in range(T + 1)]
-    sol = solve_linear(rows, rhs)
-    num = Poly(sol[: max_num_deg + 1])
-    out = RatFn(num, base, max_pole_ord, var)
-    if out.den_pow > max_pole_ord:
-        raise ReconstructionFailed("pole order bound violated")
-    return out
+    basis = _basis(z.c[: T + 1])
+    den_y = (Poly(_taylor_shift(base.c, basis.z0)) ** max_pole_ord).c
+
+    def times_den(c):
+        return _qconv(basis.to_y(c), den_y, T)
+
+    num = times_den(s.c[: T + 1])
+    if skip:
+        parts = [times_den([0] * m + [1] + [0] * (T - m)) for m in skip]
+        rows = [list(row) for row in zip(*(part[n + 1 :] for part in parts))]
+        sigma = solve_linear(rows, [-x for x in num[n + 1 :]])
+        for value, part in zip(sigma, parts):
+            num = [x + value * y for x, y in zip(num, part[: n + 1])]
+    elif any(num[n + 1 :]):
+        raise ReconstructionFailed("a surplus order of the reconstruction does not vanish")
+    return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord, var)
+
+
+def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
+    """Expand r(z(x)) as a series in x, exactly, to order T (default: z.trunc).
+
+    In powers of y = z - z(0), r is the shifted numerator times base^(-p),
+    whose coefficients follow by a recurrence of length deg base; the
+    cached columns y^i take the product back to x."""
+    if T is None:
+        T = z.trunc
+    if z.trunc < T:
+        raise RejectedInput("substitution series too short for requested order")
+    basis = _basis(z.c[: T + 1])
+    if r.den_base.eval(basis.z0) ** r.den_pow == 0:
+        raise PoleAtBasepoint("denominator vanishes at the expansion basepoint")
+    num = _taylor_shift(r.num.c, basis.z0)
+    if r.den_pow:
+        num = _qconv(num, _inverse_power(_taylor_shift(r.den_base.c, basis.z0), r.den_pow, T), T)
+    return Series(z.var, basis.from_y(num), T)
 
 
 # ---------------------------------------------------------------------------

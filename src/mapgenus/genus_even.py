@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial
 
 from .combinatorics import c_valence, partitions_of, multiplicities
@@ -143,14 +143,21 @@ class LogRational:
 
 
 class SeriesContext:
-    """Shared expansion data: z0(u), log z0(u), log D(z0(u))."""
+    """Shared expansion data: z0(u), and log z0(u), log D(z0(u)) on first
+    use; only the genus-0 and genus-1 closed forms carry log terms."""
 
     def __init__(self, nu: int, z0: Series):
         self.nu = nu
         self.z0 = z0
-        self.log_z0 = series_log(z0)
-        base_series = nu - (nu - 1) * z0
-        self.log_base = series_log(base_series / base_series.coeff(0))
+
+    @cached_property
+    def log_z0(self) -> Series:
+        return series_log(self.z0)
+
+    @cached_property
+    def log_base(self) -> Series:
+        base_series = self.nu - (self.nu - 1) * self.z0
+        return series_log(base_series / base_series.coeff(0))
 
 
 # ---------------------------------------------------------------------------

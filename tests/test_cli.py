@@ -20,6 +20,9 @@ CLOSED_FORM_DIGESTS = {
     "eg --nu 2 --g 6": "143bc77b77eb453b4ed454bca3c2a343ce547a7ba90c9753367d381cf1d41337",
     "zg --nu 4 --g 3": "e5a4533b11d967bc9fe4abcf01648b2de83f4bf827a6ad6b7a73ee59d8c1f530",
     "eg --nu 4 --g 3": "fb9b7672a8fbd1ebeef5ef9a4b8644ceb3b1bdf767c89fcbdc5a4933d6346ad6",
+    "eg --nu 2 --g 10": "018614843ab18d942379c880675d8cd6ee4c59b44892d0777a76d04fa80cdb7a",
+    "eg --nu 3 --g 6": "b8a8505b95f5cc5381d737d1387bb6db30ff05f4fcdf52be1ac841a5f02722de",
+    "eg --nu 4 --g 6": "dd37110e5464209f900a05a64494a2aec5b6480827d2982b5e72328ee476c840",
 }
 
 
@@ -167,6 +170,12 @@ def test_reconstruction_without_surplus_order_is_insufficient(capsys):
     assert code == 3 and out == "" and "surplus" in err
     code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "7")
     assert code == 0 and json.loads(out)["pole_order"] == 9
+
+
+def test_one_order_too_few_is_insufficient(capsys):
+    # z_1 already has 4 numerator unknowns, so 4 orders (0..3) stop there
+    code, out, err = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "3")
+    assert code == 3 and out == "" and "4 orders for 4 unknowns" in err
 
 
 @pytest.mark.parametrize(

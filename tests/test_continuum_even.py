@@ -8,7 +8,6 @@ from mapgenus.continuum_even import (
     expand_lattice_polynomial,
     functional_residual,
     hodograph_solution,
-    solve_zg,
     string_jets,
     toda_jet,
     verify_burgers,

@@ -250,6 +250,157 @@ def test_series_to_ratfn_roundtrips():
         series_to_ratfn(s.truncate(1), zser, base, max_num_deg=2, max_pole_ord=2)
 
 
+# -- triangular reconstruction against the dense z^i system ------------------
+
+
+def plain_expand(r, z, T):
+    """r(z(x)) to order T by plain series arithmetic: Horner in z for the
+    numerator and the denominator base, one power, one division."""
+    zt = z.truncate(T)
+    num, base = Series.zero(z.var, T), Series.zero(z.var, T)
+    for a in reversed(r.num.c):
+        num = num * zt + a
+    for a in reversed(r.den_base.c):
+        base = base * zt + a
+    return num / base ** r.den_pow
+
+
+def dense_ratfn(s, z, base, max_num_deg, max_pole_ord, skip=frozenset(), var="z"):
+    """The reconstruction as one dense system solved by ``solve_linear``: a
+    column z(x)^i per numerator coefficient and a column -x^m base(z)^p per
+    skipped order m, one row per order."""
+    T = min(s.trunc, z.trunc)
+    skip = sorted(k for k in skip if k <= T)
+    unknowns = max_num_deg + 1 + len(skip)
+    if T + 1 <= unknowns:
+        raise InsufficientData("no surplus order")
+    zt = z.truncate(T)
+    den_s = plain_expand(RatFn.from_poly(base), zt, T) ** max_pole_ord
+    target = s.truncate(T) * den_s
+    cols = [Series.one(z.var, T)]
+    for _ in range(max_num_deg):
+        cols.append(cols[-1] * zt)
+    for m in skip:
+        cols.append(Series(z.var, [Q(0)] * m + [-x for x in den_s.c[: T + 1 - m]], T))
+    sol = solve_linear([[col.coeff(k) for col in cols] for k in range(T + 1)], list(target.c))
+    return RatFn(Poly(sol[: max_num_deg + 1]), base, max_pole_ord, var)
+
+
+def outcome(fn, *args, **kwargs):
+    """The reconstruction as comparable data, or the class of its failure."""
+    try:
+        r = fn(*args, **kwargs)
+    except (InsufficientData, ReconstructionFailed) as exc:
+        return type(exc)
+    return (r.num.c, r.den_base.c, r.den_pow, r.var)
+
+
+def substitution_cases(T):
+    """(z, base) pairs: the planar series z0(u) at nu = 2, 3, 4 with its
+    base D = nu - (nu-1) z0, and a random series with a rational z(0) != 1
+    under a random linear or quadratic base that does not vanish there."""
+    from mapgenus.continuum_even import catalan_data
+
+    for nu in (2, 3, 4):
+        yield catalan_data(nu, T).z0, Poly([nu, -(nu - 1)])
+    z = Series("x", [Q(3, 2), rand_q(9) or 1] + [rand_q(9) for _ in range(T - 1)], T)
+    while True:
+        base = Poly([rand_q(5) for _ in range(rng.randint(2, 3))])
+        if base.degree >= 1 and base.eval(z.c[0]) != 0:
+            break
+    yield z, base
+
+
+def test_triangular_reconstruction_matches_dense_solve_randomized():
+    solved = 0
+    for _ in range(10):
+        for z, base in substitution_cases(22):
+            pole = rng.randint(0, 4)
+            p = rng.randint(0, pole)
+            low = (pole - p) * base.degree
+            n = low + rng.randint(0, 5)
+            r = RatFn(Poly(rand_coeffs(n - low + 1, SHARED_DENOMS)), base, p, "z0")
+            # skipped orders anywhere up to the top, at or below the numerator degree too
+            skip = set(rng.sample(range(0, n + 4), rng.randint(0, 3)))
+            T = min(22, n + 1 + len(skip) + rng.randint(1, 4))
+            s = list(plain_expand(r, z, T).c)
+            for m in skip:
+                if m <= T:
+                    s[m] = rand_q(50)  # placeholder
+            s = Series(z.var, s, T)
+            got = outcome(series_to_ratfn, s, z, base, n, pole, frozenset(skip), "z0")
+            assert got == outcome(dense_ratfn, s, z, base, n, pole, frozenset(skip), "z0")
+            if isinstance(got, tuple):
+                solved += 1
+                assert RatFn(Poly(got[0]), Poly(got[1]), got[2]) == r
+            else:
+                # the data are consistent by construction; only a random
+                # skip set that the surplus orders cannot pin down fails
+                assert got is InsufficientData
+    assert solved >= 25
+
+
+def test_triangular_readback_matches_plain_series_arithmetic():
+    for _ in range(8):
+        for z, base in substitution_cases(18):
+            T = rng.randint(0, 18)
+            num = Poly(rand_coeffs(rng.randint(0, 24), COPRIME_DENOMS))
+            r = RatFn(num, base ** rng.randint(1, 2), rng.randint(0, 6))
+            assert ratfn_to_series(r, z, T) == plain_expand(r, z, T)
+            assert ratfn_to_series(r, z, T).trunc == T
+
+
+def test_reconstruction_error_paths():
+    from mapgenus.continuum_even import catalan_data
+
+    nu, P, n = 3, 5, 8
+    z = catalan_data(nu, 20).z0
+    base = Poly([nu, -(nu - 1)])
+    r = RatFn(Poly([Q(1, 7), -2, 0, 5, Q(3, 11), 1, 0, -1, 2]), base, P, "z0")
+    s = ratfn_to_series(r, z, 20)
+    skip = frozenset({2, 3, 11})  # two orders at or below the numerator degree
+    cases = ((frozenset(), s), (skip, Series("u", [0 if k in skip else x for k, x in enumerate(s.c)], 20)))
+    for sk, data in cases:
+        assert series_to_ratfn(data, z, base, n, P, sk, "z0") == r
+        # corrupting any one non-skipped surplus order breaks the fit
+        for k in range(n + 1, 21):
+            if k not in sk:
+                bad = list(data.c)
+                bad[k] += Q(1, 3)
+                with pytest.raises(ReconstructionFailed):
+                    series_to_ratfn(Series("u", bad, 20), z, base, n, P, sk, "z0")
+        # one surplus order is enough, one order fewer is not
+        orders = n + 1 + len(sk)
+        assert series_to_ratfn(data.truncate(orders), z, base, n, P, sk, "z0") == r
+        with pytest.raises(InsufficientData):
+            series_to_ratfn(data.truncate(orders - 1), z, base, n, P, sk, "z0")
+    # the placeholder at a skipped order never reaches the result
+    ref = outcome(series_to_ratfn, s, z, base, n, P, skip, "z0")
+    for m in skip:
+        for value in (Q(0), Q(-5, 2), Q(10**9)):
+            moved = list(s.c)
+            moved[m] = value
+            assert outcome(series_to_ratfn, Series("u", moved, 20), z, base, n, P, skip, "z0") == ref
+
+
+def test_solve_linear_sees_only_the_resonant_block(monkeypatch):
+    from mapgenus import exact_kernel
+    from mapgenus.continuum_even import build_ztable
+    from mapgenus.genus_even import build_etable
+
+    shapes = []
+
+    def recording(rows, rhs):
+        shapes.append(len(rows[0]))
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(exact_kernel, "solve_linear", recording)
+    ztable = build_ztable(2, 3, T=27)
+    assert shapes == []
+    etable = build_etable(2, 3, ztable=ztable)
+    assert shapes == [len(etable.entries[g].resonant_orders) for g in (2, 3)]
+
+
 def test_solve_linear_shapes():
     sol = solve_linear([[1, 1], [1, -1], [2, 0]], [3, 1, 4])
     assert sol == [Q(2), Q(1)]

@@ -16,7 +16,6 @@ from mapgenus.genus_even import (
     q_c_tables,
     q_table,
     resonance_lambda,
-    solve_eg,
     verify_genus_structure,
 )
 
@@ -241,8 +240,6 @@ def test_genus_series_against_tau_oracle(nu2):
     log tau2_n are terminating polynomials in 1/n^2, so exact fits over
     enough matrix sizes read off every genus coefficient directly from the
     Hankel tables."""
-    from math import comb
-
     from mapgenus.exact_kernel import solve_linear
     from mapgenus.lattice_oracle import WeightSpec, recurrence_table
 

@@ -1,10 +1,12 @@
 """Every function, class and method in ``src/mapgenus`` has a caller in
-``src/`` or is an oracle kept on purpose for the tests to compare against."""
+``src/`` or is an oracle kept on purpose for the tests to compare against,
+and no module under ``src/`` or ``tests/`` imports a name it never uses."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mapgenus")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "mapgenus")
 
 # name -> why it stays although nothing in src/ references it
 KEPT_UNREFERENCED = {
@@ -58,3 +60,36 @@ def unreferenced_names() -> set[str]:
 
 def test_no_test_only_code_in_src():
     assert unreferenced_names() == set(KEPT_UNREFERENCED)
+
+
+def _unused_imports(scope):
+    """(line, name) of each import in this scope whose name nothing in the
+    scope reads; a function's imports count as used by nested functions."""
+    used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+    out = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out += _unused_imports(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        out.append((node.lineno, name))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for folder in (SRC, os.path.join(ROOT, "tests")):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), name)
+                unused += ["%s:%d %s" % (name, line, alias) for line, alias in sorted(_unused_imports(tree))]
+    assert unused == []
