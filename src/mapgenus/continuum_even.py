@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import add
 
 from .combinatorics import (
     c_valence,
@@ -44,6 +45,8 @@ from .exact_kernel import (
     Q,
     RatFn,
     Series,
+    _iconv,
+    _qscale,
     series_to_ratfn,
 )
 
@@ -162,14 +165,6 @@ class JetExpression:
         for key, val in other.terms.items():
             out[key] = out.get(key, Q(0)) + val
         return JetExpression(out)
-
-    def __mul__(self, scalar):
-        return JetExpression({k: v * scalar for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1)
 
     def __eq__(self, other):
         return isinstance(other, JetExpression) and self.terms == other.terms
@@ -318,33 +313,42 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
 # symbols (h, j) = dw^j f_h into a jet polynomial with exact coefficients;
 # the lattice difference cancels most monomials here, before any series is
 # touched.  Evaluate: multiply out the surviving monomials on the genus
-# family in Horner form, one series product per shared symbol prefix.
+# family in Horner form, entirely in integers.  Every jet is held once as
+# integer numerators over one denominator; a last symbol enters its level
+# as one term of an integer linear combination, and a shared prefix symbol
+# as one integer convolution with the level below.  The result becomes a
+# GradedSeries of Fractions once, at the end.
 
 
 class JetFamily:
-    """Spatial derivatives dw^j f_h of the genus family f_0 .. f_gmax; each
-    derivative is built on first use, so only the jets an expansion reads
-    are ever formed."""
+    """Spatial derivatives dw^j f_h of the genus family f_0 .. f_gmax.
+
+    Each jet is held once as (den, nums, base2), its u^k coefficient being
+    nums[k]/den.  It is built on first use from the jet below it: dw
+    multiplies nums[k] by the exponent base2/2 + k (nu-1), an integer, so
+    only the jets an expansion reads are ever formed."""
 
     def __init__(self, nu: int, z_series: list[Series]):
         self.step2 = 2 * (nu - 1)
-        self.derivs = [
-            [GradedSeries.from_series(zs, base2=2 - 4 * h, step2=self.step2)]
-            for h, zs in enumerate(z_series)
-        ]
-        self.trunc = z_series[0].trunc if z_series else 0
+        self.jets = [[_qscale(zs.c) + (2 - 4 * h,)] for h, zs in enumerate(z_series)]
 
     def gmax(self) -> int:
-        return len(self.derivs) - 1
+        return len(self.jets) - 1
 
     def f(self, h: int) -> GradedSeries:
-        return self.derivs[h][0]
+        return self.graded(self.jets[h][0])
 
-    def jet(self, h: int, j: int) -> GradedSeries:
-        row = self.derivs[h]
+    def scaled(self, h: int, j: int) -> tuple:
+        row = self.jets[h]
         while len(row) <= j:
-            row.append(row[-1].dw())
+            den, nums, base2 = row[-1]
+            e, step = base2 // 2, self.step2 // 2
+            row.append((den, [x * (e + k * step) for k, x in enumerate(nums)], base2 - 2))
         return row[j]
+
+    def graded(self, value: tuple) -> GradedSeries:
+        den, nums, base2 = value
+        return GradedSeries("u", [Fraction(x, den) for x in nums], base2, self.step2, len(nums) - 1)
 
 
 def _collect(factors, coeff, N: int, out: dict) -> None:
@@ -371,15 +375,32 @@ def _collect(factors, coeff, N: int, out: dict) -> None:
             out[mono] = out.get(mono, 0) + c
 
 
+def _combine(terms) -> tuple:
+    """(den, nums, base2) of the sum of q * nums/den over the terms (q, den,
+    nums, base2), as one integer linear combination over the lcm of the
+    denominators, at the shortest truncation.  Nonzero terms must share
+    their w-weight base2."""
+    n = min(len(t[2]) for t in terms)
+    live = [t for t in terms if t[0] and any(t[2])]
+    base2 = live[0][3] if live else terms[0][3]
+    for t in live:
+        if t[3] != base2:
+            raise RejectedInput("graded series weight mismatch: base2 %d vs %d" % (base2, t[3]))
+    den = lcm(*(q.denominator * d for q, d, _, _ in live))
+    acc = [0] * n
+    for q, d, nums, _ in live:
+        acc = list(map(add, acc, map((q.numerator * (den // (q.denominator * d))).__mul__, nums[:n])))
+    return den, acc, base2
+
+
 def _evaluate(poly: dict, family: JetFamily):
-    """Sum of c * prod(dw^j f_h) over the nonzero monomials of a collected
-    jet polynomial, or None when every coefficient cancelled.
+    """(den, nums, base2) of the sum of c * prod(dw^j f_h) over the nonzero
+    monomials of a collected jet polynomial, or None when every coefficient
+    cancelled.
 
     The sorted monomials are nested by their leading symbols (Horner form),
-    so the monomials below one prefix share a single series product per
-    symbol of that prefix, and a last symbol only scales its jet.  The
-    monomials of one collection all have the same length: their w-weights
-    must agree."""
+    so the monomials below one prefix share one product per symbol of that
+    prefix, and a last symbol only scales its jet."""
     trie: dict = {}
     for mono, c in poly.items():
         if c:
@@ -387,19 +408,23 @@ def _evaluate(poly: dict, family: JetFamily):
             for sym in mono[:-1]:
                 node = node.setdefault(sym, {})
             node[mono[-1]] = c
+    return _horner(trie, family) if trie else None
 
-    return _value(trie, family)
 
-
-def _value(node: dict, family: JetFamily):
+def _horner(node: dict, family: JetFamily) -> tuple:
     """One Horner level of ``_evaluate``.  A module-level function, not a
     closure: a closure that calls itself is a reference cycle, and it would
     keep the family and all its jets alive until the cyclic collector runs."""
-    total = None
+    terms = []
     for sym, child in node.items():
-        term = family.jet(*sym) * (_value(child, family) if type(child) is dict else child)
-        total = term if total is None else total + term
-    return total
+        den, nums, base2 = family.scaled(*sym)
+        if type(child) is dict:
+            cden, cnums, cbase2 = _horner(child, family)
+            n = min(len(nums), len(cnums)) - 1
+            terms.append((1, den * cden, _iconv(nums, cnums, n), base2 + cbase2))
+        else:
+            terms.append((child, den, nums, base2))
+    return _combine(terms)
 
 
 def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):
@@ -423,17 +448,17 @@ def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):
             factors.append(sites[kappa])
         c = coeff.numerator if coeff.denominator == 1 else coeff
         _collect(factors, c, N, groups.setdefault(t_deg, {}))
-    total = None
+    parts = []
     for t_deg, poly in sorted(groups.items()):
+        scale = (-2 * nu) ** t_deg
         for mono, c in poly.items():
-            poly[mono] = Q(c, prod(factorial(j) for _h, j in mono))
+            poly[mono] = Q(c * scale, prod(factorial(j) for _h, j in mono))
         part = _evaluate(poly, family)
-        if part is None:
-            continue
-        if t_deg:
-            part = (part * Q(-2 * nu) ** t_deg).xmul(t_deg)
-        total = part if total is None else total + part
-    return total
+        if part is not None:
+            # t^t_deg = (-2 nu u)^t_deg: u carries no power of w
+            den, nums, base2 = part
+            parts.append((1, den, [0] * t_deg + nums[: len(nums) - t_deg], base2 - t_deg * family.step2))
+    return family.graded(_combine(parts)) if parts else None
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +602,8 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
             _collect(factors, coeff, M, poly)
     rhs = _evaluate(poly, family)
     lhs = family.f(g).dx()
-    residual = lhs - rhs.truncate(lhs.trunc)
+    # a collection that cancels entirely is the zero series
+    residual = lhs if rhs is None else lhs - family.graded(rhs).truncate(lhs.trunc)
     if not residual.is_zero():
         raise VerificationFailure("continuum hierarchy fails at nu=%d, g=%d" % (nu, g))
     return {"identity": "continuum_hierarchy", "nu": nu, "g": g, "status": "pass"}

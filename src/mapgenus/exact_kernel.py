@@ -2,22 +2,24 @@
 the ring of Laurent polynomials in D = nu - (nu-1) z, reduced rational
 functions, graded (self-similar) series and exact linear solving.
 
-Everything is built on ``fractions.Fraction``; there is no floating point
-anywhere.  Truncated series arithmetic narrows to the minimum truncation of
-its operands so no result ever claims more precision than its inputs carry.
-Every polynomial, series and D-Laurent product runs through one
-integer-numerator convolution (``_qconv``), with one gcd per output
-coefficient.
+Values are ``fractions.Fraction``; there is no floating point anywhere.
+Truncated series arithmetic narrows to the minimum truncation of its
+operands so no result ever claims more precision than its inputs carry.
+The inner loops run on integers: each operand is scaled once to integer
+numerators over the lcm of its denominators (``_qscale``), so a product is
+one integer convolution (``_iconv``), a series quotient one integer forward
+substitution (``_forward``) and a change of variable one integer Taylor
+shift (``_taylor_shift``), each with one gcd per output coefficient.
 
 The genus coefficients are computed in ``DLaurent``, where sums and products
 need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
 reconstruction (``series_to_ratfn``), read-back (``ratfn_to_series``) and
-printing.  Both work in powers of y = z - z(0) of the substitution series:
-its powers y^i start at x^i, so the change of basis is lower triangular and
-runs by forward substitution one way and integer dot products the other,
-over columns built once per (series, truncation) and kept in a small memo.
-``solve_linear`` (fraction-free Bareiss) only meets the block of skipped
-(resonant) orders.
+printing, crossing to and from ``DLaurent`` by one Taylor shift.  Both work
+in powers of y = z - z(0) of the substitution series: its powers y^i start
+at x^i, so the change of basis is lower triangular and runs by forward
+substitution one way and integer dot products the other, over columns built
+once per (series, truncation) and kept in a small memo.  ``solve_linear``
+(fraction-free Bareiss) only meets the block of skipped (resonant) orders.
 """
 
 from __future__ import annotations
@@ -63,6 +65,34 @@ def _iconv(ia, ib, n: int) -> list[int]:
                 if y:
                     out[j] += x * y
     return out
+
+
+def _forward(rows, d: int, r) -> list[Fraction]:
+    """Solution x of the lower triangular integer system rows . x = r / d,
+    row k listing the coefficients of x_0 .. x_k (the diagonal last).  The
+    values found so far are kept as integers over one common denominator,
+    so each row costs one integer dot product and a single gcd."""
+    den, nums, out = 1, [], []
+    for row, rk in zip(rows, r):
+        x = Fraction(rk * den - d * sum(map(mul, nums, row)), d * den * row[-1])
+        if den % x.denominator:
+            f = x.denominator // _int_gcd(den, x.denominator)
+            nums = [v * f for v in nums]
+            den *= f
+        nums.append(x.numerator * (den // x.denominator))
+        out.append(x)
+    return out
+
+
+def _qdiv(a, b, n: int) -> list[Fraction]:
+    """Coefficients 0..n of the quotient of two Fraction sequences, b[0] != 0.
+
+    With a = A/da and b = B/db scaled once, the quotient solves the
+    Toeplitz system B q = A db / da, row k being B_k .. B_0."""
+    da, ia = _qscale(a[: n + 1])
+    db, ib = _qscale(b[: n + 1])
+    ib += [0] * (n + 1 - len(ib))
+    return _forward((ib[k::-1] for k in range(n + 1)), da, [x * db for x in ia] + [0] * (n + 1 - len(ia)))
 
 
 def _qconv(a, b, n: int) -> list[Fraction]:
@@ -139,15 +169,7 @@ class Poly:
             raise RejectedInput("zero polynomial has no leading coefficient")
         return self.c[-1]
 
-    def coeff(self, i: int) -> Fraction:
-        return self.c[i] if 0 <= i < len(self.c) else Q(0)
-
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -210,9 +232,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         return isinstance(other, Poly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
 
     def __repr__(self):
         if not self.c:
@@ -348,14 +367,7 @@ class Series:
         a, b = self._common(other)
         if b.c[0] == 0:
             raise RejectedInput("series division by a non-unit (zero constant term)")
-        out = [Q(0)] * (a.trunc + 1)
-        inv0 = Q(1) / b.c[0]
-        for i in range(a.trunc + 1):
-            acc = a.c[i]
-            for j in range(1, i + 1):
-                acc -= b.c[j] * out[i - j]
-            out[i] = acc * inv0
-        return Series(a.var, out, a.trunc)
+        return Series(a.var, _qdiv(a.c, b.c, a.trunc), a.trunc)
 
     def derivative(self) -> "Series":
         if self.trunc == 0:
@@ -373,9 +385,6 @@ class Series:
             and self.trunc == other.trunc
             and self.c == other.c
         )
-
-    def __hash__(self):
-        return hash((self.var, self.trunc, self.c))
 
     def __repr__(self):
         terms = ["%s*%s^%d" % (qstr(a), self.var, i) for i, a in enumerate(self.c) if a]
@@ -466,9 +475,6 @@ class RatFn:
             return NotImplemented
         return (self.num * other.den() == other.num * self.den())
 
-    def __hash__(self):
-        return hash((self.num, self.den_base, self.den_pow))
-
     def __repr__(self):
         if self.den_pow == 0:
             return "RatFn(%r)" % (self.num,)
@@ -515,28 +521,24 @@ class DLaurent:
     @staticmethod
     def from_ratfn(r: RatFn, nu: int) -> "DLaurent":
         """r as a Laurent polynomial in D; r must be a polynomial or have a
-        power of D as denominator (in monic form, of z - nu/(nu-1))."""
-        mono = Poly([Q(-nu, nu - 1), 1])
+        power of D as denominator (in monic form, of z - nu/(nu-1)).  One
+        Taylor shift: z = nu/(nu-1) - D/(nu-1), and (z - nu/(nu-1))^P is
+        (-D/(nu-1))^P."""
+        q = nu - 1
         k = r.den_base.degree
-        if k and r.den_base != mono ** k:
-            raise RejectedInput("denominator is not a power of D = %d - %d z" % (nu, nu - 1))
-        z = DLaurent.z(nu)
-        acc = DLaurent(nu, 0, ())
-        for a in reversed(r.num.c):
-            acc = acc * z + a
-        # (z - nu/(nu-1))^P = (-D/(nu-1))^P
+        if k and r.den_base != Poly([Q(-nu, q), 1]) ** k:
+            raise RejectedInput("denominator is not a power of D = %d - %d z" % (nu, q))
         P = k * r.den_pow
-        return acc * DLaurent(nu, -P, (Q(-(nu - 1)) ** P,))
+        return DLaurent(nu, -P, _taylor_shift(r.num.c, Q(nu, q), Q(-1, q), (-q) ** P))
 
     def to_ratfn(self) -> RatFn:
-        """The same function as a reduced RatFn in z."""
-        nu = self.nu
-        D = Poly([nu, -(nu - 1)])
+        """The same function as a reduced RatFn in z.  One Taylor shift:
+        self D^P is a polynomial in D = nu - (nu-1) z, and D^P is
+        (1-nu)^P (z - nu/(nu-1))^P."""
+        q = self.nu - 1
         P = max(0, -self.lo)
-        num = Poly(())
-        for a in reversed(self.c):
-            num = num * D + a
-        return RatFn(num * D ** (self.lo + P), D, P, "z0")
+        num = _taylor_shift([0] * (self.lo + P) + list(self.c), Q(self.nu), -q, Q(1, (-q) ** P))
+        return RatFn(Poly(num), Poly([Q(-self.nu, q), 1]), P, "z0")
 
     # -- structure -------------------------------------------------------------
 
@@ -681,33 +683,22 @@ def solve_linear(rows, rhs):
 # rational reconstruction and read-back in powers of y = z - z(0)
 # ---------------------------------------------------------------------------
 
-def _taylor_shift(coeffs, a: Fraction) -> list[Fraction]:
-    """Coefficients of p(x + a) from those of p(x), exactly.
+def _taylor_shift(coeffs, a: Fraction, b: QLike = 1, s: QLike = 1) -> list[Fraction]:
+    """Coefficients of s p(a + b x) from those of p(x), exactly.
 
     With a = p/q and n = deg p, q^n p(x + a) is an integer polynomial in
     w = q x shifted by the integer p, so the classical O(n^2) shift runs on
-    plain ints with one gcd per output coefficient.
+    plain ints; b and s only rescale its coefficients, so each output
+    coefficient costs a single gcd.
     """
-    n = len(coeffs) - 1
-    d, ints = _qscale(coeffs)
-    p, q = a.numerator, a.denominator
-    acc = [c * q ** (n - i) for i, c in enumerate(ints)]
+    d, acc = _qscale(coeffs)
+    n, p, q, b, s = len(acc) - 1, a.numerator, a.denominator, Q(b), Q(s)
+    acc = [c * q ** (n - i) for i, c in enumerate(acc)]
     for k in range(n):
         for j in range(n - 1, k - 1, -1):
             acc[j] += p * acc[j + 1]
-    return [Fraction(c, d * q ** (n - j)) for j, c in enumerate(acc)]
-
-
-def _inverse_power(g, p: int, n: int) -> list[Fraction]:
-    """Coefficients 0..n of g(y)^(-p) for a polynomial g with g(0) != 0.
-
-    From g f' = -p g' f (J.C.P. Miller's recurrence): each coefficient
-    costs deg g products, so no series division or power is formed."""
-    f = [Q(1) / g[0] ** p]
-    for k in range(1, n + 1):
-        acc = sum(((1 - p) * j - k) * g[j] * f[k - j] for j in range(1, min(k, len(g) - 1) + 1))
-        f.append(acc / (k * g[0]))
-    return f
+    den = s.denominator * d * q ** max(n, 0)
+    return [Fraction(s.numerator * c * (q * b.numerator) ** j, den * b.denominator ** j) for j, c in enumerate(acc)]
 
 
 class _Basis:
@@ -740,20 +731,8 @@ class _Basis:
 
     def to_y(self, c) -> list[Fraction]:
         """y-coefficients 0..T of the series with x-coefficients c, by
-        forward substitution down the triangle.  The coefficients found so
-        far are kept as integers over one common denominator, so each order
-        costs one integer dot product and a single gcd."""
-        d, r = _qscale(c)
-        den, nums, out = 1, [], []
-        for row, rk, scale in zip(self.rows, r, self.scales):
-            x = Fraction(rk * den - d * sum(map(mul, nums, row)), d * den * row[-1])
-            if den % x.denominator:
-                f = x.denominator // _int_gcd(den, x.denominator)
-                nums = [v * f for v in nums]
-                den *= f
-            nums.append(x.numerator * (den // x.denominator))
-            out.append(x * scale)
-        return out
+        forward substitution down the triangle."""
+        return [x * scale for x, scale in zip(_forward(self.rows, *_qscale(c)), self.scales)]
 
     def from_y(self, b) -> list[Fraction]:
         """x-coefficients 0..T of sum_i b[i] y^i."""
@@ -828,9 +807,9 @@ def series_to_ratfn(
 def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
     """Expand r(z(x)) as a series in x, exactly, to order T (default: z.trunc).
 
-    In powers of y = z - z(0), r is the shifted numerator times base^(-p),
-    whose coefficients follow by a recurrence of length deg base; the
-    cached columns y^i take the product back to x."""
+    In powers of y = z - z(0), r is the shifted numerator over the shifted
+    base^p, one integer series quotient; the cached columns y^i take it
+    back to x."""
     if T is None:
         T = z.trunc
     if z.trunc < T:
@@ -840,7 +819,7 @@ def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
         raise PoleAtBasepoint("denominator vanishes at the expansion basepoint")
     num = _taylor_shift(r.num.c, basis.z0)
     if r.den_pow:
-        num = _qconv(num, _inverse_power(_taylor_shift(r.den_base.c, basis.z0), r.den_pow, T), T)
+        num = _qdiv(num, (Poly(_taylor_shift(r.den_base.c, basis.z0)) ** r.den_pow).c, T)
     return Series(z.var, basis.from_y(num), T)
 
 
@@ -930,14 +909,7 @@ class GradedSeries:
         if other.coeff(0) == 0:
             raise RejectedInput("graded division by non-unit")
         T = min(self.trunc, other.trunc)
-        out = [Q(0)] * (T + 1)
-        inv0 = Q(1) / other.c[0]
-        for i in range(T + 1):
-            acc = self.coeff(i)
-            for j in range(1, i + 1):
-                acc -= other.coeff(j) * out[i - j]
-            out[i] = acc * inv0
-        return GradedSeries(self.var, out, self.base2 - other.base2, self.step2, T)
+        return GradedSeries(self.var, _qdiv(self.c, other.c, T), self.base2 - other.base2, self.step2, T)
 
     def xmul(self, k: int = 1):
         """Multiply by x^k (the time variable alone, no w attached)."""

@@ -23,6 +23,10 @@ CLOSED_FORM_DIGESTS = {
     "eg --nu 2 --g 10": "018614843ab18d942379c880675d8cd6ee4c59b44892d0777a76d04fa80cdb7a",
     "eg --nu 3 --g 6": "b8a8505b95f5cc5381d737d1387bb6db30ff05f4fcdf52be1ac841a5f02722de",
     "eg --nu 4 --g 6": "dd37110e5464209f900a05a64494a2aec5b6480827d2982b5e72328ee476c840",
+    "zg --nu 2 --g 8": "cdded096ca8dac41eb64ca3af52c01085972c9479d121387db3d35a35ed6b4d1",
+    "zg --nu 3 --g 5": "ba8919b291b43e72e84bc00dbd767a018c2af72466349179dbe2de89ea199dc7",
+    "verify continuum --nu 2 --g 4": "2e56995dc2fe7d69964ceccbc9c50786177df3a17b327e9a9f49c3c1576bfdd6",
+    "verify continuum --nu 3 --g 3": "42741145978da92b5be373921990d9d93a8ebc122154220673dfbff894ace4b3",
 }
 
 

@@ -1,5 +1,7 @@
 from math import factorial
 
+import pytest
+
 from mapgenus.combinatorics import LatticePolynomial, lattice_equation_exprs
 from mapgenus.continuum_even import (
     JetExpression,
@@ -15,6 +17,7 @@ from mapgenus.continuum_even import (
     verify_string_antiderivative,
     verify_string_functional,
 )
+from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series
 
 
@@ -238,3 +241,135 @@ def test_lattice_expansion_sees_every_term():
         assert not delta.is_zero()
         assert not _same_graded(got, base)
         assert _same_graded(got, base + delta), key
+
+
+# -- integer evaluation against the Fraction Horner form ----------------------
+
+
+def fraction_jet(family, h, j):
+    jet = family.f(h)
+    for _ in range(j):
+        jet = jet.dw()
+    return jet
+
+
+def fraction_horner(node, family):
+    """The Fraction Horner value of a jet trie: one GradedSeries product per
+    prefix symbol and one scaling per last symbol."""
+    total = None
+    for sym, child in node.items():
+        term = fraction_jet(family, *sym) * (fraction_horner(child, family) if type(child) is dict else child)
+        total = term if total is None else total + term
+    return total
+
+
+def fraction_evaluate(poly, family):
+    trie = {}
+    for mono, c in poly.items():
+        if c:
+            node = trie
+            for sym in mono[:-1]:
+                node = node.setdefault(sym, {})
+            node[mono[-1]] = c
+    return fraction_horner(trie, family) if trie else None
+
+
+def random_jet_polynomial(rng, gmax, length, order, count):
+    """Monomials of one length and one 1/n order (so of one w-weight) over
+    the symbols (h, j), with random and sometimes cancelling coefficients."""
+    poly = {}
+    for _ in range(count):
+        cuts = sorted(rng.randint(0, order) for _ in range(length - 1))
+        mono = []
+        for a, b in zip([0] + cuts, cuts + [order]):
+            h = rng.randint(0, min(gmax, (b - a) // 2))
+            mono.append((h, b - a - 2 * h))
+        mono = tuple(sorted(mono))
+        poly[mono] = poly.get(mono, 0) + Q(rng.randint(-9, 9), rng.randint(1, 12))
+    return poly
+
+
+def test_integer_evaluation_matches_fraction_horner_randomized(monkeypatch):
+    import random
+
+    from mapgenus import continuum_even
+
+    rng = random.Random(7)
+    for nu in (2, 3, 4):
+        table = build_ztable(nu, 2, T=12)
+        family = table.family(2)
+        for _ in range(12):
+            poly = random_jet_polynomial(rng, 2, rng.randint(1, 4), rng.randint(0, 6), rng.randint(1, 9))
+            got = continuum_even._evaluate(poly, family)
+            want = fraction_evaluate(poly, family)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _same_graded(family.graded(got), want)
+        # and every polynomial the engine itself collects
+        seen = []
+        evaluate = continuum_even._evaluate
+        monkeypatch.setattr(
+            continuum_even, "_evaluate", lambda poly, fam: seen.append((dict(poly), fam)) or evaluate(poly, fam)
+        )
+        expand_lattice_polynomial(lattice_equation_exprs(nu, "string"), table.family(1), nu, 5)
+        verify_continuum_toda(nu, 2, table)
+        monkeypatch.undo()
+        assert len(seen) >= 2
+        for poly, fam in seen:
+            assert _same_graded(fam.graded(evaluate(poly, fam)), fraction_evaluate(poly, fam))
+
+
+def test_integer_jets_match_repeated_dw():
+    for nu in (2, 3, 4):
+        family = build_ztable(nu, 2, T=10).family(2)
+        for h in range(3):
+            for j in (5, 0, 7, 2):  # out of order: jets are built on first use
+                assert _same_graded(family.graded(family.scaled(h, j)), fraction_jet(family, h, j))
+
+
+def test_mixed_weight_jet_polynomial_is_rejected():
+    from mapgenus import continuum_even
+
+    family = build_ztable(2, 1, T=8).family(1)
+    for poly in (
+        {((0, 0),): Q(1), ((0, 1),): Q(2)},  # two last symbols of one level
+        {((0, 0), (0, 0)): Q(1), ((0, 1), (1, 0)): Q(1)},  # two prefixes
+    ):
+        with pytest.raises(RejectedInput, match="weight mismatch"):
+            continuum_even._evaluate(poly, family)
+    # cancelled terms carry no weight
+    assert continuum_even._evaluate({((0, 0),): Q(0), ((0, 1),): Q(0)}, family) is None
+
+
+def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
+    from mapgenus import continuum_even
+    from mapgenus.cli import dispatch
+
+    table = build_ztable(2, 1, T=10)
+    monkeypatch.setattr(continuum_even, "toda_jet", lambda nu, g: JetExpression())
+    with pytest.raises(VerificationFailure):
+        verify_continuum_toda(2, 1, table)
+    assert dispatch(["--no-cache", "verify", "continuum", "--nu", "2", "--g", "1"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_evaluation_makes_no_series_products(monkeypatch):
+    from mapgenus.exact_kernel import DLaurent
+
+    table = build_ztable(3, 2, T=12)
+    calls = []
+    for cls in (GradedSeries, DLaurent):
+        mul = cls.__mul__
+
+        def counted(self, other, mul=mul, name=cls.__name__):
+            calls.append(name)
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    expand_lattice_polynomial(lattice_equation_exprs(3, "string"), table.family(1), 3, 5)
+    verify_continuum_toda(3, 2, table)
+    assert "GradedSeries" not in calls
+    calls.clear()
+    build_ztable(3, 3, T=14)
+    assert "DLaurent" not in calls and "GradedSeries" in calls

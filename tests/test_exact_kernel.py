@@ -585,3 +585,121 @@ def test_powers_of_every_ring_match_repeated_products(monkeypatch):
             assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, (cls.__name__, n)
     graded = bases[3] ** 0
     assert graded.base2 == 0 and graded.trunc == bases[3].trunc
+
+
+# -- series quotients against the plain Fraction recurrence ------------------
+
+
+def plain_quotient(a, b, n):
+    """Coefficients 0..n of a/b order by order, one Fraction operation per
+    partial product: the recurrence both quotients used to run."""
+    out = []
+    for i in range(n + 1):
+        acc = a[i]
+        for j in range(1, i + 1):
+            acc -= b[j] * out[i - j]
+        out.append(acc / b[0])
+    return out
+
+
+def quotient_cases(nu):
+    """(numerator, divisor) coefficient lists around the planar series of
+    valence nu: z0 itself, D(z0) = nu - (nu-1) z0, and random divisors with
+    a non-unit or negative leading coefficient and zero interior
+    coefficients, at unequal lengths."""
+    from mapgenus.continuum_even import catalan_data
+
+    z0 = catalan_data(nu, 12).z0
+    divisors = [
+        list(z0.c),
+        list((nu - (nu - 1) * z0).c),
+        [Q(-3, 7)] + rand_coeffs(9, COPRIME_DENOMS, zero_share=0.5),
+        [Q(-nu)] + [Q(0)] * 4 + rand_coeffs(6, SHARED_DENOMS),
+        [Q(5, 6)] + rand_coeffs(rng.randint(0, 12), SHARED_DENOMS),
+    ]
+    for b in divisors:
+        a = rand_coeffs(rng.randint(1, 14), (COPRIME_DENOMS, SHARED_DENOMS)[nu % 2])
+        yield a, b
+        yield b, [Q(1)] + a[1:]
+
+
+def test_series_quotients_match_plain_recurrence_randomized():
+    for nu in (2, 3, 4):
+        for a, b in quotient_cases(nu):
+            T = min(len(a), len(b)) - 1
+            want = plain_quotient(a, b, T)
+            q = Series("u", a) / Series("u", b)
+            assert q.trunc == T and list(q.c) == want and canonical(q.c)
+            g = GradedSeries("u", a, base2=2, step2=2 * (nu - 1)) / GradedSeries(
+                "u", b, base2=-4, step2=2 * (nu - 1)
+            )
+            assert g.trunc == T and g.base2 == 6 and list(g.c) == want and canonical(g.c)
+
+
+def test_both_quotients_share_one_integer_kernel(monkeypatch):
+    from mapgenus import exact_kernel
+
+    calls = []
+    kernel = exact_kernel._qdiv
+    monkeypatch.setattr(exact_kernel, "_qdiv", lambda *args: calls.append(1) or kernel(*args))
+    Series("u", [1, 2, 3]) / Series("u", [2, 1])
+    GradedSeries("u", [1, 2], 0, 2) / GradedSeries("u", [-1, 0, 4], 2, 2)
+    assert len(calls) == 2
+
+
+def test_division_by_a_non_unit_still_raises():
+    for zero in (Q(0), 0):
+        with pytest.raises(RejectedInput):
+            Series("u", [1, 2, 3]) / Series("u", [zero, 1, 1])
+        with pytest.raises(RejectedInput):
+            GradedSeries("u", [1, 2], 0, 2) / GradedSeries("u", [zero, 5], 2, 2)
+    with pytest.raises(RejectedInput):
+        Series("u", [1, 2]) / 0
+
+
+# -- the RatFn <-> DLaurent crossing against the Horner forms ----------------
+
+
+def horner_from_ratfn(r, nu):
+    """r in powers of D by a Horner sum of DLaurent products in z."""
+    z = DLaurent.z(nu)
+    acc = DLaurent(nu, 0, ())
+    for a in reversed(r.num.c):
+        acc = acc * z + a
+    P = r.den_base.degree * r.den_pow
+    return acc * DLaurent(nu, -P, (Q(-(nu - 1)) ** P,))
+
+
+def horner_to_ratfn(f):
+    """f as a RatFn by a Horner sum of Poly products in D = nu - (nu-1) z."""
+    D = Poly([f.nu, -(f.nu - 1)])
+    P = max(0, -f.lo)
+    num = Poly(())
+    for a in reversed(f.c):
+        c = list((num * D).c) or [Q(0)]
+        num = Poly([c[0] + a] + c[1:])
+    return RatFn(num * D ** (f.lo + P), D, P, "z0")
+
+
+def test_dlaurent_crossing_matches_horner_forms_randomized():
+    for nu in (2, 3, 4):
+        mono = Poly([Q(-nu, nu - 1), 1])
+        for _ in range(25):
+            f = rand_dlaurent(nu)
+            r = f.to_ratfn()
+            assert ratfn_to_json(r) == ratfn_to_json(horner_to_ratfn(f))
+            assert DLaurent.from_ratfn(r, nu) == f == horner_from_ratfn(r, nu)
+            # a reduced RatFn with a power of D below a random nonzero numerator
+            num = Poly(rand_coeffs(rng.randint(0, 8), (COPRIME_DENOMS, SHARED_DENOMS)[nu % 2]) + [rand_q() or Q(1)])
+            r = RatFn(num, mono, rng.randint(0, 6), "z0")
+            f = DLaurent.from_ratfn(r, nu)
+            assert f == horner_from_ratfn(r, nu)
+            assert ratfn_to_json(f.to_ratfn()) == ratfn_to_json(r)
+
+
+def test_dlaurent_from_ratfn_rejects_a_shifted_power():
+    # (z - 1)^2 at nu = 2 is a power of a linear base, but not of D
+    with pytest.raises(RejectedInput):
+        DLaurent.from_ratfn(RatFn(Poly([1, 1]), Poly([1, -2, 1]), 1), 2)
+    with pytest.raises(RejectedInput):
+        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([-Q(3, 2), 1]), 3), 4)  # D at nu=3
