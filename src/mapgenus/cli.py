@@ -5,6 +5,9 @@ Primary output is a single canonical JSON document on stdout (sorted keys,
 no timestamps), so identical invocations are byte-identical; CSV and text
 are lossy convenience views.  Exit codes: 0 success, 1 a machine-checked
 identity failed, 2 usage error, 3 reconstruction or resonance failure.
+
+Each payload builder imports the engine modules it uses, so a command
+loads only what it runs and a cache hit loads no engine module.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
-from . import __version__, continuum_even, continuum_odd, fatgraph_oracle, genus_even
+from . import __version__
 from .errors import (
     EngineError,
     InsufficientData,
@@ -28,15 +30,7 @@ from .errors import (
     ResonanceFailure,
     SizeLimit,
     VerificationFailure,
-)
-from .exact_kernel import Q, qstr, ratfn_to_json, series_to_json
-from .lattice_oracle import (
-    WeightSpec,
-    asymptotic_match,
-    recurrence_table,
     status_of,
-    verify_hirota,
-    verify_lattice_equations,
 )
 
 CACHE_ENV = "MAPGENUS_CACHE_DIR"
@@ -90,6 +84,8 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "payload": payload,
     }
+    import tempfile
+
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -107,6 +103,9 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
 
 
 def payload_z0(nu: int, order: int) -> dict:
+    from . import continuum_even
+    from .exact_kernel import qstr, series_to_json
+
     data = continuum_even.catalan_data(nu, order)
     return {
         "nu": nu,
@@ -118,6 +117,9 @@ def payload_z0(nu: int, order: int) -> dict:
 
 
 def payload_zg(nu: int, g: int, order: int | None) -> dict:
+    from . import continuum_even
+    from .exact_kernel import qstr, ratfn_to_json, series_to_json
+
     if g < 0:
         raise RejectedInput("genus must be >= 0")
     T = order if order is not None else max(3 * g + 12, 16)
@@ -134,6 +136,9 @@ def payload_zg(nu: int, g: int, order: int | None) -> dict:
 
 
 def payload_eg(nu: int, g: int, order: int | None) -> dict:
+    from . import continuum_even, genus_even
+    from .exact_kernel import qstr, ratfn_to_json, series_to_json
+
     if g < 0:
         raise RejectedInput("genus must be >= 0")
     if g < 2:
@@ -170,6 +175,8 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
 
 
 def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
+    from . import fatgraph_oracle
+
     if genus is not None and genus < 0:
         raise RejectedInput("--genus must be >= 0")
     counts = fatgraph_oracle.kappa_counts(valence, vertices)
@@ -179,6 +186,9 @@ def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
 
 
 def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
+    from .exact_kernel import Q
+    from .lattice_oracle import WeightSpec, recurrence_table, verify_hirota, verify_lattice_equations
+
     if nmax < 1:
         raise RejectedInput("--nmax must be >= 1")
     g_s = Q(1, nmax)
@@ -212,6 +222,8 @@ def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> di
 
 
 def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
+    from . import continuum_even
+
     if g < 0:
         raise RejectedInput("genus must be >= 0")
     T = order if order is not None else max(3 * g + 12, 16)
@@ -228,6 +240,8 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
 
 
 def payload_verify_odd(nu: int, order: int) -> dict:
+    from . import continuum_odd
+
     coefficients = continuum_odd.verify_odd_identities(nu)
     pair = continuum_odd.solve_leading_odd(nu, order)
     identities = [
@@ -238,11 +252,16 @@ def payload_verify_odd(nu: int, order: int) -> dict:
 
 
 def payload_trivalent(mmax: int) -> dict:
+    from . import continuum_odd
+
     return continuum_odd.trivalent_checks(T=max(4, mmax // 2 + 2), m_max=mmax)
 
 
 def payload_report(nu: int) -> dict:
     """One standard verification sweep: every identity tag with its status."""
+    from . import fatgraph_oracle
+    from .lattice_oracle import asymptotic_match
+
     out = []
     out.extend(payload_verify_lattice(nu, 6, 4, True)["identities"])
     out.extend(payload_verify_continuum(nu, 2, None)["identities"])

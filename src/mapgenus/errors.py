@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all engine modules."""
+"""Exception hierarchy shared by all engine modules, and the pass/fail
+verdict of a list of checks."""
 
 
 class EngineError(Exception):
@@ -43,3 +44,8 @@ class NoMatchingExists(EngineError):
 
 class SizeLimit(EngineError):
     """An exhaustive enumeration exceeds the configured desk-scale cap."""
+
+
+def status_of(entries: list) -> str:
+    """"pass" when every check listed in entries passed, else "fail"."""
+    return "pass" if all(e["status"] == "pass" for e in entries) else "fail"

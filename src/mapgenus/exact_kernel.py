@@ -411,8 +411,9 @@ def series_log(s: Series) -> Series:
 class RatFn:
     """Reduced rational function num / den_base**den_pow in one variable.
 
-    den_base is monic and shares no factor with num (when den_pow > 0).
-    General denominators use den_pow = 1.  The power form is what rational
+    den_base is monic and shares no factor with num (when den_pow > 0), and
+    zero is 0 / 1, so every value has one printed form.  General
+    denominators use den_pow = 1.  The power form is what rational
     reconstruction produces and keeps pole-order queries O(1).
     """
 
@@ -423,7 +424,7 @@ class RatFn:
             raise RejectedInput("zero denominator")
         if den_pow < 0:
             raise RejectedInput("negative denominator power")
-        if den_base.degree == 0 or den_pow == 0:
+        if den_base.degree == 0 or den_pow == 0 or num.is_zero():
             num = num * (Q(1) / (den_base.leading() ** den_pow))
             den_base, den_pow = Poly.one(), 0
         else:
@@ -433,7 +434,7 @@ class RatFn:
                 num = num * (Q(1) / (lead ** den_pow))
             # cancel full powers of the base first (cheap, common case); a
             # linear base is irreducible, so what is left is already coprime
-            while den_pow > 0 and not num.is_zero():
+            while den_pow > 0:
                 quo, rem = num.divmod(den_base)
                 if rem.is_zero():
                     num, den_pow = quo, den_pow - 1

@@ -23,7 +23,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import NoMatchingExists, RejectedInput, SizeLimit, VerificationFailure
-from .exact_kernel import Q, Series
 
 KERNEL_KIND = "pure"
 
@@ -118,6 +117,8 @@ def kappa_counts(j: int, m: int, cap: int = HALF_EDGE_CAP) -> dict[int, int]:
 def eg_series_from_kappa(j: int, g: int, m_max: int, cap: int = HALF_EDGE_CAP) -> Series:
     """Ordinary generating series of genus-g map counts in the variable
     u = -t_j (one coefficient kappa/(m! j^m) per vertex count m)."""
+    from .exact_kernel import Q, Series
+
     coeffs = [Q(0)]
     for m in range(1, m_max + 1):
         kappa = kappa_counts(j, m, cap).get(g, 0) if (j * m) % 2 == 0 else 0

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm as _int_lcm
 
-from .errors import DegenerateTable, RejectedInput, VerificationFailure
+from .errors import DegenerateTable, RejectedInput, VerificationFailure, status_of
 from .exact_kernel import Q, Series, _qscale
 
 
@@ -494,11 +494,6 @@ def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
         "sites": sites,
         "status": status_of(sites),
     }
-
-
-def status_of(entries: list) -> str:
-    """"pass" when every check listed in entries passed, else "fail"."""
-    return "pass" if all(e["status"] == "pass" for e in entries) else "fail"
 
 
 def _record(sites: list, n: int, res, tag: str):

@@ -84,13 +84,13 @@ def test_impossible_enumeration_is_usage_error(capsys):
 
 def test_verification_failure_exit_code(monkeypatch, capsys):
     # an injected bug in the verification path must surface as exit 1
-    import mapgenus.cli as cli_mod
+    from mapgenus import lattice_oracle
     from mapgenus.errors import VerificationFailure
 
     def broken(*args, **kwargs):
         raise VerificationFailure("injected")
 
-    monkeypatch.setattr(cli_mod, "verify_lattice_equations", broken)
+    monkeypatch.setattr(lattice_oracle, "verify_lattice_equations", broken)
     code, _, err = run(capsys, "verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2")
     assert code == 1 and "injected" in err
 
@@ -121,12 +121,14 @@ def test_maps_five_quartic_vertices(capsys):
 
 
 def test_report_failed_entry_fails_document(monkeypatch, capsys):
-    # a wrong matching tally must turn the whole report into a failure
-    from types import SimpleNamespace
+    # a wrong matching tally must turn the whole report into a failure; the
+    # trivalent entry still reads the real counts
+    from mapgenus import fatgraph_oracle
 
-    import mapgenus.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "fatgraph_oracle", SimpleNamespace(kappa_counts=lambda j, m: {0: 36, 1: 59}))
+    real = fatgraph_oracle.kappa_counts
+    monkeypatch.setattr(
+        fatgraph_oracle, "kappa_counts", lambda j, m: {0: 36, 1: 59} if (j, m) == (4, 2) else real(j, m)
+    )
     code, out, _ = run(capsys, "report", "--nu", "2")
     doc = json.loads(out)
     assert code == 1
@@ -136,14 +138,14 @@ def test_report_failed_entry_fails_document(monkeypatch, capsys):
 
 def test_verify_lattice_failed_identity_fails_document(monkeypatch, capsys):
     # a failed Hirota report must print a "fail" document and exit 1
-    import mapgenus.cli as cli_mod
+    from mapgenus import lattice_oracle
 
     failed = {
         "equation": "hirota",
         "sites": [{"n": 1, "check": "tau_product", "status": "fail"}],
         "status": "fail",
     }
-    monkeypatch.setattr(cli_mod, "verify_hirota", lambda table: failed)
+    monkeypatch.setattr(lattice_oracle, "verify_hirota", lambda table: failed)
     code, out, _ = run(capsys, "verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2")
     doc = json.loads(out)
     assert code == 1 and doc["status"] == "fail"
@@ -335,3 +337,64 @@ def test_cli_maps_entrypoint_identity():
     )
     assert out1.returncode == 0
     assert json.loads(out1.stdout) == {"0": 36, "1": 60}
+
+
+# Loads the cli in a fresh interpreter, dispatches the argv given as JSON
+# (if any) and prints the modules that import and dispatch loaded.  The
+# interpreter starts without ``site``, whose .pth hooks may import modules
+# of their own before the script runs.
+FOOTPRINT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from mapgenus import cli
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.dispatch(json.loads(sys.argv[1]))
+    assert code == 0, code
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+CLI_ONLY = {"mapgenus", "mapgenus.cli", "mapgenus.errors"}
+
+
+def loaded_by(*argv) -> set:
+    import subprocess
+    import sys
+
+    args = [sys.executable, "-S", "-c", FOOTPRINT] + ([json.dumps(argv)] if argv else [])
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def engine(modules: set) -> set:
+    return {m for m in modules if m.startswith("mapgenus")}
+
+
+def test_import_cli_loads_no_engine_module():
+    loaded = loaded_by()
+    assert engine(loaded) == CLI_ONLY
+    assert "tempfile" not in loaded
+
+
+def test_warm_cache_hit_loads_no_engine_module(tmp_path, capsys):
+    argv = ["--cache-dir", str(tmp_path), "eg", "--nu", "2", "--g", "2"]
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+    assert engine(loaded_by(*argv)) == CLI_ONLY
+
+
+def test_each_command_loads_only_what_it_runs():
+    maps = engine(loaded_by("--no-cache", "maps", "--valence", "4", "--vertices", "2"))
+    assert "mapgenus.fatgraph_oracle" in maps and "mapgenus.exact_kernel" not in maps
+    zg = engine(loaded_by("--no-cache", "zg", "--nu", "2", "--g", "1"))
+    assert "mapgenus.continuum_even" in zg
+    assert not zg & {
+        "mapgenus.genus_even",
+        "mapgenus.lattice_oracle",
+        "mapgenus.continuum_odd",
+        "mapgenus.fatgraph_oracle",
+    }
+    lattice = engine(loaded_by("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"))
+    assert "mapgenus.lattice_oracle" in lattice
+    assert not lattice & {"mapgenus.continuum_even", "mapgenus.genus_even"}

@@ -373,3 +373,19 @@ def test_evaluation_makes_no_series_products(monkeypatch):
     calls.clear()
     build_ztable(3, 3, T=14)
     assert "DLaurent" not in calls and "GradedSeries" in calls
+
+
+def test_zero_reconstruction_fails_pole_order(monkeypatch):
+    # a z_g that reconstructs to zero has no pole, whatever order it was
+    # fitted with, so it cannot pass as the genus-g closed form
+    from mapgenus import continuum_even
+
+    real = continuum_even.series_to_ratfn
+
+    def zero(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return RatFn(Poly(()), r.den_base, r.den_pow, r.var)
+
+    monkeypatch.setattr(continuum_even, "series_to_ratfn", zero)
+    with pytest.raises(VerificationFailure, match="pole order 0 at genus 1, expected 4"):
+        build_ztable(2, 1)

@@ -119,6 +119,16 @@ def test_ratfn_normalize_examples():
         RatFn(Poly([1]), Poly([]), 1)
 
 
+def test_zero_ratfn_has_one_form():
+    # zero over any denominator power prints as the zero DLaurent does: 0 / 1
+    zero = ratfn_to_json(DLaurent(2, -3, ()).to_ratfn())
+    for base in (Poly([2, -1]), Poly([3, -2]), Poly([1, 0, 1])):
+        for p in (1, 6):
+            r = RatFn(Poly(()), base, p, "z0")
+            assert (r.num, r.den_base, r.den_pow) == (Poly(()), Poly.one(), 0)
+            assert ratfn_to_json(r) == zero
+
+
 # -- Laurent polynomials in D = nu - (nu-1) z ---------------------------------
 
 

@@ -322,3 +322,21 @@ def test_e3_resonant_readback_against_full_enumeration(nu2):
     counts, _ = genus_tally(4, 5)
     assert etable.entries[3].series.coeff(5) * factorial(5) == counts[3]
 
+
+def test_zero_reconstruction_fails_pole_order(monkeypatch):
+    # an e_g that reconstructs to zero has no pole, so it cannot pass as
+    # the genus-g closed form
+    from mapgenus import genus_even
+    from mapgenus.errors import VerificationFailure
+    from mapgenus.exact_kernel import Poly, RatFn
+
+    real = genus_even.series_to_ratfn
+
+    def zero(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return RatFn(Poly(()), r.den_base, r.den_pow, r.var)
+
+    ztable = build_ztable(2, 2, T=22)
+    monkeypatch.setattr(genus_even, "series_to_ratfn", zero)
+    with pytest.raises(VerificationFailure, match="pole order 0 at genus 2, expected 5"):
+        build_etable(2, 2, ztable=ztable)
