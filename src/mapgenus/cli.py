@@ -22,9 +22,11 @@ import time
 
 from . import __version__
 from .errors import (
+    DegenerateTable,
     EngineError,
     InsufficientData,
     NoMatchingExists,
+    PoleAtBasepoint,
     ReconstructionFailed,
     RejectedInput,
     ResonanceFailure,
@@ -308,6 +310,9 @@ def render(payload: dict, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's parser sets ``run``, its payload builder (called with
+    the command's options as keywords), and ``cached``, whether its
+    documents go through the result cache."""
     parser = argparse.ArgumentParser(
         prog="mapgenus",
         description="exact genus expansions and map enumeration on surfaces",
@@ -318,20 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("z0", help="planar generating function")
+    p.set_defaults(run=payload_z0, cached=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--order", type=int, default=16)
 
     p = sub.add_parser("zg", help="two-leg generating function at genus g")
+    p.set_defaults(run=payload_zg, cached=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--order", type=int)
 
     p = sub.add_parser("eg", help="free-energy coefficient at genus g")
+    p.set_defaults(run=payload_eg, cached=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--series-order", type=int, dest="order")
 
     p = sub.add_parser("maps", help="labelled regular map counts by genus")
+    p.set_defaults(run=payload_maps, cached=True)
     p.add_argument("--valence", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--genus", type=int)
@@ -339,90 +348,70 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="machine verification of the identities")
     vsub = v.add_subparsers(dest="what", required=True)
     p = vsub.add_parser("lattice")
+    p.set_defaults(run=payload_verify_lattice, cached=False)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--torder", type=int, default=4)
     p.add_argument("--with-t1", action="store_true")
     p = vsub.add_parser("continuum")
+    p.set_defaults(run=payload_verify_continuum, cached=False)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--order", type=int)
     p = vsub.add_parser("odd")
+    p.set_defaults(run=payload_verify_odd, cached=False)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--order", type=int, default=10)
 
     p = sub.add_parser("trivalent", help="trivalent golden values vs matchings")
+    p.set_defaults(run=payload_trivalent, cached=False)
     p.add_argument("--mmax", type=int, default=4)
 
     p = sub.add_parser("report", help="standard verification sweep")
+    p.set_defaults(run=payload_report, cached=False)
     p.add_argument("--nu", type=int, default=2)
     return parser
 
 
+def parse_options(argv) -> dict:
+    """The parsed arguments as a plain dict.  The parser is built and
+    dropped here, so none of it stays referenced while the command runs."""
+    return vars(build_parser().parse_args(argv))
+
+
+# exit code and stderr prefix of each engine error; an error class not
+# listed takes the entry of its nearest listed base
+EXITS = {
+    EngineError: (1, "engine error"),
+    VerificationFailure: (1, "verification failure"),
+    PoleAtBasepoint: (1, "engine error"),
+    DegenerateTable: (1, "engine error"),
+    ReconstructionFailed: (3, "reconstruction/resonance failure"),
+    ResonanceFailure: (3, "reconstruction/resonance failure"),
+    InsufficientData: (3, "reconstruction/resonance failure"),
+    RejectedInput: (2, "usage error"),
+    NoMatchingExists: (2, "usage error"),
+    SizeLimit: (2, "usage error"),
+}
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = parse_options(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    fmt, cache_dir, no_cache = options.pop("format"), options.pop("cache_dir"), options.pop("no_cache")
+    run, cached = options.pop("run"), options.pop("cached")
+    # the key names the command and every option it was given
+    command = [options.pop(k) for k in ("command", "what") if k in options]
+    key = " ".join(command + ["%s=%s" % kv for kv in sorted(options.items())])
     try:
-        if args.command == "z0":
-            key = "z0 nu=%d order=%d" % (args.nu, args.order)
-            payload = cache_lookup_or_compute(
-                args.cache_dir, key, lambda: payload_z0(args.nu, args.order), args.no_cache
-            )
-        elif args.command == "zg":
-            key = "zg nu=%d g=%d order=%s" % (args.nu, args.g, args.order)
-            payload = cache_lookup_or_compute(
-                args.cache_dir,
-                key,
-                lambda: payload_zg(args.nu, args.g, args.order),
-                args.no_cache,
-            )
-        elif args.command == "eg":
-            key = "eg nu=%d g=%d order=%s" % (args.nu, args.g, args.order)
-            payload = cache_lookup_or_compute(
-                args.cache_dir,
-                key,
-                lambda: payload_eg(args.nu, args.g, args.order),
-                args.no_cache,
-            )
-        elif args.command == "maps":
-            key = "maps j=%d m=%d genus=%s" % (args.valence, args.vertices, args.genus)
-            payload = cache_lookup_or_compute(
-                args.cache_dir,
-                key,
-                lambda: payload_maps(args.valence, args.vertices, args.genus),
-                args.no_cache,
-            )
-        elif args.command == "verify":
-            if args.what == "lattice":
-                payload = payload_verify_lattice(
-                    args.nu, args.nmax, args.torder, args.with_t1
-                )
-            elif args.what == "continuum":
-                payload = payload_verify_continuum(args.nu, args.g, args.order)
-            else:
-                payload = payload_verify_odd(args.nu, args.order)
-        elif args.command == "trivalent":
-            payload = payload_trivalent(args.mmax)
-        elif args.command == "report":
-            payload = payload_report(args.nu)
-        else:  # pragma: no cover - argparse guards this
-            return 2
-    except (VerificationFailure,) as exc:
-        print("verification failure: %s" % exc, file=sys.stderr)
-        return 1
-    except (ReconstructionFailed, ResonanceFailure, InsufficientData) as exc:
-        print("reconstruction/resonance failure: %s" % exc, file=sys.stderr)
-        return 3
-    except (RejectedInput, NoMatchingExists, SizeLimit) as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
+        payload = cache_lookup_or_compute(cache_dir if cached else None, key, lambda: run(**options), no_cache)
     except EngineError as exc:
-        print("engine error: %s" % exc, file=sys.stderr)
-        return 1
-    sys.stdout.write(render(payload, args.format))
+        code, prefix = next(EXITS[c] for c in type(exc).__mro__ if c in EXITS)
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
+        return code
+    sys.stdout.write(render(payload, fmt))
     # a document that reports a failed check still prints, then exits 1
     return 1 if payload.get("status") == "fail" else 0
 

@@ -1,6 +1,7 @@
 """Partitions, restricted partitions in a box, monomial symmetric polynomial
-evaluation, the continuum-hierarchy coefficients, lattice-path enumeration
-and symbolic entries of powers of the three-term recursion operator.
+evaluation, the continuum-hierarchy coefficients, lattice-path enumeration,
+the sparse polynomial algebra shared by every symbolic equation, and
+symbolic entries of powers of the three-term recursion operator.
 
 Conventions fixed here and relied on downstream:
 
@@ -13,7 +14,6 @@ Conventions fixed here and relied on downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -182,16 +182,9 @@ def d_coeff(nu: int, lam: Partition, variant: str) -> Fraction:
 # lattice paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePath:
-    """A walk on the integer lattice; steps are +1/-1 (and 0 for Motzkin)."""
-
-    steps: tuple[int, ...]
-    start: int
-
-
-def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[LatticePath]:
-    """Exhaustive enumeration of length-j walks from m1 to m2.
+def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[tuple[int, ...]]:
+    """Exhaustive enumeration of the step tuples of length-j walks from m1
+    to m2; steps are +1/-1 (and 0 for Motzkin).
 
     Parity mismatch yields the empty list, not an error.  Enumeration is
     deliberately step-by-step so per-path weights stay available.
@@ -204,13 +197,13 @@ def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[LatticeP
         alphabet = (1, 0, -1)
     else:
         raise RejectedInput("kind must be 'dyck' or 'motzkin'")
-    out: list[LatticePath] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining, level, acc):
         if abs(m2 - level) > remaining:
             return
         if remaining == 0:
-            out.append(LatticePath(tuple(acc), m1))
+            out.append(tuple(acc))
             return
         for s in alphabet:
             acc.append(s)
@@ -222,10 +215,64 @@ def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[LatticeP
 
 
 # ---------------------------------------------------------------------------
-# lattice polynomials: entries of powers of the recursion operator
+# sparse polynomials, and the lattice polynomials among them
 # ---------------------------------------------------------------------------
 
-class LatticePolynomial:
+class Terms:
+    """Sparse polynomial: a dict from monomial key to nonzero Fraction.
+
+    Sums, negation, differences, products, scalar multiples and equality
+    are shared.  A subclass whose polynomials meet plain numbers names the
+    key of the constant monomial (``ONE``), which an int or Fraction
+    operand of a sum or difference multiplies; one whose polynomials are
+    multiplied together says how two keys multiply (``_key_mul``).
+    """
+
+    __slots__ = ("terms",)
+    ONE: tuple
+
+    def __init__(self, terms=None):
+        self.terms: dict = {}
+        if terms:
+            for key, val in terms.items():
+                val = Q(val)
+                if val:
+                    self.terms[key] = val
+
+    def _lift(self, other) -> "Terms":
+        return type(self)({self.ONE: other}) if isinstance(other, (int, Fraction)) else other
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, val in self._lift(other).terms.items():
+            out[key] = out.get(key, 0) + val
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return type(self)({k: v * other for k, v in self.terms.items()})
+        out: dict = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                key = self._key_mul(k1, k2)
+                out[key] = out.get(key, 0) + v1 * v2
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+
+class LatticePolynomial(Terms):
     """Polynomial in offset variables b2[k], a[k] and the coupling t.
 
     Terms map (t_degree, sorted b2 offsets, sorted a offsets) -> Fraction.
@@ -233,44 +280,16 @@ class LatticePolynomial:
     constant is an exact symmetry of every generated equation.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                val = Q(val)
-                if val:
-                    self.terms[key] = val
+    @staticmethod
+    def _key_mul(k1, k2):
+        return k1[0] + k2[0], tuple(sorted(k1[1] + k2[1])), tuple(sorted(k1[2] + k2[2]))
 
     @staticmethod
     def monomial(coeff=1, b_offsets=(), a_offsets=(), t_deg=0) -> "LatticePolynomial":
         key = (t_deg, tuple(sorted(b_offsets)), tuple(sorted(a_offsets)))
         return LatticePolynomial({key: Q(coeff)})
-
-    def __add__(self, other: "LatticePolynomial"):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Q(0)) + val
-        return LatticePolynomial(out)
-
-    def __neg__(self):
-        return LatticePolynomial({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LatticePolynomial({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for (t1, b1, a1), v1 in self.terms.items():
-            for (t2, b2, a2), v2 in other.terms.items():
-                key = (t1 + t2, tuple(sorted(b1 + b2)), tuple(sorted(a1 + a2)))
-                out[key] = out.get(key, Q(0)) + v1 * v2
-        return LatticePolynomial(out)
-
-    __rmul__ = __mul__
 
     def times_t(self) -> "LatticePolynomial":
         return LatticePolynomial({(t + 1, b, a): v for (t, b, a), v in self.terms.items()})
@@ -283,9 +302,6 @@ class LatticePolynomial:
                 for (t, b, a), v in self.terms.items()
             }
         )
-
-    def __eq__(self, other):
-        return isinstance(other, LatticePolynomial) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -311,15 +327,13 @@ def operator_power_entry(
     1, a downstep from relative level k weighs b2[k], and (odd potentials
     only) a flat step at level k weighs a[k].
     """
-    if abs(row_offset - col_offset) > j:
-        return LatticePolynomial()
     kind = "dyck" if even_potential else "motzkin"
     total = LatticePolynomial()
-    for path in lattice_paths(j, row_offset, col_offset, kind):
+    for steps in lattice_paths(j, row_offset, col_offset, kind):
         b_off = []
         a_off = []
         lvl = row_offset
-        for s in path.steps:
+        for s in steps:
             if s == -1:
                 b_off.append(lvl)  # weight of the step leaving level lvl downward
             elif s == 0:

@@ -29,6 +29,7 @@ from math import factorial, lcm, prod
 from operator import add
 
 from .combinatorics import (
+    Terms,
     c_valence,
     d_coeff,
     higher_catalan,
@@ -137,7 +138,7 @@ def verify_burgers(nu: int, T: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class JetExpression:
+class JetExpression(Terms):
     """Polynomial in the jet symbols f, f_w, f_ww, ... of a single unknown.
 
     Terms map (f_power, ((order, multiplicity), ...)) -> coefficient; all
@@ -145,29 +146,12 @@ class JetExpression:
     time.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict = {}
-        if terms:
-            for key, val in terms.items():
-                val = Q(val)
-                if val:
-                    self.terms[key] = val
+    __slots__ = ()
 
     @staticmethod
     def monomial(coeff, fpow: int, jets: dict[int, int]) -> "JetExpression":
         key = (fpow, tuple(sorted((j, r) for j, r in jets.items() if r)))
         return JetExpression({key: Q(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Q(0)) + val
-        return JetExpression(out)
-
-    def __eq__(self, other):
-        return isinstance(other, JetExpression) and self.terms == other.terms
 
     def __repr__(self):
         bits = []
@@ -180,27 +164,30 @@ class JetExpression:
         return "JetExpression(%s)" % " + ".join(bits) if bits else "JetExpression(0)"
 
 
-def toda_jet(nu: int, g: int) -> JetExpression:
-    """Genus-g right-hand side of the continuum coupling-flow hierarchy:
-    a sum over partitions of 2g+1 with at most nu+1 parts, with the
-    staircase-box coefficients of the combinatorics module.
+def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
+    """Sum over the partitions lambda of 2g+1 with at most `slots` parts
+    (nu+1 for "toda", nu for "string") of the jet monomial f^(slots-len)
+    prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
+    of the variant and no repeated-part division."""
+    slots = nu + 1 if variant == "toda" else nu
+    out = JetExpression()
+    for lam in partitions_of(2 * g + 1, max_len=slots):
+        mult = multiplicities(lam)
+        denom = prod(factorial(j) ** r for j, r in mult.items())
+        out = out + JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult)
+    return out
 
-    The jet monomial for a partition lambda is f^(nu+1-len) prod_j
-    (dw^j f / j!)^(r_j) with coefficient d_lambda and no repeated-part
-    division: the box sum uses classical monomial symmetric values, and the
+
+def toda_jet(nu: int, g: int) -> JetExpression:
+    """Genus-g right-hand side of the continuum coupling-flow hierarchy: the
+    partition sum of 2g+1 over nu+1 slots.
+
+    The box sum uses classical monomial symmetric values, and the
     finite-size oracle pins this pairing exactly (a repeated-part division
     would fail it at every nu >= 3)."""
     if g < 0:
         raise RejectedInput("genus must be >= 0")
-    out = JetExpression()
-    for lam in partitions_of(2 * g + 1, max_len=nu + 1):
-        mult = multiplicities(lam)
-        denom = 1
-        for j, r in mult.items():
-            denom *= factorial(j) ** r
-        coeff = d_coeff(nu, lam, "toda") / denom
-        out = out + JetExpression.monomial(coeff, nu + 1 - len(lam), mult)
-    return out
+    return _partition_jet(nu, g, "toda")
 
 
 # -- spatially exact antiderivative of the string-side jets ------------------
@@ -233,12 +220,8 @@ class SlotJetExpression:
     def as_jet(self) -> JetExpression:
         out = JetExpression()
         for coeff, _xs, orders in self.terms:
-            fpow = sum(1 for o in orders if o == 0)
-            jets: dict[int, int] = {}
-            for o in orders:
-                if o:
-                    jets[o] = jets.get(o, 0) + 1
-            out = out + JetExpression.monomial(coeff, fpow, jets)
+            jets = multiplicities(orders)  # order 0 counts the bare f factors
+            out = out + JetExpression.monomial(coeff, jets.pop(0, 0), jets)
         return out
 
 
@@ -261,14 +244,7 @@ def string_jets(nu: int, g: int) -> tuple[JetExpression, SlotJetExpression]:
     """
     if g < 1:
         raise RejectedInput("string jets start at genus 1")
-    F = JetExpression()
-    for lam in partitions_of(2 * g + 1, max_len=nu):
-        mult = multiplicities(lam)
-        denom = 1
-        for j, r in mult.items():
-            denom *= factorial(j) ** r
-        coeff = d_coeff(nu, lam, "string") / denom
-        F = F + JetExpression.monomial(coeff, nu - len(lam), mult)
+    F = _partition_jet(nu, g, "string")
     # antiderivative: slots weighted by mu - eta over the staircase box
     eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
     lower = tuple(range(nu, 0, -1))

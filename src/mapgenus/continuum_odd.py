@@ -11,10 +11,9 @@ half-integer powers of w (doubled exponents keep everything integral).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
-from .combinatorics import trinomial
+from .combinatorics import Terms, trinomial
 from .errors import RejectedInput, VerificationFailure
 from .exact_kernel import GradedSeries, Q, Series, series_log
 from . import fatgraph_oracle
@@ -25,52 +24,20 @@ from . import fatgraph_oracle
 # ---------------------------------------------------------------------------
 
 
-class TriPoly:
-    """Polynomial in the time s and the two dependent fields h, f."""
+class TriPoly(Terms):
+    """Polynomial in the time s and the two dependent fields h, f; terms
+    map (s_degree, h_degree, f_degree) -> Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    ONE = (0, 0, 0)
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int, int], Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                val = Q(val)
-                if val:
-                    self.terms[key] = val
+    @staticmethod
+    def _key_mul(k1, k2):
+        return k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]
 
     @staticmethod
     def monomial(coeff, s=0, h=0, f=0) -> "TriPoly":
         return TriPoly({(s, h, f): Q(coeff)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TriPoly.monomial(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Q(0)) + val
-        return TriPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TriPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TriPoly.monomial(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TriPoly({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for (s1, h1, f1), v1 in self.terms.items():
-            for (s2, h2, f2), v2 in other.terms.items():
-                key = (s1 + s2, h1 + h2, f1 + f2)
-                out[key] = out.get(key, Q(0)) + v1 * v2
-        return TriPoly(out)
-
-    __rmul__ = __mul__
 
     def d_h(self) -> "TriPoly":
         return TriPoly(
@@ -102,9 +69,6 @@ class TriPoly:
         if total is None:
             total = GradedSeries.const(h.var, 0, 0, h.step2, h.trunc)
         return total
-
-    def __eq__(self, other):
-        return isinstance(other, TriPoly) and self.terms == other.terms
 
     def __repr__(self):
         bits = []

@@ -979,9 +979,9 @@ def series_to_json(s: Series) -> dict:
     return {"var": s.var, "trunc": s.trunc, "coeffs": [qstr(x) for x in s.c]}
 
 
-def ratfn_to_json(r: RatFn, var: str = "z0") -> dict:
+def ratfn_to_json(r: RatFn) -> dict:
     return {
-        "var": var,
+        "var": "z0",
         "num": [qstr(x) for x in r.num.c],
         "den_base": [qstr(x) for x in r.den_base.c],
         "den_pow": r.den_pow,

@@ -13,8 +13,9 @@ the relabelling group exactly, so no automorphism groups are ever needed.
 ``kappa_tally`` counts them with Tutte's recursion on the root half-edge
 (W. T. Tutte, Bull. AMS 1968; Walsh and Lehman, JCTB 1972), memoised on the
 vertex degrees, in milliseconds where the brute-force walk over all
-(jm-1)!! matchings takes seconds.  That walk, ``_mapcore_py.genus_tally``,
-is the recursion's assumption-free cross-check; ``KERNEL_KIND`` names it.
+(jm-1)!! matchings takes seconds.  That walk, ``genus_tally`` in
+``tests/_mapcore_py.py``, is the test suite's assumption-free cross-check of
+the recursion.  ``KERNEL_KIND`` records that the counts run in pure Python.
 """
 
 from __future__ import annotations

@@ -283,7 +283,6 @@ class RecurrenceTable:
     b2: dict[int, BiSeries] = field(default_factory=dict)
     a: dict[int, BiSeries] = field(default_factory=dict)
     tau2: dict[int, BiSeries] = field(default_factory=dict)
-    norms: dict[int, BiSeries] = field(default_factory=dict)
 
     def b2_series_t(self, n: int) -> Series:
         return self.b2[n].at_t1_zero()
@@ -375,7 +374,7 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
         for n, s in a.items():
             if not s.is_zero():
                 raise DegenerateTable("nonzero diagonal coefficient for an even weight")
-    return RecurrenceTable(spec=spec, n_max=n_max, T=T, b2=b2, a=a, tau2=tau2, norms=norms)
+    return RecurrenceTable(spec=spec, n_max=n_max, T=T, b2=b2, a=a, tau2=tau2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import stat
 
 import pytest
 
+from mapgenus import errors
 from mapgenus.cli import cache_lookup_or_compute, dispatch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -201,6 +202,64 @@ def test_invalid_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+# every engine error with the exit code and stderr prefix the README gives it
+ENGINE_ERRORS = [
+    (errors.VerificationFailure, 1, "verification failure:"),
+    (errors.PoleAtBasepoint, 1, "engine error:"),
+    (errors.DegenerateTable, 1, "engine error:"),
+    (errors.ReconstructionFailed, 3, "reconstruction/resonance failure:"),
+    (errors.ResonanceFailure, 3, "reconstruction/resonance failure:"),
+    (errors.InsufficientData, 3, "reconstruction/resonance failure:"),
+    (errors.RejectedInput, 2, "usage error:"),
+    (errors.NoMatchingExists, 2, "usage error:"),
+    (errors.SizeLimit, 2, "usage error:"),
+]
+
+
+def test_engine_error_cases_cover_every_subclass():
+    assert {error for error, _, _ in ENGINE_ERRORS} == set(errors.EngineError.__subclasses__())
+
+
+@pytest.mark.parametrize("error, code, prefix", ENGINE_ERRORS, ids=[e.__name__ for e, _, _ in ENGINE_ERRORS])
+def test_engine_error_exit_code_and_prefix(monkeypatch, tmp_path, capsys, error, code, prefix):
+    # raised by a cached command's payload builder: one stderr line, no
+    # document, and no cache entry
+    import mapgenus.cli as cli_mod
+
+    def broken(**options):
+        raise error("injected")
+
+    monkeypatch.setattr(cli_mod, "payload_z0", broken)
+    got, out, err = run(capsys, "--cache-dir", str(tmp_path), "z0", "--nu", "2")
+    assert (got, out, err) == (code, "", prefix + " injected\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_key_covers_every_option(tmp_path, capsys):
+    # runs that differ in one option each store their own entry and print
+    # their own document; the uncached commands store nothing
+    cache = str(tmp_path)
+    pairs = [
+        (("z0", "--nu", "2", "--order", "3"), ("z0", "--nu", "2", "--order", "4")),
+        (("maps", "--valence", "4", "--vertices", "2"), ("maps", "--valence", "4", "--vertices", "2", "--genus", "1")),
+        (("eg", "--nu", "2", "--g", "2"), ("eg", "--nu", "2", "--g", "2", "--series-order", "24")),
+    ]
+    stored = 0
+    for pair in pairs:
+        docs = []
+        for argv in pair:
+            code, out, _ = run(capsys, "--cache-dir", cache, *argv)
+            stored += 1
+            assert code == 0 and len(os.listdir(cache)) == stored, argv
+            assert run(capsys, "--no-cache", *argv)[1] == out, argv
+            assert run(capsys, "--cache-dir", cache, *argv)[1] == out, argv
+            docs.append(out)
+        assert docs[0] != docs[1], pair
+    assert run(capsys, "--cache-dir", cache, "verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2")[0] == 0
+    assert run(capsys, "--cache-dir", cache, "report", "--nu", "2")[0] == 0
+    assert len(os.listdir(cache)) == stored
 
 
 def test_canonical_eg_zg_documents_are_pinned(capsys):

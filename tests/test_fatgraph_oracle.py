@@ -1,6 +1,6 @@
 import pytest
 
-from mapgenus._mapcore_py import genus_tally
+from _mapcore_py import genus_tally
 from mapgenus.errors import NoMatchingExists, SizeLimit
 from mapgenus.exact_kernel import Q
 from mapgenus.fatgraph_oracle import (

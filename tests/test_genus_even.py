@@ -316,7 +316,7 @@ def test_e3_resonant_readback_at_five_vertices(nu2):
 def test_e3_resonant_readback_against_full_enumeration(nu2):
     from math import factorial
 
-    from mapgenus._mapcore_py import genus_tally
+    from _mapcore_py import genus_tally
 
     _, etable = nu2
     counts, _ = genus_tally(4, 5)

@@ -10,7 +10,6 @@ SRC = os.path.join(ROOT, "src", "mapgenus")
 
 # name -> why it stays although nothing in src/ references it
 KEPT_UNREFERENCED = {
-    "genus_tally": "brute-force walk over all matchings, ground truth for the Tutte recursion",
     "eg_series_from_kappa": "map-count series that pins the calibration constant of e_g",
     "q_c_tables": "conservation-law transport tables and vanishing sums, not yet on the command line",
     "E_w_derivs": "derivative with its three conservation-law cross-checks, not yet on the command line",
