@@ -7,14 +7,14 @@ are lossy convenience views.  Exit codes: 0 success, 1 a machine-checked
 identity failed, 2 usage error, 3 reconstruction or resonance failure.
 
 Each payload builder imports the engine modules it uses, so a command
-loads only what it runs and a cache hit loads no engine module.
+loads only what it runs and a cache hit loads no engine module; the cache
+imports ``hashlib`` and ``tempfile`` only when it is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -46,6 +46,8 @@ CACHE_ENV = "MAPGENUS_CACHE_DIR"
 @functools.cache
 def source_digest() -> str:
     """sha256 over the names and bytes of the package's own ``.py`` files."""
+    import hashlib
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
@@ -67,6 +69,8 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
     directory degrades to compute-only with a warning."""
     if no_cache or not cache_dir:
         return producer()
+    import hashlib
+
     full_key = "%s | engine %s | source %s" % (key, __version__, source_digest())
     name = hashlib.sha256(full_key.encode()).hexdigest()[:32] + ".json"
     path = os.path.join(cache_dir, name)

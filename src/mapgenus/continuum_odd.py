@@ -11,6 +11,7 @@ half-integer powers of w (doubled exponents keep everything integral).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
 
 from .combinatorics import Terms, trinomial
@@ -200,20 +201,11 @@ def verify_odd_identities(nu: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class OddLeadingPair:
-    """h0, f0 as graded series in s: h0 carries weight w^(1/2 + j(nu-1/2)),
-    f0 weight w^(1 + j(nu-1/2)) at order s^j (doubled exponents).
-
-    ``powers`` is the shared table of products h0^a f0^b; ``residuals`` is
-    the report of the identity suite that ``solve_leading_odd`` ran on the
-    pair."""
-
-    def __init__(self, nu: int, h0: GradedSeries, f0: GradedSeries):
-        self.nu = nu
-        self.h0 = h0
-        self.f0 = f0
-        self.powers = GradedPowers(h0, f0)
-        self.residuals: dict | None = None
+# h0, f0 as graded series in s: h0 carries weight w^(1/2 + j(nu-1/2)), f0
+# weight w^(1 + j(nu-1/2)) at order s^j (doubled exponents).  ``powers`` is
+# the shared GradedPowers table of h0^a f0^b; ``residuals`` is the report of
+# the identity suite that ``solve_leading_odd`` ran on the pair.
+OddLeadingPair = namedtuple("OddLeadingPair", "nu h0 f0 powers residuals")
 
 
 def _widen(g: GradedSeries, T: int) -> GradedSeries:
@@ -248,15 +240,14 @@ def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:
         powers = GradedPowers(_widen(h, p), _widen(f, p))
         h = -w * P["B12"].eval_graded(powers).xmul(1)
         f = GradedSeries("s", [1], 2, step2, p) - w * P["B11"].eval_graded(powers).xmul(1)
-    pair = OddLeadingPair(nu, h, f)
+    pair = OddLeadingPair(nu, h, f, GradedPowers(h, f), None)
     # fixed point reached: residuals of the hodograph relations
     if not (h + w * P["B12"].eval_graded(pair.powers).xmul(1)).is_zero():
         raise VerificationFailure("hodograph fixed point not reached for h")
     w_series = GradedSeries("s", [1], base2=2, step2=step2, trunc=T)
     if not (f + w * P["B11"].eval_graded(pair.powers).xmul(1) - w_series).is_zero():
         raise VerificationFailure("hodograph fixed point not reached for f")
-    pair.residuals = verify_leading_residuals(pair, P)
-    return pair
+    return pair._replace(residuals=verify_leading_residuals(pair, P))
 
 
 def verify_leading_residuals(pair: OddLeadingPair, P=None) -> dict:

@@ -17,7 +17,7 @@ graded operator chain on this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial
@@ -33,7 +33,6 @@ from .exact_kernel import (
     DLaurent,
     Poly,
     Q,
-    RatFn,
     Series,
     ratfn_to_series,
     series_log,
@@ -73,15 +72,11 @@ def _carriers(nu: int) -> tuple[DLaurent, DLaurent]:
     return c_valence(nu) * z ** (nu + 1) * inv_d, (nu - 1) * z * (z - 1) * inv_d
 
 
-@dataclass(frozen=True)
-class LogRational:
+class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)))):
     """rat + c0 log z0 + c1 log D with rat a Laurent polynomial in D, closed
     under d/du and under the graded spatial derivative at w = 1."""
 
-    nu: int
-    rat: DLaurent
-    c0: Fraction = Q(0)
-    c1: Fraction = Q(0)
+    __slots__ = ()
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -480,14 +475,12 @@ def c_constant(g: int) -> Fraction:
     return -2 * factorial(2 * g - 3) * acc
 
 
-@dataclass
-class EEntry:
-    g: int
-    ratfn: RatFn  # the reconstructed form, as printed
-    series: Series
-    rat: DLaurent  # the same function in the ring
-    r_factor: int
-    resonant_orders: tuple[int, ...]
+class EEntry(namedtuple("EEntry", "ratfn series rat r_factor resonant_orders")):
+    """e_g as the reconstructed RatFn (as printed), as a Series and as the
+    same function in the D-Laurent ring, with the guaranteed multiplicity
+    r of the (z0-1) numerator factor and the resonant orders."""
+
+    __slots__ = ()
 
     @property
     def laurent(self) -> tuple[Fraction, ...]:
@@ -601,7 +594,6 @@ def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
                 )
     r = max(1, (2 * g - 1) // (nu - 1))
     entry = EEntry(
-        g=g,
         ratfn=ratfn,
         series=series,
         rat=DLaurent.from_ratfn(ratfn, nu),

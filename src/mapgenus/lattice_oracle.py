@@ -22,7 +22,7 @@ that factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import lcm as _int_lcm
@@ -215,19 +215,17 @@ class BiSeries:
 # weights, moments, recurrence tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(namedtuple("WeightSpec", "nu g_s include_t1")):
     """Even-valence weight (1/g_s)(lambda^2/2 + t1 lambda + t/(2 nu) lambda^(2 nu))."""
 
-    nu: int
-    g_s: Fraction
-    include_t1: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nu < 1:
+    def __new__(cls, nu: int, g_s: Fraction, include_t1: bool = False):
+        if nu < 1:
             raise RejectedInput("valence parameter must be >= 1")
-        if self.g_s <= 0:
+        if g_s <= 0:
             raise RejectedInput("string coefficient must be positive")
+        return super().__new__(cls, nu, g_s, include_t1)
 
 
 def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
@@ -268,24 +266,12 @@ def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
     return out
 
 
-@dataclass
-class RecurrenceTable:
-    """Exact recurrence data b2[n], a[n] and normalized tau2[n] to order T.
-
-    b2[n] vanishes identically for n <= 0 (semi-infinite boundary), and
-    b2[n](t=0) = n g_s, the undeformed Gaussian value, is asserted at build
-    time along with positivity of every Hankel determinant at t = 0.
-    """
-
-    spec: WeightSpec
-    n_max: int
-    T: int
-    b2: dict[int, BiSeries] = field(default_factory=dict)
-    a: dict[int, BiSeries] = field(default_factory=dict)
-    tau2: dict[int, BiSeries] = field(default_factory=dict)
-
-    def b2_series_t(self, n: int) -> Series:
-        return self.b2[n].at_t1_zero()
+# Exact recurrence data b2[n], a[n] and normalized tau2[n] to order T, each
+# a dict from n to BiSeries.  b2[n] vanishes identically for n <= 0
+# (semi-infinite boundary), and b2[n](t=0) = n g_s, the undeformed Gaussian
+# value, is asserted at build time along with positivity of every Hankel
+# determinant at t = 0.
+RecurrenceTable = namedtuple("RecurrenceTable", "spec n_max T b2 a tau2")
 
 
 def _fused_row_entry(T: int, plain, products) -> BiSeries:
@@ -580,7 +566,7 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     b2 = {}
     for n in n_range:
         table = recurrence_table(WeightSpec(nu=nu, g_s=Q(1, n)), n_max=n, T=T)
-        b2[n] = table.b2_series_t(n)
+        b2[n] = table.b2[n].at_t1_zero()
     orders = []
     for k in range(T + 1):
         errors = []

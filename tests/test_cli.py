@@ -457,3 +457,39 @@ def test_each_command_loads_only_what_it_runs():
     lattice = engine(loaded_by("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"))
     assert "mapgenus.lattice_oracle" in lattice
     assert not lattice & {"mapgenus.continuum_even", "mapgenus.genus_even"}
+
+
+def test_engine_commands_load_no_dataclasses():
+    """The records are named tuples: no engine job pays for ``dataclasses``
+    and the ``inspect`` it imports."""
+    for argv in (
+        ("--no-cache", "eg", "--nu", "2", "--g", "2"),
+        ("--no-cache", "zg", "--nu", "2", "--g", "1"),
+        ("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"),
+        ("verify", "odd", "--nu", "2", "--order", "4"),
+        ("report",),
+    ):
+        assert not loaded_by(*argv) & {"dataclasses", "inspect"}, argv
+
+
+def test_only_the_cache_loads_hashlib():
+    assert "hashlib" not in loaded_by()
+    assert "hashlib" not in loaded_by("--no-cache", "maps", "--valence", "4", "--vertices", "2")
+
+
+def test_records_are_immutable():
+    from mapgenus.continuum_odd import solve_leading_odd
+    from mapgenus.exact_kernel import Q
+    from mapgenus.genus_even import build_etable
+    from mapgenus.lattice_oracle import WeightSpec, recurrence_table
+
+    etable = build_etable(2, 2)
+    records = [
+        (etable.ztable.entries[1], "series"),
+        (etable.entries[2], "r_factor"),
+        (recurrence_table(WeightSpec(nu=2, g_s=Q(1)), n_max=4, T=2), "b2"),
+        (solve_leading_odd(2, 4), "residuals"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

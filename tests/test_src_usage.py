@@ -17,9 +17,13 @@ KEPT_UNREFERENCED = {
 
 
 def _definitions(tree):
-    """Module-level functions and classes, and the non-dunder methods."""
+    """Module-level functions, classes and ``X = namedtuple(...)`` record
+    types (named by their target), and the non-dunder methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "id", None) == "namedtuple":
+            node.name = node.targets[0].id
             yield node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
