@@ -13,13 +13,13 @@ shift (``_taylor_shift``), each with one gcd per output coefficient.
 
 The genus coefficients are computed in ``DLaurent``, where sums and products
 need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
-reconstruction (``series_to_ratfn``), read-back (``ratfn_to_series``) and
-printing, crossing to and from ``DLaurent`` by one Taylor shift.  Both work
-in powers of y = z - z(0) of the substitution series: its powers y^i start
-at x^i, so the change of basis is lower triangular and runs by forward
+reconstruction of z_g (``series_to_ratfn``), read-back (``ratfn_to_series``)
+and printing, crossing to and from ``DLaurent`` by one Taylor shift.  Both
+work in powers of y = z - z(0) of the substitution series: its powers y^i
+start at x^i, so the change of basis is lower triangular and runs by forward
 substitution one way and integer dot products the other, over columns built
 once per (series, truncation) and kept in a small memo.  ``solve_linear``
-(fraction-free Bareiss) only meets the block of skipped (resonant) orders.
+(fraction-free Bareiss) fits the lattice tables' higher-genus remainder.
 """
 
 from __future__ import annotations
@@ -644,10 +644,8 @@ def solve_linear(rows, rhs):
     ReconstructionFailed when it is inconsistent.
 
     Rows are scaled to integers and eliminated fraction-free (Bareiss) to
-    keep intermediate entries from exploding.  Reconstruction only passes
-    its resonant block: one column per skipped order, one row per surplus
-    order, after forward substitution has eliminated the numerator; the
-    rows beyond the rank are its exact consistency checks.
+    keep intermediate entries from exploding; the rows beyond the rank are
+    exact consistency checks.
     """
     m = len(rows)
     if m == 0:
@@ -752,55 +750,35 @@ def series_to_ratfn(
     base: Poly,
     max_num_deg: int,
     max_pole_ord: int,
-    skip=frozenset(),
     var: str = "z",
 ) -> RatFn:
     """Reconstruct R = num / base**p with p <= max_pole_ord such that
-    R(z(x)) agrees with s at every non-skipped order.
+    R(z(x)) agrees with s at every order.
 
     The equations num(z(x)) = s(x) base(z(x))^p hold at every order up to
     s.trunc.  They are solved in powers of y = z - z(0): the column y^i
     starts at x^i, so the system is lower triangular and one forward
     substitution takes s to its y-coefficients.  There base^p is a
     polynomial, the y-coefficients 0 .. max_num_deg of s base^p are the
-    numerator's, and the orders beyond are surplus consistency checks.
-
-    The coefficient of s at each skipped order m is an unknown sigma_m (its
-    placeholder value never leaks into other orders): it adds sigma_m x^m
-    to s, so every numerator coefficient and every surplus order is affine
-    in the sigmas.  Without sigmas each surplus order must vanish; with
-    them the surplus orders are the only system ``solve_linear`` sees, one
-    column per skipped order.  A mismatch raises ReconstructionFailed (a
-    wrong ansatz).  Fewer orders than unknowns plus one, or surplus orders
-    that do not fix the sigmas, raise InsufficientData: an unchecked
+    numerator's, and the orders beyond are surplus consistency checks that
+    must vanish.  A mismatch raises ReconstructionFailed (a wrong ansatz);
+    no surplus order at all raises InsufficientData: an unchecked
     reconstruction never ships.  The exact binomial shift y = z - z(0)
     returns the numerator in powers of z.
     """
     if z.coeff(1) == 0:
         raise RejectedInput("substitution series is not a change of variable at order 1")
     T = min(s.trunc, z.trunc)
-    skip = sorted(k for k in skip if k <= T)
     n = max_num_deg
-    unknowns = n + 1 + len(skip)
-    if T + 1 <= unknowns:
+    if T <= n:
         raise InsufficientData(
             "%d orders for %d unknowns leave no surplus order to check the reconstruction"
-            % (T + 1, unknowns)
+            % (T + 1, n + 1)
         )
     basis = _basis(z.c[: T + 1])
     den_y = (Poly(_taylor_shift(base.c, basis.z0)) ** max_pole_ord).c
-
-    def times_den(c):
-        return _qconv(basis.to_y(c), den_y, T)
-
-    num = times_den(s.c[: T + 1])
-    if skip:
-        parts = [times_den([0] * m + [1] + [0] * (T - m)) for m in skip]
-        rows = [list(row) for row in zip(*(part[n + 1 :] for part in parts))]
-        sigma = solve_linear(rows, [-x for x in num[n + 1 :]])
-        for value, part in zip(sigma, parts):
-            num = [x + value * y for x, y in zip(num, part[: n + 1])]
-    elif any(num[n + 1 :]):
+    num = _qconv(basis.to_y(s.c[: T + 1]), den_y, T)
+    if any(num[n + 1 :]):
         raise ReconstructionFailed("a surplus order of the reconstruction does not vanish")
     return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord, var)
 

@@ -1,18 +1,19 @@
 """The even-valence free-energy pipeline: closed forms for the genus 0 and 1
 coefficients, the exact spatial-derivative engine for their self-similar
-lifts, assembly of the tau-recursion right-hand side, the diagonal solve
-with resonance handling, rational reconstruction, and machine verification
-of the structure theorem for every higher-genus coefficient.
+lifts, assembly of the tau-recursion right-hand side, its inversion with a
+series read-back checked order by order at the resonances, and machine
+verification of the structure theorem for every higher-genus coefficient.
 
 Everything lives in the ring of Laurent polynomials in D = nu - (nu-1) z0
 (``exact_kernel.DLaurent``) with, at genus 0 and 1 only, log z0 and log D
 terms: z0 = (nu - D)/(nu - 1) is a polynomial in D, and every e_g with
 g >= 2 has its only pole at D = 0.  Sums and products therefore need no
-gcd, pole orders are direct reads, and ``RatFn`` appears only where
-rational reconstruction hands a solved coefficient over.  The single
-transport rule dz0/du = c z0^(nu+1) / D powers all derivatives, and the
-self-similar weight bookkeeping reduces spatial derivatives at w = 1 to a
-graded operator chain on this class.
+gcd, pole orders are direct reads, and each e_g is solved in the ring by
+inverting the tau operator one factor theta + b at a time; ``RatFn`` only
+carries it to the read-back and the printed form.  The single transport
+rule dz0/du = c z0^(nu+1) / D powers all derivatives, and the self-similar
+weight bookkeeping reduces spatial derivatives at w = 1 to a graded
+operator chain on this class.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial
 
-from .combinatorics import c_valence, partitions_of, multiplicities
+from .combinatorics import c_valence
 from .continuum_even import ZTable, build_ztable
 from .errors import (
     RejectedInput,
@@ -36,7 +37,6 @@ from .exact_kernel import (
     Series,
     ratfn_to_series,
     series_log,
-    series_to_ratfn,
 )
 from . import fatgraph_oracle
 
@@ -122,6 +122,26 @@ class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)
     def grade_dw(self, a: int) -> "LogRational":
         """One spatial derivative of w^a X at w = 1: a X + theta X."""
         return self * a + self.theta()
+
+    def theta_inverse(self, b: int) -> "LogRational":
+        """The rational X with theta X + b X = self, for b != 0 and self
+        rational, a Laurent polynomial in D with no positive power.
+
+        On the ring theta D^k = -k nu D^(k-2) + k (nu+1) D^(k-1) - k D^k,
+        so the D^-(m+2) equation fixes the D^-m coefficient of X with pivot
+        m nu, from the top pole down, and the D^0 equation fixes the
+        constant with pivot b.  The D^-1 and D^-2 equations are left over:
+        two exact surplus checks.  The kernel of theta + b is spanned by a
+        power of u, which is no Laurent polynomial in D, so X is unique."""
+        nu, r = self.nu, self.rat.pole_coeffs()
+        r += (Q(0),) * (3 - len(r))
+        x = [Q(0)] * len(r)  # x[m] is the coefficient of D^-m
+        for m in range(len(r) - 3, 0, -1):
+            x[m] = (r[m + 2] + (m + 1) * (nu + 1) * x[m + 1] - (b + m + 2) * x[m + 2]) / (m * nu)
+        x[0] = r[0] / b
+        if (b + 1) * x[1] != r[1] or (b + 2) * x[2] - (nu + 1) * x[1] != r[2]:
+            raise ResonanceFailure("theta %+d has no Laurent solution: a surplus order fails" % b)
+        return LogRational(nu, DLaurent(nu, 1 - len(r), x[::-1]))
 
     def series(self, ctx: "SeriesContext") -> Series:
         out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0, ctx.z0.trunc)
@@ -350,17 +370,9 @@ def q_c_tables(nu: int, k: int, p_max: int, j_max: int, e_k: LogRational) -> dic
             failure = "vanishing sum fails at k=%d, p=%d, order %%d" % (k, p)
         else:
             for m in range(1, p):
-                total = Q(0)
-                for j in range(1, p + 1):
-                    inner = Q(0)
-                    for r in range(m + 1):
-                        inner += (
-                            Q((-1) ** (j - r))
-                            * comb(j, r)
-                            * (ct.get((j, m - r), Q(0)) - nu * ct.get((j, m - r - 1), Q(0)))
-                        )
-                    total += Qt[(p, j)] * inner
-                totals[m] = total
+                totals[m] = vanishing_sums(nu, k, p, Qt, ct, m) - nu * vanishing_sums(
+                    nu, k, p, Qt, ct, m - 1
+                )
             failure = "adjacent-order vanishing fails at k=1, p=%d, m=%%d" % p
         failed = [order for order, total in totals.items() if total != 0]
         if failed:
@@ -442,20 +454,17 @@ def E_w_derivs(etable: "ETable", h: int, p: int) -> LogRational:
 
 
 def log_term_ratfn(g: int, ztable: ZTable) -> DLaurent:
-    """Order-2g coefficient of log(sum_m n^(-2m) z_m/z0): the standard
-    log-of-series collection over partitions of g, in the stored z_m/z0."""
-    total = DLaurent.const(ztable.nu, 0)
-    for lam in partitions_of(g):
-        mult = multiplicities(lam)
-        ell = sum(mult.values())
-        coeff = Q((-1) ** (ell + 1)) * factorial(ell - 1)
-        for r in mult.values():
-            coeff /= factorial(r)
-        term = DLaurent.const(ztable.nu, coeff)
-        for part, r in mult.items():
-            term = term * ztable.entries[part].over_z0 ** r
-        total = total + term
-    return total
+    """Order-2g coefficient L_g of log(sum_m n^(-2m) z_m/z0), by the
+    log-derivative recurrence m L_m = m a_m - sum_{k<m} k L_k a_(m-k) in the
+    stored a_m = z_m/z0 (Knuth, TAOCP vol. 2, 4.7)."""
+    a = [ztable.entries[m].over_z0 for m in range(g + 1)]
+    logs = [None]
+    for m in range(1, g + 1):
+        acc = a[m] * m
+        for k in range(1, m):
+            acc = acc - logs[k] * a[m - k] * k
+        logs.append(acc * Q(1, m))
+    return logs[g]
 
 
 @cache
@@ -476,9 +485,9 @@ def c_constant(g: int) -> Fraction:
 
 
 class EEntry(namedtuple("EEntry", "ratfn series rat r_factor resonant_orders")):
-    """e_g as the reconstructed RatFn (as printed), as a Series and as the
-    same function in the D-Laurent ring, with the guaranteed multiplicity
-    r of the (z0-1) numerator factor and the resonant orders."""
+    """e_g as a RatFn (as printed), as a Series and as the same function in
+    the D-Laurent ring where it is solved, with the guaranteed multiplicity r
+    of the (z0-1) numerator factor and the resonant orders."""
 
     __slots__ = ()
 
@@ -539,21 +548,28 @@ def hirota_rhs(nu: int, g: int, ztable: ZTable, etable: ETable) -> LogRational:
 def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
     """Determine the genus-g coefficient from the tau recursion.
 
-    The left side is diagonal on u-monomials with eigenvalue
-    resonance_lambda; resonant orders (face count 0 or 1) are excluded from
-    the series solve, the order with no faces must have a vanishing
-    right-hand side (solvability), and the excluded coefficients are
-    recovered by rational reconstruction over the non-resonant data, then
-    cross-checked against the matching oracle wherever it reaches
-    (half-edge count at most ``fatgraph_oracle.HALF_EDGE_CAP``)."""
+    The left side is (theta + 1-2g)(theta + 2-2g) e_g, so e_g is the right
+    side with each factor inverted in the D ring (``theta_inverse``, two
+    surplus checks per factor).  The series is read back once and must meet
+    the recursion order by order: the left side is diagonal on u-monomials
+    with eigenvalue resonance_lambda, the order with no faces must have a
+    vanishing right-hand side (solvability), and the resonant read-backs
+    (face count 0 or 1) are cross-checked against the matching oracle
+    wherever it reaches (half-edge count at most
+    ``fatgraph_oracle.HALF_EDGE_CAP``)."""
     if g < 2:
         raise RejectedInput("the genus solve starts at g = 2")
     rhs = hirota_rhs(nu, g, ztable, etable)
+    rat = rhs.theta_inverse(1 - 2 * g).theta_inverse(2 - 2 * g).rat
+    ratfn = rat.to_ratfn()
+    if ratfn.den_pow != 5 * g - 5:
+        raise VerificationFailure(
+            "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 5)
+        )
+    series = ratfn_to_series(ratfn, ztable.series(0))
     rhs_series = rhs.series(etable.ctx)
-    T = rhs_series.trunc
     resonant = []
-    coeffs = []
-    for m in range(T + 1):
+    for m in range(series.trunc + 1):
         lam = resonance_lambda(nu, g, m)
         if lam == 0:
             resonant.append(m)
@@ -565,26 +581,10 @@ def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
                 raise ResonanceFailure(
                     "resonant order m=%d carries a nonzero right-hand side" % m
                 )
-            coeffs.append(Q(0))
-        else:
-            coeffs.append(rhs_series.coeff(m) / lam)
-    partial = Series("u", coeffs, T)
-    ratfn = series_to_ratfn(
-        partial,
-        ztable.series(0),
-        ztable.base,
-        max_num_deg=5 * g - 5,
-        max_pole_ord=5 * g - 5,
-        skip=frozenset(resonant),
-        var="z0",
-    )
-    if ratfn.den_pow != 5 * g - 5:
-        raise VerificationFailure(
-            "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 5)
-        )
-    series = ratfn_to_series(ratfn, ztable.series(0), T)
-    # non-resonant orders must be reproduced (surplus consistency is inside
-    # series_to_ratfn); the resonant read-backs face the matching oracle
+        elif lam * series.coeff(m) != rhs_series.coeff(m):
+            raise VerificationFailure(
+                "read-back of e_%d misses the tau recursion at order m=%d" % (g, m)
+            )
     for m in resonant:
         if 2 * nu * m <= fatgraph_oracle.HALF_EDGE_CAP:
             kappa_known = fatgraph_oracle.kappa_counts(2 * nu, m).get(g, 0)
@@ -596,7 +596,7 @@ def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
     entry = EEntry(
         ratfn=ratfn,
         series=series,
-        rat=DLaurent.from_ratfn(ratfn, nu),
+        rat=rat,
         r_factor=r,
         resonant_orders=tuple(resonant),
     )

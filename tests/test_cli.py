@@ -28,6 +28,8 @@ CLOSED_FORM_DIGESTS = {
     "zg --nu 3 --g 5": "ba8919b291b43e72e84bc00dbd767a018c2af72466349179dbe2de89ea199dc7",
     "verify continuum --nu 2 --g 4": "2e56995dc2fe7d69964ceccbc9c50786177df3a17b327e9a9f49c3c1576bfdd6",
     "verify continuum --nu 3 --g 3": "42741145978da92b5be373921990d9d93a8ebc122154220673dfbff894ace4b3",
+    "report --nu 2": "0c0381198c4ade85ff22d345d017fe90612e555b33b45f6c8257e76041f516f1",
+    "report --nu 4": "5ff847af33aa481f752cfa16d6a9e3dd35c4ba24be87d03c196d7314af7e0000",
 }
 
 
@@ -177,6 +179,19 @@ def test_reconstruction_without_surplus_order_is_insufficient(capsys):
     assert code == 3 and out == "" and "surplus" in err
     code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "7")
     assert code == 0 and json.loads(out)["pole_order"] == 9
+
+
+def test_eg_series_order_needs_only_the_z_g_surplus(capsys):
+    # e_2 is solved in the D ring, so only z_2's reconstruction asks for
+    # orders: 8 orders (0..7) suffice, and the series is the longer one cut
+    code, out, _ = run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "7")
+    assert code == 0
+    doc = json.loads(out)
+    longer = json.loads(run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "8")[1])
+    assert doc["series"]["coeffs"] == longer["series"]["coeffs"][:8]
+    assert {k: v for k, v in doc.items() if k != "series"} == {k: v for k, v in longer.items() if k != "series"}
+    code, out, err = run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "6")
+    assert code == 3 and out == "" and "surplus" in err
 
 
 def test_one_order_too_few_is_insufficient(capsys):

@@ -275,14 +275,11 @@ def plain_expand(r, z, T):
     return num / base ** r.den_pow
 
 
-def dense_ratfn(s, z, base, max_num_deg, max_pole_ord, skip=frozenset(), var="z"):
+def dense_ratfn(s, z, base, max_num_deg, max_pole_ord, var="z"):
     """The reconstruction as one dense system solved by ``solve_linear``: a
-    column z(x)^i per numerator coefficient and a column -x^m base(z)^p per
-    skipped order m, one row per order."""
+    column z(x)^i per numerator coefficient, one row per order."""
     T = min(s.trunc, z.trunc)
-    skip = sorted(k for k in skip if k <= T)
-    unknowns = max_num_deg + 1 + len(skip)
-    if T + 1 <= unknowns:
+    if T <= max_num_deg:
         raise InsufficientData("no surplus order")
     zt = z.truncate(T)
     den_s = plain_expand(RatFn.from_poly(base), zt, T) ** max_pole_ord
@@ -290,8 +287,6 @@ def dense_ratfn(s, z, base, max_num_deg, max_pole_ord, skip=frozenset(), var="z"
     cols = [Series.one(z.var, T)]
     for _ in range(max_num_deg):
         cols.append(cols[-1] * zt)
-    for m in skip:
-        cols.append(Series(z.var, [Q(0)] * m + [-x for x in den_s.c[: T + 1 - m]], T))
     sol = solve_linear([[col.coeff(k) for col in cols] for k in range(T + 1)], list(target.c))
     return RatFn(Poly(sol[: max_num_deg + 1]), base, max_pole_ord, var)
 
@@ -330,23 +325,15 @@ def test_triangular_reconstruction_matches_dense_solve_randomized():
             low = (pole - p) * base.degree
             n = low + rng.randint(0, 5)
             r = RatFn(Poly(rand_coeffs(n - low + 1, SHARED_DENOMS)), base, p, "z0")
-            # skipped orders anywhere up to the top, at or below the numerator degree too
-            skip = set(rng.sample(range(0, n + 4), rng.randint(0, 3)))
-            T = min(22, n + 1 + len(skip) + rng.randint(1, 4))
-            s = list(plain_expand(r, z, T).c)
-            for m in skip:
-                if m <= T:
-                    s[m] = rand_q(50)  # placeholder
-            s = Series(z.var, s, T)
-            got = outcome(series_to_ratfn, s, z, base, n, pole, frozenset(skip), "z0")
-            assert got == outcome(dense_ratfn, s, z, base, n, pole, frozenset(skip), "z0")
-            if isinstance(got, tuple):
-                solved += 1
-                assert RatFn(Poly(got[0]), Poly(got[1]), got[2]) == r
-            else:
-                # the data are consistent by construction; only a random
-                # skip set that the surplus orders cannot pin down fails
-                assert got is InsufficientData
+            T = min(22, n + 1 + rng.randint(1, 4))
+            s = plain_expand(r, z, T)
+            got = outcome(series_to_ratfn, s, z, base, n, pole, "z0")
+            assert got == outcome(dense_ratfn, s, z, base, n, pole, "z0")
+            # the data are consistent by construction and leave a surplus
+            # order (n <= 13, T >= n + 2), so every case must solve
+            assert isinstance(got, tuple), got
+            solved += 1
+            assert RatFn(Poly(got[0]), Poly(got[1]), got[2]) == r
     assert solved >= 25
 
 
@@ -368,47 +355,43 @@ def test_reconstruction_error_paths():
     base = Poly([nu, -(nu - 1)])
     r = RatFn(Poly([Q(1, 7), -2, 0, 5, Q(3, 11), 1, 0, -1, 2]), base, P, "z0")
     s = ratfn_to_series(r, z, 20)
-    skip = frozenset({2, 3, 11})  # two orders at or below the numerator degree
-    cases = ((frozenset(), s), (skip, Series("u", [0 if k in skip else x for k, x in enumerate(s.c)], 20)))
-    for sk, data in cases:
-        assert series_to_ratfn(data, z, base, n, P, sk, "z0") == r
-        # corrupting any one non-skipped surplus order breaks the fit
-        for k in range(n + 1, 21):
-            if k not in sk:
-                bad = list(data.c)
-                bad[k] += Q(1, 3)
-                with pytest.raises(ReconstructionFailed):
-                    series_to_ratfn(Series("u", bad, 20), z, base, n, P, sk, "z0")
-        # one surplus order is enough, one order fewer is not
-        orders = n + 1 + len(sk)
-        assert series_to_ratfn(data.truncate(orders), z, base, n, P, sk, "z0") == r
-        with pytest.raises(InsufficientData):
-            series_to_ratfn(data.truncate(orders - 1), z, base, n, P, sk, "z0")
-    # the placeholder at a skipped order never reaches the result
-    ref = outcome(series_to_ratfn, s, z, base, n, P, skip, "z0")
-    for m in skip:
-        for value in (Q(0), Q(-5, 2), Q(10**9)):
-            moved = list(s.c)
-            moved[m] = value
-            assert outcome(series_to_ratfn, Series("u", moved, 20), z, base, n, P, skip, "z0") == ref
+    assert series_to_ratfn(s, z, base, n, P, "z0") == r
+    # corrupting any one surplus order breaks the fit
+    for k in range(n + 1, 21):
+        bad = list(s.c)
+        bad[k] += Q(1, 3)
+        with pytest.raises(ReconstructionFailed):
+            series_to_ratfn(Series("u", bad, 20), z, base, n, P, "z0")
+    # one surplus order is enough, one order fewer is not
+    assert series_to_ratfn(s.truncate(n + 1), z, base, n, P, "z0") == r
+    with pytest.raises(InsufficientData):
+        series_to_ratfn(s.truncate(n), z, base, n, P, "z0")
 
 
-def test_solve_linear_sees_only_the_resonant_block(monkeypatch):
-    from mapgenus import exact_kernel
+def test_build_etable_calls_neither_reconstruction_nor_solve_linear(monkeypatch):
+    import sys
+
     from mapgenus.continuum_even import build_ztable
     from mapgenus.genus_even import build_etable
 
-    shapes = []
-
-    def recording(rows, rhs):
-        shapes.append(len(rows[0]))
-        return solve_linear(rows, rhs)
-
-    monkeypatch.setattr(exact_kernel, "solve_linear", recording)
     ztable = build_ztable(2, 3, T=27)
-    assert shapes == []
+    calls = []
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    # every mapgenus namespace that holds either name, so no call site escapes
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("mapgenus"):
+            for name in ("series_to_ratfn", "solve_linear"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     etable = build_etable(2, 3, ztable=ztable)
-    assert shapes == [len(etable.entries[g].resonant_orders) for g in (2, 3)]
+    assert calls == [] and sorted(etable.entries) == [2, 3]
 
 
 def test_solve_linear_shapes():

@@ -1,6 +1,11 @@
+import random
+from math import factorial
+
 import pytest
 
+from mapgenus.combinatorics import multiplicities, partitions_of
 from mapgenus.continuum_even import build_ztable, verify_continuum_toda
+from mapgenus.errors import ResonanceFailure
 from mapgenus.exact_kernel import DLaurent, Q
 from mapgenus.genus_even import (
     E_w_deriv,
@@ -116,6 +121,47 @@ def test_log_term_generic_values(nu2):
     z2_over_z0 = DLaurent.from_ratfn(ztable.entries[2].ratfn, 2).div_z()
     expected = z2_over_z0 - z1_over_z0 * z1_over_z0 * Q(1, 2)
     assert log_term_ratfn(2, ztable) == expected
+
+
+def partition_log_term(g, ztable):
+    """The reference for ``log_term_ratfn``: the log-of-series collection
+    over the partitions of g, sum of (-1)^(l+1) (l-1)! / prod r_j! times
+    prod (z_j/z0)^(r_j) over partitions with l parts, r_j of size j."""
+    total = DLaurent.const(ztable.nu, 0)
+    for lam in partitions_of(g):
+        mult = multiplicities(lam)
+        ell = sum(mult.values())
+        coeff = Q((-1) ** (ell + 1)) * factorial(ell - 1)
+        for r in mult.values():
+            coeff /= factorial(r)
+        term = DLaurent.const(ztable.nu, coeff)
+        for part, r in mult.items():
+            term = term * ztable.entries[part].over_z0 ** r
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_log_term_recurrence_matches_partition_sum(nu):
+    ztable = build_ztable(nu, 6, T=20)
+    for g in range(1, 7):
+        assert log_term_ratfn(g, ztable) == partition_log_term(g, ztable)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_theta_inverse_undoes_theta_plus_b(nu):
+    rng = random.Random(nu)
+    for b in (-9, -4, -1, 1, 2, 7):
+        for top in (0, 1, 2, 3, 8):
+            coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(top + 1)]
+            x = LogRational(nu, DLaurent(nu, -top, coeffs))
+            r = x.grade_dw(b)
+            assert r.theta_inverse(b) == x
+            # the D^-1 and D^-2 equations are surplus: moving either fails
+            for pole in (1, 2):
+                moved = r + LogRational(nu, DLaurent(nu, -pole, (1,)))
+                with pytest.raises(ResonanceFailure, match="surplus"):
+                    moved.theta_inverse(b)
 
 
 def test_solve_eg_quartic_genus2(nu2):
@@ -326,17 +372,14 @@ def test_e3_resonant_readback_against_full_enumeration(nu2):
 def test_zero_reconstruction_fails_pole_order(monkeypatch):
     # an e_g that reconstructs to zero has no pole, so it cannot pass as
     # the genus-g closed form
-    from mapgenus import genus_even
     from mapgenus.errors import VerificationFailure
-    from mapgenus.exact_kernel import Poly, RatFn
 
-    real = genus_even.series_to_ratfn
+    real = LogRational.theta_inverse
 
-    def zero(*args, **kwargs):
-        r = real(*args, **kwargs)
-        return RatFn(Poly(()), r.den_base, r.den_pow, r.var)
+    def zero(self, b):
+        return real(self, b) * 0
 
     ztable = build_ztable(2, 2, T=22)
-    monkeypatch.setattr(genus_even, "series_to_ratfn", zero)
+    monkeypatch.setattr(LogRational, "theta_inverse", zero)
     with pytest.raises(VerificationFailure, match="pole order 0 at genus 2, expected 5"):
         build_etable(2, 2, ztable=ztable)

@@ -6,11 +6,12 @@ import pytest
 
 from mapgenus.combinatorics import operator_power_entry
 from mapgenus.errors import RejectedInput, VerificationFailure
-from mapgenus.exact_kernel import Q
+from mapgenus.exact_kernel import Q, Series
 from mapgenus.lattice_oracle import (
     BiSeries,
     WeightSpec,
     _record,
+    asymptotic_match,
     deformed_moments,
     operator_power_row,
     recurrence_table,
@@ -491,3 +492,45 @@ def test_hirota_reads_the_table_on_every_call():
     table.tau2[4].d[(1, 2)] = table.tau2[4].coeff(1, 2) + 1
     with pytest.raises(VerificationFailure, match=r"^tau_product residual nonzero at n=3,"):
         verify_hirota(table)
+
+
+class OffTarget:
+    """A ztable whose genus-g target at t-order k is moved by delta; the
+    t-coefficient is the u-coefficient times (-1/(2 nu))^k."""
+
+    def __init__(self, ztable, nu, g, k, delta):
+        self.ztable, self.g, self.k = ztable, g, k
+        self.shift = delta * Q(-2 * nu) ** k
+
+    def series(self, g):
+        s = self.ztable.series(g)
+        if g != self.g:
+            return s
+        c = list(s.c)
+        c[self.k] += self.shift
+        return Series(s.var, c, s.trunc)
+
+
+@pytest.mark.parametrize("nu, G, g, k, delta", [(2, 2, 2, 4, Q(1)), (3, 1, 1, 2, Q(1, 100))])
+def test_asymptotic_match_fails_an_off_target(nu, G, g, k, delta):
+    from mapgenus.continuum_even import build_ztable
+
+    ztable = build_ztable(nu, G, 8)
+    sites = [4, 6, 8, 10]
+    good = asymptotic_match(nu, G, sites, k, ztable=ztable)
+    assert good["status"] == "pass"
+    bad = asymptotic_match(nu, G, sites, k, ztable=OffTarget(ztable, nu, g, k, delta))
+    assert [o["status"] for o in bad["orders"]] == ["pass"] * k + ["fail"]
+    assert bad["status"] == "fail"
+    assert Q(bad["orders"][k]["target"]) == Q(good["orders"][k]["target"]) + delta
+
+
+def test_asymptotic_match_needs_a_surplus_site():
+    from mapgenus.continuum_even import build_ztable
+
+    # at nu = 3, t-order 3 reaches genus 3: genus 2 and 3 are fitted, so
+    # three sites are the fewest that check the fit
+    ztable = build_ztable(3, 1, 8)
+    assert asymptotic_match(3, 1, [4, 6, 8], 3, ztable=ztable)["status"] == "pass"
+    with pytest.raises(RejectedInput, match="no surplus site"):
+        asymptotic_match(3, 1, [4, 6], 3, ztable=ztable)

@@ -1,8 +1,10 @@
 """Every function, class and method in ``src/mapgenus`` has a caller in
 ``src/`` or is an oracle kept on purpose for the tests to compare against,
-and no module under ``src/`` or ``tests/`` imports a name it never uses."""
+no module under ``src/`` or ``tests/`` imports a name it never uses, and
+every function the benchmark tracer patches still exists."""
 
 import ast
+import importlib.util
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,3 +98,20 @@ def test_no_unused_imports():
                     tree = ast.parse(fh.read(), name)
                 unused += ["%s:%d %s" % (name, line, alias) for line, alias in sorted(_unused_imports(tree))]
     assert unused == []
+
+
+def test_every_trace_target_resolves():
+    # tracer.py imports nothing from mapgenus, so it loads by path alone
+    spec = importlib.util.spec_from_file_location("tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for span, (module, path) in sorted(tracer.TARGETS.items()):
+        obj = importlib.import_module("mapgenus." + module)
+        for part in path.split("."):
+            obj = vars(obj).get(part)
+            if obj is None:
+                break
+        if not callable(obj):
+            missing.append(span)
+    assert missing == []
