@@ -25,7 +25,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from types import MappingProxyType
 
 from .errors import (
     DegenerateTable,
@@ -58,60 +60,75 @@ def _convolve_into(out: dict, ia, ib, T: int, m: int = 1) -> dict:
 class BiSeries:
     """Truncated bivariate series sum c[(r,k)] t1^r t^k with r+k <= trunc.
 
-    Coefficients are stored as canonical Fractions in ``d``; products,
-    quotients and logs scale their operands to integer numerators over one
-    common denominator per operation and build one Fraction per output
-    coefficient.
+    Stored as integer numerators ``num`` (nonzero, keyed by (r, k)) over one
+    positive denominator ``den``, reduced so that gcd(den, *num) == 1 (the
+    empty series has den == 1): equal series have equal representations.
+    Sums, products, quotients, logs and derivatives work on the integers
+    and reduce their result once; only the public constructor, which takes
+    rational coefficients, scales to the common denominator.  ``d`` is a
+    read-only view of the coefficients as Fractions.
     """
 
-    __slots__ = ("trunc", "d")
+    __slots__ = ("trunc", "den", "num")
 
     def __init__(self, trunc: int, d=None):
         self.trunc = trunc
-        self.d: dict[tuple[int, int], Fraction] = {}
+        self.den, self.num = 1, {}
         if d:
-            for key, val in d.items():
-                if type(val) is not Fraction:
-                    val = Q(val)
-                if val and key[0] + key[1] <= trunc:
-                    self.d[key] = val
+            items = [(key, Q(v)) for key, v in d.items() if v and key[0] + key[1] <= trunc]
+            self.den, nums = _qscale([v for _, v in items])
+            self.num = {key: x for (key, _), x in zip(items, nums)}
+
+    @staticmethod
+    def _reduced(trunc: int, den: int, num: dict) -> "BiSeries":
+        """The series num / den in reduced form: zero numerators dropped,
+        one gcd over den and the numerators, den made positive."""
+        g = _int_gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        out = object.__new__(BiSeries)
+        out.trunc, out.den = trunc, den // g
+        out.num = {key: x // g for key, x in num.items() if x}
+        return out
 
     @staticmethod
     def const(q, trunc: int) -> "BiSeries":
-        return BiSeries(trunc, {(0, 0): Q(q)})
+        q = Q(q)
+        return BiSeries._reduced(trunc, q.denominator, {(0, 0): q.numerator} if trunc >= 0 else {})
 
     @staticmethod
     def var_t(trunc: int) -> "BiSeries":
-        return BiSeries(trunc, {(0, 1): Q(1)})
+        return BiSeries._reduced(trunc, 1, {(0, 1): 1} if trunc >= 1 else {})
+
+    @property
+    def d(self) -> MappingProxyType:
+        return MappingProxyType({key: Fraction(x, self.den) for key, x in self.num.items()})
 
     def coeff(self, r: int, k: int) -> Fraction:
-        return self.d.get((r, k), Q(0))
+        return Fraction(self.num.get((r, k), 0), self.den)
 
     def constant(self) -> Fraction:
         return self.coeff(0, 0)
 
     def is_zero(self) -> bool:
-        return not self.d
+        return not self.num
 
-    def _ints(self, T: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """The terms of total degree <= T as (den, [(r+k, r, k, numerator)]),
-        sorted by total degree, each coefficient being numerator / den."""
-        terms = sorted((r + k, r, k, v) for (r, k), v in self.d.items() if r + k <= T)
-        den, nums = _qscale([v for *_, v in terms])
-        return den, [(e, r, k, x) for (e, r, k, _), x in zip(terms, nums)]
+    def _ints(self, T: int) -> list[tuple[int, int, int, int]]:
+        """The terms of total degree <= T as (r+k, r, k, numerator), sorted
+        by total degree, each coefficient being numerator / den."""
+        return sorted((r + k, r, k, x) for (r, k), x in self.num.items() if r + k <= T)
 
     def _bin(self, other, sign) -> "BiSeries":
         if isinstance(other, (int, Fraction)):
             other = BiSeries.const(other, self.trunc)
         T = min(self.trunc, other.trunc)
-        out = {key: val for key, val in self.d.items() if key[0] + key[1] <= T}
-        for key, val in other.d.items():
+        den = _int_lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        out = {key: x * ma for key, x in self.num.items() if key[0] + key[1] <= T}
+        for key, y in other.num.items():
             if key[0] + key[1] <= T:
-                if sign < 0:
-                    val = -val
-                old = out.get(key)
-                out[key] = val if old is None else old + val
-        return BiSeries(T, out)
+                out[key] = out.get(key, 0) + y * mb
+        return BiSeries._reduced(T, den, out)
 
     def __add__(self, other):
         return self._bin(other, 1)
@@ -125,17 +142,16 @@ class BiSeries:
         return (-self) + other
 
     def __neg__(self):
-        return BiSeries(self.trunc, {k: -v for k, v in self.d.items()})
+        return BiSeries._reduced(self.trunc, self.den, {key: -x for key, x in self.num.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BiSeries(self.trunc, {k: v * other for k, v in self.d.items()})
+            q = Q(other)
+            num = {key: x * q.numerator for key, x in self.num.items()}
+            return BiSeries._reduced(self.trunc, self.den * q.denominator, num)
         T = min(self.trunc, other.trunc)
-        da, ia = self._ints(T)
-        db, ib = other._ints(T)
-        out = _convolve_into({}, ia, ib, T)
-        d = da * db
-        return BiSeries(T, {key: Fraction(s, d) for key, s in out.items() if s})
+        out = _convolve_into({}, self._ints(T), other._ints(T), T)
+        return BiSeries._reduced(T, self.den * other.den, out)
 
     __rmul__ = __mul__
 
@@ -144,23 +160,23 @@ class BiSeries:
 
         Fraction-free: with integer numerators A, B (a = A/da, b = B/db),
         c[m] = N[m] db / (da B0^(|m|+1)) where
-        N[m] = A[m] B0^|m| - sum_{j!=0} B[j] B0^(|j|-1) N[m-j] stays an int.
+        N[m] = A[m] B0^|m| - sum_{j!=0} B[j] B0^(|j|-1) N[m-j] stays an int;
+        the result is put over da B0^(T+1) and reduced once.
         """
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise RejectedInput("division by zero scalar")
             return self * (Q(1) / Q(other))
-        if other.constant() == 0:
+        if (0, 0) not in other.num:
             raise RejectedInput("bivariate division by a non-unit")
         T = min(self.trunc, other.trunc)
         if T < 0:
             return BiSeries(T, {})
-        da, ia = self._ints(T)
-        db, ib = other._ints(T)
+        ib = other._ints(T)
         b0 = ib[0][3]
         powers = [b0 ** e for e in range(T + 2)]
         rest = [(e, r, k, y * powers[e - 1]) for e, r, k, y in ib[1:]]
-        a = {(r, k): x for _, r, k, x in ia}
+        a = self.num
         num: dict = {}
         for e in range(T + 1):
             for r in range(e + 1):
@@ -175,32 +191,32 @@ class BiSeries:
                             s -= y * n
                 if s:
                     num[(r, k)] = s
-        return BiSeries(
-            T, {key: Fraction(n * db, da * powers[key[0] + key[1] + 1]) for key, n in num.items()}
-        )
+        db = other.den
+        for key, n in num.items():
+            num[key] = n * db * powers[T - key[0] - key[1]]
+        return BiSeries._reduced(T, self.den * powers[T + 1], num)
 
     def log(self) -> "BiSeries":
         """log f = sum_{m != 0} [(E f) / f]_m / |m|, with the Euler operator
-        E(t1^r t^k) = (r+k) t1^r t^k: one division."""
-        if self.constant() != 1:
+        E(t1^r t^k) = (r+k) t1^r t^k: one division, then the quotient put
+        over lcm(1..T) times its denominator."""
+        if self.num.get((0, 0)) != self.den:
             raise RejectedInput("bivariate log requires constant term 1")
-        euler = BiSeries(self.trunc, {key: (key[0] + key[1]) * v for key, v in self.d.items()})
+        T = self.trunc
+        euler = BiSeries._reduced(T, self.den, {key: (key[0] + key[1]) * x for key, x in self.num.items()})
         q = euler / self
-        return BiSeries(self.trunc, {key: v / (key[0] + key[1]) for key, v in q.d.items()})
+        scale = _int_lcm(*range(1, T + 1))
+        num = {key: x * (scale // (key[0] + key[1])) for key, x in q.num.items()}
+        return BiSeries._reduced(T, q.den * scale, num)
 
     def diff(self, var: str) -> "BiSeries":
-        out: dict = {}
         if var == "t1":
-            for (r, k), v in self.d.items():
-                if r:
-                    out[(r - 1, k)] = r * v
+            out = {(r - 1, k): r * x for (r, k), x in self.num.items() if r}
         elif var == "t":
-            for (r, k), v in self.d.items():
-                if k:
-                    out[(r, k - 1)] = k * v
+            out = {(r, k - 1): k * x for (r, k), x in self.num.items() if k}
         else:
             raise RejectedInput("unknown variable %r" % var)
-        return BiSeries(self.trunc - 1, out)
+        return BiSeries._reduced(self.trunc - 1, self.den, out)
 
     def at_t1_zero(self) -> Series:
         coeffs = [self.coeff(0, k) for k in range(self.trunc + 1)]
@@ -210,7 +226,8 @@ class BiSeries:
         return (
             isinstance(other, BiSeries)
             and self.trunc == other.trunc
-            and self.d == other.d
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self):
@@ -280,18 +297,18 @@ def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
 RecurrenceTable = namedtuple("RecurrenceTable", "spec n_max T b2 a tau2")
 
 
-def _fused_row_entry(T: int, plain, products) -> BiSeries:
-    """plain - sum(u * v for u, v in products), every operand given as
-    BiSeries._ints(T) output: the products and the difference accumulate
-    in one integer pass over a common denominator, with one Fraction per
-    output key."""
-    dp, ip = plain
-    den = _int_lcm(dp, *(du * dv for (du, _), (dv, _) in products))
-    m = den // dp
-    out = {(r, k): x * m for _, r, k, x in ip}
-    for (du, iu), (dv, iv) in products:
-        _convolve_into(out, iu, iv, T, -(den // (du * dv)))
-    return BiSeries(T, {key: Fraction(s, den) for key, s in out.items() if s})
+def _fused(T: int, plain, products, sign: int = 1) -> BiSeries:
+    """plain + sign * sum(u * v for u, v in products), plain a BiSeries or
+    None: the plain terms and every product accumulate in one integer pass
+    over a common denominator, and the result is reduced once."""
+    den = _int_lcm(1 if plain is None else plain.den, *(u.den * v.den for u, v in products))
+    out = {}
+    if plain is not None:
+        m = den // plain.den
+        out = {key: x * m for key, x in plain.num.items() if key[0] + key[1] <= T}
+    for u, v in products:
+        _convolve_into(out, u._ints(T), v._ints(T), T, sign * (den // (u.den * v.den)))
+    return BiSeries._reduced(T, den, out)
 
 
 def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
@@ -305,8 +322,7 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
     The row k+1 is sigma[k+1][l] = sigma[k][l+1] - a_k sigma[k][l] -
     b2_k sigma[k-1][l].  By orthogonality sigma[k+1][l] = 0 for l <= k, so
     those entries are set to zero and never computed; each remaining entry
-    is one fused integer pass (``_fused_row_entry``), with a_k, b2_k and
-    every row entry scaled to integer numerators once.
+    is one fused integer pass (``_fused``).
     """
     if n_max < 2:
         raise RejectedInput("n_max must be >= 2")
@@ -315,8 +331,6 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
     zero = BiSeries(T, {})
     sigma_prev = [zero] * (L + 2)  # row k-1, padded
     sigma = list(moments) + [zero]
-    ints = {l: s._ints(T) for l, s in enumerate(sigma)}  # row k, scaled
-    ints_prev: dict = {}
     a: dict[int, BiSeries] = {}
     b2: dict[int, BiSeries] = {n: zero for n in range(-2 * n_max, 1)}
     norms: dict[int, BiSeries] = {}
@@ -341,21 +355,16 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
         if k == n_max:
             break
         # next row of mixed moments, zero below the diagonal
-        row_len = L - k
-        ia = None if a[k].is_zero() else a[k]._ints(T)
-        ib = b2[k]._ints(T) if k >= 1 else None
         nxt = [zero] * (k + 1)
-        for l in range(k + 1, row_len):
+        for l in range(k + 1, L - k):
             products = []
-            if ia:
-                products.append((ia, ints[l]))
-            if ib:
-                products.append((ib, ints_prev[l]))
-            nxt.append(_fused_row_entry(T, ints[l + 1], products))
-        sigma_prev, ints_prev = sigma, ints
+            if not a[k].is_zero():
+                products.append((a[k], sigma[l]))
+            if k >= 1:
+                products.append((b2[k], sigma_prev[l]))
+            nxt.append(_fused(T, sigma[l + 1], products, -1))
+        sigma_prev = sigma
         sigma = nxt + [zero]
-        # the next row reads its own entries l >= k+2 only
-        ints = {l: nxt[l]._ints(T) for l in range(k + 2, row_len)}
     # tau2[n] = det H_n(t) / det H_n(0), via det H_n = prod_{k<n} h_k
     tau2: dict[int, BiSeries] = {0: BiSeries.const(1, T)}
     det = BiSeries.const(1, T)
@@ -391,23 +400,26 @@ def operator_power_row(table: RecurrenceTable, r: int, j: int) -> dict[int, BiSe
 
         next[l+1] += v[l],   next[l] += v[l] a_l,   next[l-1] += v[l] b2_l,
 
-    so each walk prefix is multiplied once, not once per walk.  After a step
+    so each walk prefix is multiplied once, not once per walk, and each
+    level of next is one fused integer pass (``_fused``).  After a step
     with ``left`` steps to go, only the levels r-2-left <= l <= r-1+left can
     still reach a target column, and only those are kept; the highest level
     read is then r + floor((j-1)/2).  Products with a zero weight are
     skipped; a_l is zero below level 0, where no valid table has a walk.
     """
-    zero = BiSeries(table.T, {})
-    v = {r: BiSeries.const(1, table.T)}
+    T = table.T
+    zero = BiSeries(T, {})
+    v = {r: BiSeries.const(1, T)}
     for left in range(j - 1, -1, -1):
-        lo, hi = r - 2 - left, r - 1 + left
         nxt: dict[int, BiSeries] = {}
-        for l, x in v.items():
-            for m, w in ((l + 1, None), (l, table.a.get(l, zero)), (l - 1, table.b2[l])):
-                if not lo <= m <= hi or (w is not None and w.is_zero()):
-                    continue
-                y = x if w is None else x * w
-                nxt[m] = nxt[m] + y if m in nxt else y
+        for m in range(r - 2 - left, r + left):
+            products = []
+            if m in v and not table.a.get(m, zero).is_zero():
+                products.append((v[m], table.a[m]))
+            if m + 1 in v and not table.b2[m + 1].is_zero():
+                products.append((v[m + 1], table.b2[m + 1]))
+            if m - 1 in v or products:
+                nxt[m] = _fused(T, v.get(m - 1), products)
         v = nxt
     return {c: v.get(c, zero) for c in (r - 2, r - 1)}
 

@@ -1,6 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -83,18 +84,15 @@ def test_trivalent_scaling_of_residuals_nu3():
 
 def test_corrupted_table_fails():
     table = recurrence_table(spec_nu2(4), n_max=7, T=4)
-    bad = BiSeries(table.T, dict(table.b2[3].d))
-    bad.d[(0, 2)] = bad.coeff(0, 2) + 1
-    table.b2[3] = bad
+    good = table.b2[3]
+    table.b2[3] = BiSeries(table.T, {**good.d, (0, 2): good.coeff(0, 2) + 1})
     with pytest.raises(VerificationFailure):
         verify_lattice_equations(table, "string")
 
 
 def bumped(s, key):
     """A copy of s with 1 added to the coefficient at key."""
-    bad = BiSeries(s.trunc, dict(s.d))
-    bad.d[key] = bad.coeff(*key) + 1
-    return bad
+    return BiSeries(s.trunc, {**s.d, key: s.coeff(*key) + 1})
 
 
 def test_corrupted_b2_fails_toda():
@@ -227,6 +225,24 @@ def test_reports_derive_status_from_sites():
     assert status_of([{"status": "pass"}]) == "pass"
 
 
+def test_tables_are_pinned():
+    """One sha256 over the reprs of the b2, a and tau2 tables, two
+    operator-power rows, a tau2 log per table and one asymptotic match, at
+    nu = 1..4 with and without t1: any change in a coefficient, a key, the
+    truncation or a table's set of sites moves it."""
+    h = hashlib.sha256()
+    for nu in (1, 2, 3, 4):
+        for with_t1 in (False, True):
+            n_max = nu + 3
+            table = recurrence_table(WeightSpec(nu=nu, g_s=Q(2, 7), include_t1=with_t1), n_max, 3)
+            h.update(repr((table.b2, table.a, table.tau2)).encode())
+            for r in (1, n_max - nu + 1):
+                h.update(repr(operator_power_row(table, r, 2 * nu)).encode())
+            h.update(repr(table.tau2[n_max].log()).encode())
+    h.update(repr(asymptotic_match(3, 1, [4, 6, 8, 10], 3)).encode())
+    assert h.hexdigest() == "9dbc1b5d674461855cbfc307001416b54a9679d19d86b7ec23d6fd4e1567de82"
+
+
 # -- BiSeries arithmetic against schoolbook Fraction references -------------
 
 rng = random.Random(20261018)
@@ -318,8 +334,8 @@ def test_biseries_product_matches_naive():
             assert prod.trunc == T and canonical(prod)
             assert prod.d == naive_mul(a.d, b.d, T)
     a = rand_biseries(5, True, COPRIME_DENOMS)
-    # a zero written into the table in place, as test_corrupted_table_fails does
-    a.d[(1, 1)] = Q(0)
+    # an explicit zero coefficient given to the constructor
+    a = BiSeries(5, {**a.d, (1, 1): Q(0)})
     b = rand_biseries(4, True, SHARED_DENOMS)
     assert (a * b).d == naive_mul(a.d, b.d, 4)
     assert (a * BiSeries(5, {})).is_zero() and (a * BiSeries(5, {})).trunc == 5
@@ -382,6 +398,61 @@ def test_biseries_non_units_rejected():
     for c in (2, Q(-1), 0):
         with pytest.raises(RejectedInput):
             rand_biseries(3, True, SHARED_DENOMS, const=c).log()
+
+
+def test_biseries_canonical_form():
+    """Every series is integer numerators over one positive denominator
+    with no factor common to all of them, so == compares representations."""
+    for a, b in operand_cases():
+        T = min(a.trunc, b.trunc)
+        f = BiSeries(a.trunc, {**a.d, (0, 0): Q(1)})
+        g = BiSeries(b.trunc, {**b.d, (0, 0): Q(1)})
+        results = [a, b, a + b, a - b, -a, a * b, a / b, a * Q(-3, 5), 2 - a]
+        results += [a.diff("t"), a.diff("t1"), f.log(), (f * g).log()]
+        for s in results:
+            assert s.den > 0 and gcd(s.den, *s.num.values()) == 1 and all(s.num.values())
+        for empty in (a - a, a * Q(0), BiSeries(T, {}), BiSeries.const(1, T).diff("t")):
+            assert empty.is_zero() and empty.den == 1
+        assert (a * b) / b == BiSeries(T, a.d)
+        assert (f * g).log() == f.log() + g.log()
+
+
+def test_biseries_coefficient_view_is_read_only():
+    s = BiSeries(3, {(0, 1): Q(1, 2)})
+    with pytest.raises(TypeError):
+        s.d[(0, 1)] = Q(3)
+    with pytest.raises(TypeError):
+        s.d[(0, 2)] = Q(1)
+    assert s == BiSeries(3, {(0, 1): Q(1, 2)})
+
+
+def test_tables_and_checks_rescale_no_rationals(monkeypatch):
+    """Once the moments are built, the table and the lattice and Hirota
+    checks work on integer numerators only: the rescaling of rational
+    coefficients to a common denominator, which the public constructor
+    does, is never called."""
+    from mapgenus import lattice_oracle
+
+    spec = WeightSpec(nu=2, g_s=Q(1, 6), include_t1=True)
+    n_max, T = 7, 4
+    moments = deformed_moments(spec, 2 * n_max + 1, T)
+    monkeypatch.setattr(lattice_oracle, "deformed_moments", lambda *args: moments)
+    calls = []
+    qscale = lattice_oracle._qscale
+
+    def counted(xs):
+        calls.append(1)
+        return qscale(xs)
+
+    monkeypatch.setattr(lattice_oracle, "_qscale", counted)
+    table = recurrence_table(spec, n_max, T)
+    for kind in ("string", "toda", "toda_t1"):
+        assert verify_lattice_equations(table, kind)["status"] == "pass"
+    assert verify_hirota(table)["status"] == "pass"
+    assert calls == []
+    # the counter does see the constructor
+    BiSeries(T, {(0, 1): Q(1, 3)})
+    assert len(calls) == 1
 
 
 # -- the recurrence table against the full Chebyshev algorithm ---------------
@@ -485,11 +556,11 @@ def test_hirota_log_work_bound(monkeypatch):
 
 
 def test_hirota_reads_the_table_on_every_call():
-    """The logs live for one call only: a tau2 entry corrupted in place
-    after a passing call fails the next one."""
+    """The logs live for one call only: a tau2 entry replaced by a
+    corrupted copy after a passing call fails the next one."""
     table = recurrence_table(spec_nu2(6, with_t1=True), n_max=7, T=4)
     assert verify_hirota(table)["status"] == "pass"
-    table.tau2[4].d[(1, 2)] = table.tau2[4].coeff(1, 2) + 1
+    table.tau2[4] = bumped(table.tau2[4], (1, 2))
     with pytest.raises(VerificationFailure, match=r"^tau_product residual nonzero at n=3,"):
         verify_hirota(table)
 
