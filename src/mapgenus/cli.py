@@ -22,11 +22,9 @@ import time
 
 from . import __version__
 from .errors import (
-    DegenerateTable,
     EngineError,
     InsufficientData,
     NoMatchingExists,
-    PoleAtBasepoint,
     ReconstructionFailed,
     RejectedInput,
     ResonanceFailure,
@@ -388,8 +386,6 @@ def parse_options(argv) -> dict:
 EXITS = {
     EngineError: (1, "engine error"),
     VerificationFailure: (1, "verification failure"),
-    PoleAtBasepoint: (1, "engine error"),
-    DegenerateTable: (1, "engine error"),
     ReconstructionFailed: (3, "reconstruction/resonance failure"),
     ResonanceFailure: (3, "reconstruction/resonance failure"),
     InsufficientData: (3, "reconstruction/resonance failure"),

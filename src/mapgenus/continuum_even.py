@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, lcm, prod
-from operator import add
+from math import factorial, prod
 
 from .combinatorics import (
     Terms,
@@ -46,8 +45,6 @@ from .exact_kernel import (
     Q,
     RatFn,
     Series,
-    _iconv,
-    _qscale,
     series_to_ratfn,
 )
 
@@ -277,42 +274,35 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
 # symbols (h, j) = dw^j f_h into a jet polynomial with exact coefficients;
 # the lattice difference cancels most monomials here, before any series is
 # touched.  Evaluate: multiply out the surviving monomials on the genus
-# family in Horner form, entirely in integers.  Every jet is held once as
-# integer numerators over one denominator; a last symbol enters its level
-# as one term of an integer linear combination, and a shared prefix symbol
-# as one integer convolution with the level below.  The result becomes a
-# GradedSeries of Fractions once, at the end.
+# family in Horner form.  Every jet is one GradedSeries of integer
+# numerators over one denominator; a last symbol enters its level as one
+# term of an integer linear combination (``Series.combination``), and a
+# shared prefix symbol as one integer convolution with the level below.
 
 
 class JetFamily:
     """Spatial derivatives dw^j f_h of the genus family f_0 .. f_gmax.
 
-    Each jet is held once as (den, nums, base2), its u^k coefficient being
-    nums[k]/den.  It is built on first use from the jet below it: dw
-    multiplies nums[k] by the exponent base2/2 + k (nu-1), an integer, so
-    only the jets an expansion reads are ever formed."""
+    Each jet is a GradedSeries built on first use by dw from the jet below
+    it; at these even weights dw multiplies each numerator by an integer and
+    keeps the denominator, so only the jets an expansion reads are ever
+    formed."""
 
     def __init__(self, nu: int, z_series: list[Series]):
         self.step2 = 2 * (nu - 1)
-        self.jets = [[_qscale(zs.c) + (2 - 4 * h,)] for h, zs in enumerate(z_series)]
+        self.jets = [[GradedSeries.from_series(zs, 2 - 4 * h, self.step2)] for h, zs in enumerate(z_series)]
 
     def gmax(self) -> int:
         return len(self.jets) - 1
 
     def f(self, h: int) -> GradedSeries:
-        return self.graded(self.jets[h][0])
+        return self.jets[h][0]
 
-    def scaled(self, h: int, j: int) -> tuple:
+    def scaled(self, h: int, j: int) -> GradedSeries:
         row = self.jets[h]
         while len(row) <= j:
-            den, nums, base2 = row[-1]
-            e, step = base2 // 2, self.step2 // 2
-            row.append((den, [x * (e + k * step) for k, x in enumerate(nums)], base2 - 2))
+            row.append(row[-1].dw())
         return row[j]
-
-    def graded(self, value: tuple) -> GradedSeries:
-        den, nums, base2 = value
-        return GradedSeries("u", [Fraction(x, den) for x in nums], base2, self.step2, len(nums) - 1)
 
 
 def _collect(factors, coeff, N: int, out: dict) -> None:
@@ -339,28 +329,9 @@ def _collect(factors, coeff, N: int, out: dict) -> None:
             out[mono] = out.get(mono, 0) + c
 
 
-def _combine(terms) -> tuple:
-    """(den, nums, base2) of the sum of q * nums/den over the terms (q, den,
-    nums, base2), as one integer linear combination over the lcm of the
-    denominators, at the shortest truncation.  Nonzero terms must share
-    their w-weight base2."""
-    n = min(len(t[2]) for t in terms)
-    live = [t for t in terms if t[0] and any(t[2])]
-    base2 = live[0][3] if live else terms[0][3]
-    for t in live:
-        if t[3] != base2:
-            raise RejectedInput("graded series weight mismatch: base2 %d vs %d" % (base2, t[3]))
-    den = lcm(*(q.denominator * d for q, d, _, _ in live))
-    acc = [0] * n
-    for q, d, nums, _ in live:
-        acc = list(map(add, acc, map((q.numerator * (den // (q.denominator * d))).__mul__, nums[:n])))
-    return den, acc, base2
-
-
-def _evaluate(poly: dict, family: JetFamily):
-    """(den, nums, base2) of the sum of c * prod(dw^j f_h) over the nonzero
-    monomials of a collected jet polynomial, or None when every coefficient
-    cancelled.
+def _evaluate(poly: dict, family: JetFamily) -> GradedSeries | None:
+    """The sum of c * prod(dw^j f_h) over the nonzero monomials of a
+    collected jet polynomial, or None when every coefficient cancelled.
 
     The sorted monomials are nested by their leading symbols (Horner form),
     so the monomials below one prefix share one product per symbol of that
@@ -375,20 +346,18 @@ def _evaluate(poly: dict, family: JetFamily):
     return _horner(trie, family) if trie else None
 
 
-def _horner(node: dict, family: JetFamily) -> tuple:
+def _horner(node: dict, family: JetFamily) -> GradedSeries:
     """One Horner level of ``_evaluate``.  A module-level function, not a
     closure: a closure that calls itself is a reference cycle, and it would
     keep the family and all its jets alive until the cyclic collector runs."""
     terms = []
     for sym, child in node.items():
-        den, nums, base2 = family.scaled(*sym)
+        jet = family.scaled(*sym)
         if type(child) is dict:
-            cden, cnums, cbase2 = _horner(child, family)
-            n = min(len(nums), len(cnums)) - 1
-            terms.append((1, den * cden, _iconv(nums, cnums, n), base2 + cbase2))
+            terms.append((1, jet * _horner(child, family)))
         else:
-            terms.append((child, den, nums, base2))
-    return _combine(terms)
+            terms.append((child, jet))
+    return Series.combination(terms)
 
 
 def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):
@@ -420,9 +389,8 @@ def expand_lattice_polynomial(expr, family: JetFamily, nu: int, N: int):
         part = _evaluate(poly, family)
         if part is not None:
             # t^t_deg = (-2 nu u)^t_deg: u carries no power of w
-            den, nums, base2 = part
-            parts.append((1, den, [0] * t_deg + nums[: len(nums) - t_deg], base2 - t_deg * family.step2))
-    return family.graded(_combine(parts)) if parts else None
+            parts.append((1, part.xmul(t_deg)))
+    return Series.combination(parts) if parts else None
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +533,7 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     rhs = _evaluate(poly, family)
     lhs = family.f(g).dx()
     # a collection that cancels entirely is the zero series
-    residual = lhs if rhs is None else lhs - family.graded(rhs).truncate(lhs.trunc)
+    residual = lhs if rhs is None else lhs - rhs.truncate(lhs.trunc)
     if not residual.is_zero():
         raise VerificationFailure("continuum hierarchy fails at nu=%d, g=%d" % (nu, g))
     return {"identity": "continuum_hierarchy", "nu": nu, "g": g, "status": "pass"}

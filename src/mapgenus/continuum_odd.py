@@ -209,8 +209,11 @@ OddLeadingPair = namedtuple("OddLeadingPair", "nu h0 f0 powers residuals")
 
 
 def _widen(g: GradedSeries, T: int) -> GradedSeries:
-    """g with its truncation raised to T, the new orders zero."""
-    return GradedSeries(g.var, g.c, g.base2, g.step2, T)
+    """g with its truncation raised to T, the new orders zero: g's integer
+    numerators, padded, over g's denominator."""
+    out = GradedSeries(g.var, g.num, g.base2, g.step2, T)
+    out.den = g.den
+    return out
 
 
 def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:

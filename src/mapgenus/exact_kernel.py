@@ -2,14 +2,17 @@
 the ring of Laurent polynomials in D = nu - (nu-1) z, reduced rational
 functions, graded (self-similar) series and exact linear solving.
 
-Values are ``fractions.Fraction``; there is no floating point anywhere.
+Values are exact rationals; there is no floating point anywhere.
 Truncated series arithmetic narrows to the minimum truncation of its
 operands so no result ever claims more precision than its inputs carry.
-The inner loops run on integers: each operand is scaled once to integer
-numerators over the lcm of its denominators (``_qscale``), so a product is
-one integer convolution (``_iconv``), a series quotient one integer forward
-substitution (``_forward``) and a change of variable one integer Taylor
-shift (``_taylor_shift``), each with one gcd per output coefficient.
+A ``Series`` (and a ``GradedSeries``, a series with a w-weight) holds
+integer numerators over one denominator, so its sums and products run on
+plain ints: a product is one integer convolution (``_iconv``) and a
+quotient one integer forward substitution (``_forward``) with one gcd per
+output coefficient.  ``Poly``, ``DLaurent`` and reconstruction hold
+Fractions and scale each operand once to integers over the lcm of its
+denominators (``_qscale``): their products run through ``_qconv`` and a
+change of variable is one integer Taylor shift (``_taylor_shift``).
 
 The genus coefficients are computed in ``DLaurent``, where sums and products
 need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     InsufficientData,
@@ -67,12 +70,13 @@ def _iconv(ia, ib, n: int) -> list[int]:
     return out
 
 
-def _forward(rows, d: int, r) -> list[Fraction]:
+def _forward(rows, d: int, r) -> tuple[int, list[int]]:
     """Solution x of the lower triangular integer system rows . x = r / d,
-    row k listing the coefficients of x_0 .. x_k (the diagonal last).  The
-    values found so far are kept as integers over one common denominator,
-    so each row costs one integer dot product and a single gcd."""
-    den, nums, out = 1, [], []
+    row k listing the coefficients of x_0 .. x_k (the diagonal last), as
+    integer numerators over the lcm of the denominators of x.  The values
+    found so far are kept over that common denominator, so each row costs
+    one integer dot product and a single gcd."""
+    den, nums = 1, []
     for row, rk in zip(rows, r):
         x = Fraction(rk * den - d * sum(map(mul, nums, row)), d * den * row[-1])
         if den % x.denominator:
@@ -80,19 +84,17 @@ def _forward(rows, d: int, r) -> list[Fraction]:
             nums = [v * f for v in nums]
             den *= f
         nums.append(x.numerator * (den // x.denominator))
-        out.append(x)
-    return out
+    return den, nums
 
 
-def _qdiv(a, b, n: int) -> list[Fraction]:
-    """Coefficients 0..n of the quotient of two Fraction sequences, b[0] != 0.
-
-    With a = A/da and b = B/db scaled once, the quotient solves the
-    Toeplitz system B q = A db / da, row k being B_k .. B_0."""
-    da, ia = _qscale(a[: n + 1])
-    db, ib = _qscale(b[: n + 1])
-    ib += [0] * (n + 1 - len(ib))
-    return _forward((ib[k::-1] for k in range(n + 1)), da, [x * db for x in ia] + [0] * (n + 1 - len(ia)))
+def _qdiv(da: int, ia, db: int, ib, n: int) -> tuple[int, list[int]]:
+    """Coefficients 0..n of the quotient of A/da by B/db, for integer
+    sequences A = ia and B = ib with B[0] != 0, as integer numerators over
+    one denominator.  The quotient solves the Toeplitz system
+    B q = A db / da, row k being B_k .. B_0."""
+    ib = list(ib[: n + 1]) + [0] * (n + 1 - len(ib))
+    ia = [x * db for x in ia[: n + 1]] + [0] * (n + 1 - len(ia))
+    return _forward((ib[k::-1] for k in range(n + 1)), da, ia)
 
 
 def _qconv(a, b, n: int) -> list[Fraction]:
@@ -268,23 +270,34 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 class Series:
     """Truncated power series sum_{i<=trunc} c[i] * var^i with exact coefficients.
 
-    Binary operations narrow to the minimum truncation of the operands and
-    require matching variable tags.
+    The coefficients are held as integer numerators ``num`` over one positive
+    denominator ``den``, kept unreduced: sums, scalar and series products,
+    derivatives and truncations run on the integers, and ``c`` is the
+    Fraction read.  Binary operations narrow to the minimum truncation of
+    the operands and require matching variable tags.
     """
 
-    __slots__ = ("var", "trunc", "c")
+    __slots__ = ("var", "den", "num")
 
     def __init__(self, var: str, coeffs, trunc: int | None = None):
-        c = [x if type(x) is Fraction else Q(x) for x in coeffs]
+        c = [x if isinstance(x, (int, Fraction)) else Q(x) for x in coeffs]
         if trunc is None:
             trunc = len(c) - 1
         if trunc < 0:
             raise RejectedInput("series truncation must be >= 0")
-        if len(c) < trunc + 1:
-            c += [Q(0)] * (trunc + 1 - len(c))
         self.var = var
-        self.trunc = trunc
-        self.c = tuple(c[: trunc + 1])
+        self.den, self.num = _qscale(c[: trunc + 1])
+        self.num += [0] * (trunc + 1 - len(self.num))
+
+    @classmethod
+    def _of(cls, var: str, den: int, num: list[int]) -> "Series":
+        out = object.__new__(cls)
+        out.var, out.den, out.num = var, den, num
+        return out
+
+    def _like(self, den: int, num: list[int]) -> "Series":
+        """A series of this kind and grading with coefficients num / den."""
+        return self._of(self.var, den, num)
 
     # -- constructors --------------------------------------------------------
 
@@ -306,85 +319,106 @@ class Series:
 
     # -- helpers -------------------------------------------------------------
 
+    @property
+    def trunc(self) -> int:
+        return len(self.num) - 1
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
     def coeff(self, i: int) -> Fraction:
-        return self.c[i] if 0 <= i <= self.trunc else Q(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Q(0)
 
     def truncate(self, T: int) -> "Series":
         if T > self.trunc:
             raise RejectedInput("cannot extend truncation from %d to %d" % (self.trunc, T))
-        return Series(self.var, self.c[: T + 1], T)
+        return self._like(self.den, self.num[: T + 1])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
-    def _common(self, other) -> tuple["Series", "Series"]:
-        if isinstance(other, (int, Fraction)):
-            other = Series.const(self.var, other, self.trunc)
-        if not isinstance(other, Series):
-            raise RejectedInput("cannot coerce %r to Series" % (other,))
+    def _check(self, other, weighted: bool) -> None:
+        """Raise unless other is a series of this kind in the same variable;
+        ``weighted`` asks a graded series for the same w-weight too."""
+        if type(other) is not type(self):
+            raise RejectedInput("cannot coerce %r to %s" % (other, type(self).__name__))
         if other.var != self.var:
             raise RejectedInput("series variable mismatch: %s vs %s" % (self.var, other.var))
-        T = min(self.trunc, other.trunc)
-        return self.truncate(T), other.truncate(T)
 
     # -- arithmetic ------------------------------------------------------------
 
+    @staticmethod
+    def combination(terms) -> "Series":
+        """The sum of q * s over the (q, s) terms, q rational, as one integer
+        linear combination over the lcm of the denominators, at the shortest
+        truncation.  The nonzero terms must share their grading; a zero term
+        carries none."""
+        n = min(len(s.num) for _, s in terms)
+        live = [(q, s) for q, s in terms if q and any(s.num)]
+        lead = live[0][1] if live else terms[0][1]
+        for q, s in terms:
+            lead._check(s, weighted=bool(q) and any(s.num))
+        den = _int_lcm(*(q.denominator * s.den for q, s in live))
+        acc = [0] * n
+        for q, s in live:
+            f = q.numerator * (den // (q.denominator * s.den))
+            acc = list(map(add, acc, map(f.__mul__, s.num[:n])))
+        return lead._like(den, acc)
+
+    def _summand(self, other) -> "Series":
+        if isinstance(other, (int, Fraction)):
+            return Series.const(self.var, other, self.trunc)
+        return other
+
     def __add__(self, other):
-        a, b = self._common(other)
-        return Series(a.var, [x + y for x, y in zip(a.c, b.c)], a.trunc)
+        return Series.combination([(1, self), (1, self._summand(other))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.var, [-x for x in self.c], self.trunc)
+        return self._like(self.den, [-x for x in self.num])
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return Series(a.var, [x - y for x, y in zip(a.c, b.c)], a.trunc)
+        return Series.combination([(1, self), (-1, self._summand(other))])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series(self.var, [x * other for x in self.c], self.trunc)
-        a, b = self._common(other)
-        return Series(a.var, _qconv(a.c, b.c, a.trunc), a.trunc)
+            return self._like(self.den * other.denominator, [x * other.numerator for x in self.num])
+        self._check(other, weighted=False)
+        n = min(len(self.num), len(other.num))
+        return self._like(self.den * other.den, _iconv(self.num, other.num, n - 1))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise RejectedInput("negative series power; divide instead")
-        return _power(self, n) if n else Series.one(self.var, self.trunc)
+        return _power(self, n) if n else self._like(1, [1] + [0] * self.trunc)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise RejectedInput("series division by zero scalar")
-            inv = Q(1) / Q(other)
-            return Series(self.var, [x * inv for x in self.c], self.trunc)
-        a, b = self._common(other)
-        if b.c[0] == 0:
+            return self * (Q(1) / other)
+        self._check(other, weighted=False)
+        if not other.num[0]:
             raise RejectedInput("series division by a non-unit (zero constant term)")
-        return Series(a.var, _qdiv(a.c, b.c, a.trunc), a.trunc)
+        n = min(len(self.num), len(other.num))
+        return self._like(*_qdiv(self.den, self.num, other.den, other.num, n - 1))
 
     def derivative(self) -> "Series":
-        if self.trunc == 0:
-            return Series(self.var, (), 0)
-        return Series(self.var, [i * self.c[i] for i in range(1, self.trunc + 1)], self.trunc - 1)
+        return self._like(self.den, [i * x for i, x in enumerate(self.num[1:], 1)] or [0])
 
     def integrate(self) -> "Series":
-        out = [Q(0)] + [self.c[i] / (i + 1) for i in range(self.trunc + 1)]
-        return Series(self.var, out, self.trunc + 1)
+        out = [Q(0)] + [Fraction(x, self.den * (i + 1)) for i, x in enumerate(self.num)]
+        return Series(self.var, out)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.var == other.var
-            and self.trunc == other.trunc
-            and self.c == other.c
-        )
+        return type(other) is type(self) and self.var == other.var and self.c == other.c
 
     def __repr__(self):
         terms = ["%s*%s^%d" % (qstr(a), self.var, i) for i, a in enumerate(self.c) if a]
@@ -702,22 +736,22 @@ def _taylor_shift(coeffs, a: Fraction, b: QLike = 1, s: QLike = 1) -> list[Fract
 
 class _Basis:
     """The columns y^0 .. y^T of one substitution series z(x) truncated at
-    T, with y = z - z(0), from its coefficients z_0 .. z_T.
+    T, with y = z - z(0), from its coefficients z_0 .. z_T, given as integer
+    numerators over one denominator d.
 
     ``rows[k]`` lists the x^k coefficients of y^0 .. y^k, column i in
-    integers over d^i with d the common denominator of y (y^i = column_i /
-    scales[i]).  Because y^i starts at x^i with the nonzero coefficient
-    z_1^i, the matrix is lower triangular: a series goes to its
-    y-coefficients by forward substitution (``to_y``) and back by one
-    integer dot product per order (``from_y``).
+    integers over d^i (y^i = column_i / scales[i]).  Because y^i starts at
+    x^i with the nonzero coefficient z_1^i, the matrix is lower triangular:
+    a series goes to its y-coefficients by forward substitution (``to_y``)
+    and back by one integer dot product per order (``from_y``).
     """
 
     __slots__ = ("z0", "rows", "scales")
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        T = len(coeffs) - 1
-        self.z0 = coeffs[0]
-        d, y = _qscale((Q(0),) + coeffs[1:])
+    def __init__(self, d: int, nums: tuple[int, ...]):
+        T = len(nums) - 1
+        self.z0 = Fraction(nums[0], d)
+        y = (0,) + nums[1:]
         col = [1] + [0] * T
         self.rows = [[] for _ in range(T + 1)]
         self.scales = []
@@ -728,15 +762,18 @@ class _Basis:
                 self.rows[k].append(col[k])
             self.scales.append(d ** i)
 
-    def to_y(self, c) -> list[Fraction]:
-        """y-coefficients 0..T of the series with x-coefficients c, by
-        forward substitution down the triangle."""
-        return [x * scale for x, scale in zip(_forward(self.rows, *_qscale(c)), self.scales)]
+    def to_y(self, s: Series) -> list[Fraction]:
+        """y-coefficients 0..T of the series s, by forward substitution down
+        the triangle."""
+        d, ys = _forward(self.rows, s.den, s.num)
+        return [Fraction(y * scale, d) for y, scale in zip(ys, self.scales)]
 
-    def from_y(self, b) -> list[Fraction]:
-        """x-coefficients 0..T of sum_i b[i] y^i."""
-        d, ints = _qscale([x / s for x, s in zip(b, self.scales)])
-        return [Fraction(sum(map(mul, ints, row)), d) for row in self.rows]
+    def from_y(self, d: int, b) -> tuple[int, list[int]]:
+        """x-coefficients 0..T of sum_i b[i]/d y^i, for integers b, as
+        integer numerators over one denominator."""
+        top = self.scales[-1]
+        ints = [x * (top // scale) for x, scale in zip(b, self.scales)]
+        return d * top, [sum(map(mul, ints, row)) for row in self.rows]
 
 
 # a genus table solves and reads back every genus over one z0(u), so the
@@ -775,9 +812,9 @@ def series_to_ratfn(
             "%d orders for %d unknowns leave no surplus order to check the reconstruction"
             % (T + 1, n + 1)
         )
-    basis = _basis(z.c[: T + 1])
+    basis = _basis(z.den, tuple(z.num[: T + 1]))
     den_y = (Poly(_taylor_shift(base.c, basis.z0)) ** max_pole_ord).c
-    num = _qconv(basis.to_y(s.c[: T + 1]), den_y, T)
+    num = _qconv(basis.to_y(s.truncate(T)), den_y, T)
     if any(num[n + 1 :]):
         raise ReconstructionFailed("a surplus order of the reconstruction does not vanish")
     return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord, var)
@@ -793,13 +830,14 @@ def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
         T = z.trunc
     if z.trunc < T:
         raise RejectedInput("substitution series too short for requested order")
-    basis = _basis(z.c[: T + 1])
+    basis = _basis(z.den, tuple(z.num[: T + 1]))
     if r.den_base.eval(basis.z0) ** r.den_pow == 0:
         raise PoleAtBasepoint("denominator vanishes at the expansion basepoint")
-    num = _taylor_shift(r.num.c, basis.z0)
+    num = _qscale(_taylor_shift(r.num.c, basis.z0)[: T + 1])
     if r.den_pow:
-        num = _qdiv(num, (Poly(_taylor_shift(r.den_base.c, basis.z0)) ** r.den_pow).c, T)
-    return Series(z.var, basis.from_y(num), T)
+        den = (Poly(_taylor_shift(r.den_base.c, basis.z0)) ** r.den_pow).c
+        num = _qdiv(*num, *_qscale(den[: T + 1]), T)
+    return Series._of(z.var, *basis.from_y(*num))
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +845,7 @@ def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
 # c_j * w^(e_j) with e_j = (base2 + j*step2)/2
 # ---------------------------------------------------------------------------
 
-class GradedSeries:
+class GradedSeries(Series):
     """Self-similar series in one time variable with slaved monomial powers
     of a spatial variable w.
 
@@ -815,97 +853,78 @@ class GradedSeries:
     are stored doubled so half-integer powers (odd-valence scalings) stay in
     integer arithmetic.  Multiplication adds base2, spatial differentiation
     lowers it by 2, and every equation assembled from self-similar data stays
-    inside the class.
+    inside the class.  Only the weight sets it apart from a ``Series``: sums
+    need one weight among their nonzero terms, and zero carries none.
     """
 
-    __slots__ = ("var", "c", "trunc", "base2", "step2")
+    __slots__ = ("base2", "step2")
 
     def __init__(self, var: str, coeffs, base2: int, step2: int, trunc: int | None = None):
-        c = [x if type(x) is Fraction else Q(x) for x in coeffs]
-        if trunc is None:
-            trunc = len(c) - 1
-        if len(c) < trunc + 1:
-            c += [Q(0)] * (trunc + 1 - len(c))
-        self.var = var
-        self.c = tuple(c[: trunc + 1])
-        self.trunc = trunc
+        super().__init__(var, coeffs, trunc)
         self.base2 = base2
         self.step2 = step2
 
+    def _like(self, den: int, num: list[int], base2: int | None = None) -> "GradedSeries":
+        out = self._of(self.var, den, num)
+        out.base2 = self.base2 if base2 is None else base2
+        out.step2 = self.step2
+        return out
+
     @staticmethod
     def from_series(s: Series, base2: int, step2: int) -> "GradedSeries":
-        return GradedSeries(s.var, s.c, base2, step2, s.trunc)
+        out = GradedSeries._of(s.var, s.den, s.num)
+        out.base2, out.step2 = base2, step2
+        return out
 
     @staticmethod
     def const(var: str, q: QLike, base2: int, step2: int, trunc: int) -> "GradedSeries":
         return GradedSeries(var, (q,), base2, step2, trunc)
 
-    def coeff(self, j: int) -> Fraction:
-        return self.c[j] if 0 <= j <= self.trunc else Q(0)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
-
-    def truncate(self, T: int) -> "GradedSeries":
-        return GradedSeries(self.var, self.c[: T + 1], self.base2, self.step2, min(T, self.trunc))
-
-    def _check(self, other: "GradedSeries", need_base: bool):
-        if self.var != other.var or self.step2 != other.step2:
+    def _check(self, other, weighted: bool) -> None:
+        super()._check(other, weighted)
+        if self.step2 != other.step2:
             raise RejectedInput("graded series grading mismatch")
-        if need_base and self.base2 != other.base2 and not (self.is_zero() or other.is_zero()):
+        if weighted and self.base2 != other.base2:
             raise RejectedInput(
                 "graded series weight mismatch: base2 %d vs %d" % (self.base2, other.base2)
             )
 
-    def __add__(self, other: "GradedSeries"):
-        self._check(other, need_base=True)
-        base2 = other.base2 if self.is_zero() else self.base2
-        T = min(self.trunc, other.trunc)
-        return GradedSeries(self.var, [x + y for x, y in zip(self.c, other.c)], base2, self.step2, T)
-
-    def __neg__(self):
-        return GradedSeries(self.var, [-x for x in self.c], self.base2, self.step2, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GradedSeries(self.var, [x * other for x in self.c], self.base2, self.step2, self.trunc)
-        self._check(other, need_base=False)
-        T = min(self.trunc, other.trunc)
-        return GradedSeries(self.var, _qconv(self.c, other.c, T), self.base2 + other.base2, self.step2, T)
+        out = super().__mul__(other)
+        if isinstance(other, GradedSeries):
+            out.base2 += other.base2
+        return out
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise RejectedInput("negative graded power")
-        return _power(self, n) if n else GradedSeries.const(self.var, 1, 0, self.step2, self.trunc)
+        return super().__pow__(n) if n else self._like(1, [1] + [0] * self.trunc, 0)
 
-    def __truediv__(self, other: "GradedSeries"):
-        self._check(other, need_base=False)
-        if other.coeff(0) == 0:
-            raise RejectedInput("graded division by non-unit")
-        T = min(self.trunc, other.trunc)
-        return GradedSeries(self.var, _qdiv(self.c, other.c, T), self.base2 - other.base2, self.step2, T)
+    def __truediv__(self, other):
+        out = super().__truediv__(other)
+        if isinstance(other, GradedSeries):
+            out.base2 -= other.base2
+        return out
 
     def xmul(self, k: int = 1):
         """Multiply by x^k (the time variable alone, no w attached)."""
-        out = [Q(0)] * (self.trunc + 1)
-        for j in range(k, self.trunc + 1):
-            out[j] = self.c[j - k]
-        return GradedSeries(self.var, out, self.base2 - k * self.step2, self.step2, self.trunc)
+        n = len(self.num)
+        return self._like(self.den, [0] * min(k, n) + self.num[: max(n - k, 0)], self.base2 - k * self.step2)
 
     def dw(self):
-        """Spatial derivative: multiplies c_j by the exponent (base2+j*step2)/2."""
-        out = [self.c[j] * Q(self.base2 + j * self.step2, 2) for j in range(self.trunc + 1)]
-        return GradedSeries(self.var, out, self.base2 - 2, self.step2, self.trunc)
+        """Spatial derivative: multiplies c_j by the exponent (base2+j*step2)/2,
+        an integer at even weights, so only half-integer weights double den."""
+        b, step, den = self.base2, self.step2, self.den
+        if b % 2 or step % 2:
+            den *= 2
+        else:
+            b, step = b // 2, step // 2
+        return self._like(den, [x * (b + j * step) for j, x in enumerate(self.num)], self.base2 - 2)
 
     def dx(self):
         """Time derivative d/dx."""
-        out = [(j + 1) * self.coeff(j + 1) for j in range(self.trunc)]
-        return GradedSeries(self.var, out, self.base2 + self.step2, self.step2, max(self.trunc - 1, 0))
+        out = [j * x for j, x in enumerate(self.num[1:], 1)] or [0]
+        return self._like(self.den, out, self.base2 + self.step2)
 
     def integrate_w(self):
         """Termwise antiderivative in w; rejects any w^(-1) term.
@@ -914,31 +933,25 @@ class GradedSeries:
         the integrated equations rely on, so hitting one is an error.
         """
         out = []
-        for j in range(self.trunc + 1):
+        for j, x in enumerate(self.num):
             e2 = self.base2 + j * self.step2
             if e2 == -2:
-                if self.c[j] != 0:
+                if x:
                     raise RejectedInput("w^(-1) term obstructs termwise antiderivative")
-                out.append(Q(0))
+                out.append(0)
             else:
-                out.append(self.c[j] / Q(e2 + 2, 2))
-        return GradedSeries(self.var, out, self.base2 + 2, self.step2, self.trunc)
+                out.append(Fraction(2 * x, self.den * (e2 + 2)))
+        return GradedSeries(self.var, out, self.base2 + 2, self.step2)
 
     def at_w1(self) -> Series:
-        return Series(self.var, self.c, self.trunc)
+        return Series._of(self.var, self.den, self.num)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
         if self.is_zero() and other.is_zero():
             return self.var == other.var and self.step2 == other.step2
-        return (
-            self.var == other.var
-            and self.step2 == other.step2
-            and self.base2 == other.base2
-            and self.trunc == other.trunc
-            and self.c == other.c
-        )
+        return self.base2 == other.base2 and self.step2 == other.step2 and super().__eq__(other)
 
     def __repr__(self):
         return "GradedSeries[%s;base2=%d,step2=%d](%s)" % (

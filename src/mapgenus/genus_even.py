@@ -51,7 +51,8 @@ def falling(x, m: int) -> Fraction:
 def resonance_lambda(nu: int, g: int, m: int) -> Fraction:
     """Eigenvalue of the second spatial derivative of the genus-g lift on
     the u^m monomial; factors as F (F - 1) with F the Euler face count."""
-    return Q(((nu - 1) * m - 2 * g + 2) * ((nu - 1) * m - 2 * g + 1))
+    F = face_count(nu, g, m)
+    return Q(F * (F - 1))
 
 
 def face_count(nu: int, g: int, m: int) -> int:

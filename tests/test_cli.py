@@ -30,6 +30,9 @@ CLOSED_FORM_DIGESTS = {
     "verify continuum --nu 3 --g 3": "42741145978da92b5be373921990d9d93a8ebc122154220673dfbff894ace4b3",
     "report --nu 2": "0c0381198c4ade85ff22d345d017fe90612e555b33b45f6c8257e76041f516f1",
     "report --nu 4": "5ff847af33aa481f752cfa16d6a9e3dd35c4ba24be87d03c196d7314af7e0000",
+    "trivalent --mmax 6": "2891e4939e41283862a1bd55a83d07f5eaac94471ccbfeabecfb6731847934ad",
+    "z0 --nu 5 --order 30": "18c54679add0ecb05a9afa0bd978e4a4882bb53c0872665046c4c7ef80cd84d5",
+    "eg --nu 5 --g 3": "758d81ad14a2bcb9cbc3b99003cd940c757c94ce841dec26f7a2d1546c8cbbed",
 }
 
 

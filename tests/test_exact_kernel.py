@@ -650,6 +650,133 @@ def test_division_by_a_non_unit_still_raises():
         Series("u", [1, 2]) / 0
 
 
+# -- integer series against the Fraction reference --------------------------
+
+
+def scalars():
+    return [rng.randint(-9, 9), Q(rng.randint(-40, 40), rng.randint(1, 40)), 0]
+
+
+def test_series_arithmetic_matches_fraction_reference_randomized():
+    for a, b in operand_pairs():
+        sa, sb = Series("t", a), Series("t", b)
+        T = min(len(a), len(b)) - 1
+        for got, want in (
+            (sa + sb, [x + y for x, y in zip(a, b)]),
+            (sa - sb, [x - y for x, y in zip(a, b)]),
+            (sb - sa, [y - x for x, y in zip(a, b)]),
+            (sa * sb, naive_conv(a, b, T)),
+            (sa.derivative(), [i * x for i, x in enumerate(a)][1:] or [Q(0)]),
+            (sa.integrate(), [Q(0)] + [x / (i + 1) for i, x in enumerate(a)]),
+            (sa ** 3, naive_conv(naive_conv(a, a, len(a) - 1), a, len(a) - 1)),
+            (sa ** 0, [Q(1)] + [Q(0)] * (len(a) - 1)),
+        ):
+            assert type(got) is Series and list(got.c) == want and canonical(got.c)
+        if b[0]:
+            assert list((sa / sb).c) == plain_quotient(a, b, T)
+        j = rng.randint(0, len(a) - 1)
+        assert sa.truncate(j).c == tuple(a[: j + 1])
+        for q in scalars():
+            head = [a[0] + q] + a[1:]
+            assert list((sa + q).c) == list((q + sa).c) == head
+            assert list((sa - q).c) == [a[0] - q] + a[1:]
+            assert list((q - sa).c) == [q - a[0]] + [-x for x in a[1:]]
+            assert list((sa * q).c) == list((q * sa).c) == [x * q for x in a]
+            if q:
+                assert list((sa / q).c) == [x / q for x in a]
+
+
+def test_graded_arithmetic_matches_fraction_reference_randomized():
+    for k, (a, b) in enumerate(operand_pairs()):
+        step2 = (2, 3, 4, 1)[k % 4]
+        base = rng.randint(-6, 6)
+        ga = GradedSeries("u", a, base2=base, step2=step2)
+        gb = GradedSeries("u", b, base2=base, step2=step2)
+        gc = GradedSeries("u", b, base2=rng.randint(-6, 6), step2=step2)
+        T = min(len(a), len(b)) - 1
+        n = len(a)
+        shift = rng.randint(0, n + 1)
+        for got, want, base2 in (
+            (ga + gb, [x + y for x, y in zip(a, b)], base),
+            (ga - gb, [x - y for x, y in zip(a, b)], base),
+            (ga * gc, naive_conv(a, b, T), base + gc.base2),
+            (ga ** 2, naive_conv(a, a, n - 1), 2 * base),
+            (ga ** 0, [Q(1)] + [Q(0)] * (n - 1), 0),
+            (ga.truncate(T), a[: T + 1], base),
+            (ga.xmul(shift), ([Q(0)] * shift + a)[:n], base - shift * step2),
+            (ga.dw(), [x * Q(base + j * step2, 2) for j, x in enumerate(a)], base - 2),
+            (ga.dx(), [j * x for j, x in enumerate(a)][1:] or [Q(0)], base + step2),
+        ):
+            assert type(got) is GradedSeries and list(got.c) == want and canonical(got.c)
+            assert (got.base2, got.step2) == (base2, step2)
+        if b[0]:
+            quotient = ga / gc
+            assert list(quotient.c) == plain_quotient(a, b, T) and quotient.base2 == base - gc.base2
+        exps = [base + j * step2 for j in range(n)]
+        if all(e != -2 or x == 0 for e, x in zip(exps, a)):
+            got = ga.integrate_w()
+            assert list(got.c) == [Q(0) if e == -2 else x / Q(e + 2, 2) for e, x in zip(exps, a)]
+            assert got.base2 == base + 2 and canonical(got.c)
+        for q in scalars():
+            scaled = q * ga
+            assert list(scaled.c) == list((ga * q).c) == [x * q for x in a] and scaled.base2 == base
+        qb, qa, _ = scalars()
+        got = GradedSeries.combination([(qa, ga), (qb, gb), (Q(1, 3), ga.truncate(T))])
+        assert list(got.c) == [qa * x + qb * y + x / 3 for x, y in zip(a, b)] and got.base2 == base
+
+
+def test_unreduced_representations_compare_equal():
+    for denoms in (COPRIME_DENOMS, SHARED_DENOMS):
+        a = rand_coeffs(8, denoms, zero_share=0)
+        s = Series("t", a)
+        t = (s * 6) * Q(1, 6)
+        assert (t.den, t.num) != (s.den, s.num) and t == s and t.c == s.c and repr(t) == repr(s)
+        g = GradedSeries("u", a, base2=3, step2=5)
+        h = (g * 35) / 35
+        assert (h.den, h.num) != (g.den, g.num) and h == g and repr(h) == repr(g)
+        assert h != GradedSeries("u", a, base2=1, step2=5)
+
+
+def test_graded_weights_meet_only_on_nonzero_terms():
+    g = GradedSeries("u", [1, Q(1, 2), 3], base2=2, step2=2)
+    other = GradedSeries("u", [Q(2, 3), 0, 1], base2=4, step2=2)
+    for bad in (lambda: g + other, lambda: g - other, lambda: GradedSeries.combination([(1, g), (2, other)])):
+        with pytest.raises(RejectedInput, match="weight mismatch"):
+            bad()
+    zero = GradedSeries("u", [0, 0, 0], base2=4, step2=2)
+    for got in (g + zero, zero + g, g - zero, GradedSeries.combination([(1, g), (0, other)])):
+        assert got == g and got.base2 == 2
+    assert (zero - zero).base2 == 4
+    assert zero == GradedSeries("u", [0], base2=-6, step2=2)
+    with pytest.raises(RejectedInput):
+        g + GradedSeries("u", [1], base2=2, step2=4)
+    with pytest.raises(RejectedInput):
+        g + Series("u", [1, 2])
+    with pytest.raises(RejectedInput):
+        1 - g  # a bare constant names no weight
+
+
+def test_series_operations_rescale_no_rationals(monkeypatch):
+    """Once the operands are built, sums, products, derivatives, shifts,
+    truncations and linear combinations work on the integer numerators."""
+    from mapgenus import exact_kernel
+
+    a, b = rand_coeffs(9, COPRIME_DENOMS), rand_coeffs(7, SHARED_DENOMS)
+    s, t = Series("t", a), Series("t", b)
+    g, h = GradedSeries("u", a, base2=2, step2=2), GradedSeries("u", b, base2=2, step2=2)
+    odd = GradedSeries("u", b, base2=1, step2=3)
+    calls = []
+    qscale = exact_kernel._qscale
+    monkeypatch.setattr(exact_kernel, "_qscale", lambda xs: calls.append(1) or qscale(xs))
+    results = [
+        s + t, s - t, s * t, s * Q(-3, 7), 5 * s, s.derivative(), s.truncate(3),
+        g + h, g - h, g * h, Q(2, 9) * g, odd * odd, g.dw(), odd.dw(), g.dx(), g.xmul(2), g.truncate(4),
+        Series.combination([(Q(1, 2), s), (-3, t)]),
+        GradedSeries.combination([(Q(5, 4), g), (2, h)]),
+    ]
+    assert calls == [] and len(results) == 19
+
+
 # -- the RatFn <-> DLaurent crossing against the Horner forms ----------------
 
 

@@ -100,18 +100,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_every_trace_target_resolves():
+def _trace_targets():
+    """span name -> the object each ``perfbench/tracer.py`` target names,
+    None where the path does not resolve."""
     # tracer.py imports nothing from mapgenus, so it loads by path alone
     spec = importlib.util.spec_from_file_location("tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = []
+    out = {}
     for span, (module, path) in sorted(tracer.TARGETS.items()):
         obj = importlib.import_module("mapgenus." + module)
         for part in path.split("."):
             obj = vars(obj).get(part)
             if obj is None:
                 break
-        if not callable(obj):
-            missing.append(span)
-    assert missing == []
+        out[span] = obj
+    return out
+
+
+def test_every_trace_target_resolves():
+    assert [span for span, obj in _trace_targets().items() if not callable(obj)] == []
+
+
+def test_trace_targets_are_distinct_functions():
+    # an alias such as `GradedSeries.__mul__ = Series.__mul__` resolves, but
+    # the tracer would wrap the one function twice and split its spans
+    spans: dict[int, list[str]] = {}
+    for span, obj in _trace_targets().items():
+        spans.setdefault(id(obj), []).append(span)
+    assert [names for names in spans.values() if len(names) > 1] == []
