@@ -7,8 +7,10 @@ are lossy convenience views.  Exit codes: 0 success, 1 a machine-checked
 identity failed, 2 usage error, 3 reconstruction or resonance failure.
 
 Each payload builder imports the engine modules it uses, so a command
-loads only what it runs and a cache hit loads no engine module; the cache
-imports ``hashlib`` and ``tempfile`` only when it is used.
+loads only what it runs and a cache hit loads no engine module.  The cache
+digests with the BLAKE2b built into CPython, so no cached run loads
+``hashlib`` and OpenSSL, and it imports ``tempfile`` only to store.  Only
+the commands that argv names get a parser.
 """
 
 from __future__ import annotations
@@ -41,12 +43,21 @@ CACHE_ENV = "MAPGENUS_CACHE_DIR"
 # ---------------------------------------------------------------------------
 
 
+def _blake2b(digest_size: int, data: bytes = b""):
+    """A BLAKE2b hasher from the module built into CPython, which, unlike
+    ``hashlib``, does not load OpenSSL."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # _blake2 is CPython's; hashlib.blake2b gives the same digests
+        from hashlib import blake2b
+    return blake2b(data, digest_size=digest_size)
+
+
 @functools.cache
 def source_digest() -> str:
-    """sha256 over the names and bytes of the package's own ``.py`` files."""
-    import hashlib
-
-    h = hashlib.sha256()
+    """256-bit BLAKE2b over the names and bytes of the package's own
+    ``.py`` files."""
+    h = _blake2b(32)
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
@@ -61,26 +72,25 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
 
     The stored key carries the engine version and the digest of the
     package sources, so an entry never outlives the code that computed it.
-    Entries are single JSON files named by the key hash; writes go through
-    a temp file and rename so readers never see partial entries.  A corrupt
-    entry is recomputed and overwritten with a warning; an unwritable cache
-    directory degrades to compute-only with a warning."""
+    Entries are single JSON files named by a 128-bit BLAKE2b of the key;
+    writes go through a temp file and rename so readers never see partial
+    entries.  An entry that is not a JSON object holding this key and an
+    object payload is recomputed and overwritten with a warning; an
+    unwritable cache directory degrades to compute-only with a warning."""
     if no_cache or not cache_dir:
         return producer()
-    import hashlib
-
     full_key = "%s | engine %s | source %s" % (key, __version__, source_digest())
-    name = hashlib.sha256(full_key.encode()).hexdigest()[:32] + ".json"
+    name = _blake2b(16, full_key.encode()).hexdigest() + ".json"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-            if entry.get("key") == full_key:
-                return entry["payload"]
-            print("cache entry key mismatch; recomputing", file=sys.stderr)
-        except (json.JSONDecodeError, KeyError, OSError):
-            print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
+        except (ValueError, OSError):
+            entry = None
+        if isinstance(entry, dict) and entry.get("key") == full_key and isinstance(entry.get("payload"), dict):
+            return entry["payload"]
+        print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
     payload = producer()
     entry = {
         "key": full_key,
@@ -311,10 +321,24 @@ def render(payload: dict, fmt: str) -> str:
     return "".join("%-*s  %s\n" % (width, k, v) for k, v in rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named(commands, argv) -> tuple:
+    """The commands that argv names, or all of them when it names none or
+    asks for help.  argparse dispatches only to a command whose name it
+    reads from argv, so the others need no parser.  A help page, and the
+    "invalid choice" error of an argv that names no command, list every
+    command."""
+    named = tuple(c for c in commands if c in argv)
+    if not named or any(a.startswith(("-h", "--h")) for a in argv):
+        return commands
+    return named
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
     """Each command's parser sets ``run``, its payload builder (called with
     the command's options as keywords), and ``cached``, whether its
-    documents go through the result cache."""
+    documents go through the result cache.  Only the commands that argv
+    names get a parser (``_named``)."""
+    named = _named(("z0", "zg", "eg", "maps", "verify", "trivalent", "report"), argv)
     parser = argparse.ArgumentParser(
         prog="mapgenus",
         description="exact genus expansions and map enumeration on surfaces",
@@ -324,61 +348,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("z0", help="planar generating function")
-    p.set_defaults(run=payload_z0, cached=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--order", type=int, default=16)
+    if "z0" in named:
+        p = sub.add_parser("z0", help="planar generating function")
+        p.set_defaults(run=payload_z0, cached=True)
+        p.add_argument("--nu", type=int, required=True)
+        p.add_argument("--order", type=int, default=16)
 
-    p = sub.add_parser("zg", help="two-leg generating function at genus g")
-    p.set_defaults(run=payload_zg, cached=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--order", type=int)
+    if "zg" in named:
+        p = sub.add_parser("zg", help="two-leg generating function at genus g")
+        p.set_defaults(run=payload_zg, cached=True)
+        p.add_argument("--nu", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--order", type=int)
 
-    p = sub.add_parser("eg", help="free-energy coefficient at genus g")
-    p.set_defaults(run=payload_eg, cached=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--series-order", type=int, dest="order")
+    if "eg" in named:
+        p = sub.add_parser("eg", help="free-energy coefficient at genus g")
+        p.set_defaults(run=payload_eg, cached=True)
+        p.add_argument("--nu", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--series-order", type=int, dest="order")
 
-    p = sub.add_parser("maps", help="labelled regular map counts by genus")
-    p.set_defaults(run=payload_maps, cached=True)
-    p.add_argument("--valence", type=int, required=True)
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--genus", type=int)
+    if "maps" in named:
+        p = sub.add_parser("maps", help="labelled regular map counts by genus")
+        p.set_defaults(run=payload_maps, cached=True)
+        p.add_argument("--valence", type=int, required=True)
+        p.add_argument("--vertices", type=int, required=True)
+        p.add_argument("--genus", type=int)
 
-    v = sub.add_parser("verify", help="machine verification of the identities")
-    vsub = v.add_subparsers(dest="what", required=True)
-    p = vsub.add_parser("lattice")
-    p.set_defaults(run=payload_verify_lattice, cached=False)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--torder", type=int, default=4)
-    p.add_argument("--with-t1", action="store_true")
-    p = vsub.add_parser("continuum")
-    p.set_defaults(run=payload_verify_continuum, cached=False)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--g", type=int, default=2)
-    p.add_argument("--order", type=int)
-    p = vsub.add_parser("odd")
-    p.set_defaults(run=payload_verify_odd, cached=False)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
+    if "verify" in named:
+        v = sub.add_parser("verify", help="machine verification of the identities")
+        vsub = v.add_subparsers(dest="what", required=True)
+        vnamed = _named(("lattice", "continuum", "odd"), argv)
+        if "lattice" in vnamed:
+            p = vsub.add_parser("lattice")
+            p.set_defaults(run=payload_verify_lattice, cached=False)
+            p.add_argument("--nu", type=int, required=True)
+            p.add_argument("--nmax", type=int, default=6)
+            p.add_argument("--torder", type=int, default=4)
+            p.add_argument("--with-t1", action="store_true")
+        if "continuum" in vnamed:
+            p = vsub.add_parser("continuum")
+            p.set_defaults(run=payload_verify_continuum, cached=False)
+            p.add_argument("--nu", type=int, required=True)
+            p.add_argument("--g", type=int, default=2)
+            p.add_argument("--order", type=int)
+        if "odd" in vnamed:
+            p = vsub.add_parser("odd")
+            p.set_defaults(run=payload_verify_odd, cached=False)
+            p.add_argument("--nu", type=int, required=True)
+            p.add_argument("--order", type=int, default=10)
 
-    p = sub.add_parser("trivalent", help="trivalent golden values vs matchings")
-    p.set_defaults(run=payload_trivalent, cached=False)
-    p.add_argument("--mmax", type=int, default=4)
+    if "trivalent" in named:
+        p = sub.add_parser("trivalent", help="trivalent golden values vs matchings")
+        p.set_defaults(run=payload_trivalent, cached=False)
+        p.add_argument("--mmax", type=int, default=4)
 
-    p = sub.add_parser("report", help="standard verification sweep")
-    p.set_defaults(run=payload_report, cached=False)
-    p.add_argument("--nu", type=int, default=2)
+    if "report" in named:
+        p = sub.add_parser("report", help="standard verification sweep")
+        p.set_defaults(run=payload_report, cached=False)
+        p.add_argument("--nu", type=int, default=2)
     return parser
 
 
 def parse_options(argv) -> dict:
     """The parsed arguments as a plain dict.  The parser is built and
     dropped here, so none of it stays referenced while the command runs."""
-    return vars(build_parser().parse_args(argv))
+    return vars(build_parser(argv).parse_args(argv))
 
 
 # exit code and stderr prefix of each engine error; an error class not

@@ -412,7 +412,10 @@ class ZEntry(namedtuple("ZEntry", "series ratfn over_z0")):
 
 class ZTable:
     """Sequential store of z_g data for one valence; g = 0 is the planar
-    series itself (identity rational function)."""
+    series itself (identity rational function).  ``log_terms`` holds the
+    log terms L_1, L_2, ... after a None at index 0, appended by
+    ``genus_even.log_term_ratfn``; it stays valid because ``solve_zg``
+    only ever adds entries."""
 
     def __init__(self, nu: int, T: int):
         self.nu = nu
@@ -423,6 +426,7 @@ class ZTable:
         self.entries: dict[int, ZEntry] = {
             0: ZEntry(data.z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
         }
+        self.log_terms: list[DLaurent | None] = [None]
 
     def series(self, g: int) -> Series:
         return self.entries[g].series

@@ -457,13 +457,14 @@ def E_w_derivs(etable: "ETable", h: int, p: int) -> LogRational:
 def log_term_ratfn(g: int, ztable: ZTable) -> DLaurent:
     """Order-2g coefficient L_g of log(sum_m n^(-2m) z_m/z0), by the
     log-derivative recurrence m L_m = m a_m - sum_{k<m} k L_k a_(m-k) in the
-    stored a_m = z_m/z0 (Knuth, TAOCP vol. 2, 4.7)."""
-    a = [ztable.entries[m].over_z0 for m in range(g + 1)]
-    logs = [None]
-    for m in range(1, g + 1):
-        acc = a[m] * m
+    stored a_m = z_m/z0 (Knuth, TAOCP vol. 2, 4.7).  The terms are kept on
+    the table, so building it to genus G costs about G^2/2 products."""
+    logs = ztable.log_terms
+    a = ztable.entries
+    for m in range(len(logs), g + 1):
+        acc = a[m].over_z0 * m
         for k in range(1, m):
-            acc = acc - logs[k] * a[m - k] * k
+            acc = acc - logs[k] * a[m - k].over_z0 * k
         logs.append(acc * Q(1, m))
     return logs[g]
 

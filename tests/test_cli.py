@@ -369,7 +369,10 @@ def test_cache_source_digest_in_key(tmp_path, monkeypatch):
     assert len(calls) == 2  # changed sources miss the old entry
 
 
-def test_cache_corrupt_entry_recovers(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "corrupt", ["{ not json", "[]", "null", '"x"'], ids=["not_json", "list", "null", "string"]
+)
+def test_cache_corrupt_entry_recovers(tmp_path, capsys, corrupt):
     cache = str(tmp_path)
     calls = []
 
@@ -380,7 +383,7 @@ def test_cache_corrupt_entry_recovers(tmp_path, capsys):
     cache_lookup_or_compute(cache, "k", producer)
     (entry,) = [p for p in os.listdir(cache) if p.endswith(".json")]
     with open(os.path.join(cache, entry), "w") as fh:
-        fh.write("{ not json")
+        fh.write(corrupt)
     out = cache_lookup_or_compute(cache, "k", producer)
     assert out == {"value": 1} and len(calls) == 2
     # and the entry was repaired
@@ -493,6 +496,49 @@ def test_engine_commands_load_no_dataclasses():
 def test_only_the_cache_loads_hashlib():
     assert "hashlib" not in loaded_by()
     assert "hashlib" not in loaded_by("--no-cache", "maps", "--valence", "4", "--vertices", "2")
+
+
+def test_cached_runs_load_no_openssl(tmp_path):
+    """The cache digests with the builtin BLAKE2b: neither a store nor a
+    hit loads ``hashlib`` and the OpenSSL it maps."""
+    argv = ("--cache-dir", str(tmp_path), "eg", "--nu", "2", "--g", "2")
+    for _ in ("store", "hit"):
+        assert not loaded_by(*argv) & {"hashlib", "_hashlib"}
+    assert len(os.listdir(tmp_path)) == 1
+
+
+def test_one_parser_per_named_command(monkeypatch, capsys):
+    """argparse dispatches only to a command named in argv, so only those
+    get a parser; with none named, every command does, and help lists all."""
+    import argparse
+
+    import mapgenus.cli as cli_mod
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, parsers in (
+        (["zg", "--nu", "2", "--g", "3"], 2),
+        (["verify", "lattice", "--nu", "2"], 3),
+        ([], 11),
+    ):
+        built.clear()
+        try:
+            cli_mod.parse_options(argv)
+        except SystemExit:
+            assert not argv
+        assert len(built) == parsers, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli_mod.parse_options(["--help"])
+    usage = capsys.readouterr().out
+    for command in ("z0", "zg", "eg", "maps", "verify", "trivalent", "report"):
+        assert "\n    %s " % command in usage, command
 
 
 def test_records_are_immutable():

@@ -148,6 +148,35 @@ def test_log_term_recurrence_matches_partition_sum(nu):
         assert log_term_ratfn(g, ztable) == partition_log_term(g, ztable)
 
 
+def test_log_terms_are_kept_on_the_ztable(monkeypatch):
+    """Each genus extends the stored L_1 .. L_(g-1) by one term, with one
+    product per lower genus: building the table to genus G makes G(G-1)/2
+    products, where rebuilding the terms on every call made about G^3/6."""
+    from mapgenus import genus_even
+
+    products, inside = {}, []
+    mul, log_term = DLaurent.__mul__, genus_even.log_term_ratfn
+
+    def counting_mul(self, other):
+        if inside and isinstance(other, DLaurent):
+            products[inside[-1]] = products.get(inside[-1], 0) + 1
+        return mul(self, other)
+
+    def counting_log_term(g, ztable):
+        inside.append(g)
+        try:
+            return log_term(g, ztable)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(DLaurent, "__mul__", counting_mul)
+    monkeypatch.setattr(genus_even, "log_term_ratfn", counting_log_term)
+    G = 8
+    build_etable(2, G)
+    assert products == {g: g - 1 for g in range(2, G + 1)}
+    assert sum(products.values()) == G * (G - 1) // 2
+
+
 @pytest.mark.parametrize("nu", [2, 3, 4])
 def test_theta_inverse_undoes_theta_plus_b(nu):
     rng = random.Random(nu)
