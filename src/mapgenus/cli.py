@@ -200,12 +200,13 @@ def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
 
 
 def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
-    from .exact_kernel import Q
+    from fractions import Fraction
+
     from .lattice_oracle import WeightSpec, recurrence_table, verify_hirota, verify_lattice_equations
 
     if nmax < 1:
         raise RejectedInput("--nmax must be >= 1")
-    g_s = Q(1, nmax)
+    g_s = Fraction(1, nmax)
     spec = WeightSpec(nu=nu, g_s=g_s, include_t1=with_t1)
     table = recurrence_table(spec, n_max=nmax + nu + 1, T=torder)
     reports = [

@@ -17,7 +17,6 @@ from math import factorial
 from .combinatorics import Terms, trinomial
 from .errors import RejectedInput, VerificationFailure
 from .exact_kernel import GradedSeries, Q, Series, series_log
-from . import fatgraph_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +331,8 @@ def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
     The scale is t3 = beta * t with beta^2 = 1/9: calibrated on the
     two-vertex planar count and then applied to every (genus, vertex-count)
     pair with m <= m_max (odd m carry no matchings on either side)."""
+    from . import fatgraph_oracle
+
     if m_max % 2 or m_max < 2:
         raise RejectedInput("m_max must be even and >= 2")
     forms = trivalent_closed_forms(T)

@@ -1,5 +1,8 @@
-"""Exception hierarchy shared by all engine modules, and the pass/fail
-verdict of a list of checks."""
+"""Exception hierarchy shared by all engine modules, the pass/fail verdict
+of a list of checks, and the scaling of rationals to integers over one
+denominator that both exact-arithmetic modules use."""
+
+from math import lcm
 
 
 class EngineError(Exception):
@@ -49,3 +52,9 @@ class SizeLimit(EngineError):
 def status_of(entries: list) -> str:
     """"pass" when every check listed in entries passed, else "fail"."""
     return "pass" if all(e["status"] == "pass" for e in entries) else "fail"
+
+
+def _qscale(xs) -> tuple[int, list[int]]:
+    """(d, [x*d for x in xs]) with d the lcm of the denominators of xs."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]

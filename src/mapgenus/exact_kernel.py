@@ -38,6 +38,7 @@ from .errors import (
     PoleAtBasepoint,
     ReconstructionFailed,
     RejectedInput,
+    _qscale,
 )
 
 Q = Fraction
@@ -51,12 +52,6 @@ def qstr(q: QLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def _qscale(xs) -> tuple[int, list[int]]:
-    """(d, [x*d for x in xs]) with d the lcm of the denominators of xs."""
-    d = _int_lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def _iconv(ia, ib, n: int) -> list[int]:

@@ -9,6 +9,9 @@ deformation is switched on) with rational coefficients.  The normalization
 drops out of every identity checked here, which are all ratio- or
 log-difference-based.
 
+Each sum, product and table entry is one integer pass (``_fused``), and
+only ``asymptotic_match``'s fit imports the continuum derivation's kernel.
+
 A sign/normalization note that the verifications pin down exactly: with the
 weight (1/g_s)(lambda^2/2 + t/(2 nu) lambda^(2 nu)), the coupling flow of
 the recurrence coefficients is
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from types import MappingProxyType
@@ -34,27 +36,40 @@ from .errors import (
     ReconstructionFailed,
     RejectedInput,
     VerificationFailure,
+    _qscale,
     status_of,
 )
-from .exact_kernel import Q, Series, _qscale, solve_linear
 
 
 # ---------------------------------------------------------------------------
 # bivariate truncated series in (t1, t), truncation by total degree
 # ---------------------------------------------------------------------------
 
-def _convolve_into(out: dict, ia, ib, T: int, m: int = 1) -> dict:
-    """out[(r, k)] += m x y over the term pairs of two ``BiSeries._ints``
-    lists whose total degree stays <= T; returns out."""
-    for e1, r1, k1, x in ia:
-        room = T - e1
-        x *= m
-        for e2, r2, k2, y in ib:
-            if e2 > room:
-                break
-            key = (r1 + r2, k1 + k2)
-            out[key] = out.get(key, 0) + x * y
-    return out
+def _fused(T: int, plains, products=()) -> "BiSeries":
+    """sum(sign * s for sign, s in plains) + sum(sign * u * v for sign, u, v
+    in products) to total degree T, each sign +1 or -1: the one place where
+    BiSeries numerators accumulate.  Every term is scaled to a common
+    denominator and added in one integer pass, products over the operands'
+    sorted terms (``BiSeries._ints``), and the result is reduced once."""
+    den = _int_lcm(*(s.den for _, s in plains), *(u.den * v.den for _, u, v in products))
+    out: dict = {}
+    for sign, s in plains:
+        m = sign * (den // s.den)
+        for key, x in s.num.items():
+            if key[0] + key[1] <= T:
+                out[key] = out.get(key, 0) + x * m
+    for sign, u, v in products:
+        m = sign * (den // (u.den * v.den))
+        ib = v._ints(T)
+        for e1, r1, k1, x in u._ints(T):
+            room = T - e1
+            x *= m
+            for e2, r2, k2, y in ib:
+                if e2 > room:
+                    break
+                key = (r1 + r2, k1 + k2)
+                out[key] = out.get(key, 0) + x * y
+    return BiSeries._reduced(T, den, out)
 
 
 class BiSeries:
@@ -64,18 +79,19 @@ class BiSeries:
     positive denominator ``den``, reduced so that gcd(den, *num) == 1 (the
     empty series has den == 1): equal series have equal representations.
     Sums, products, quotients, logs and derivatives work on the integers
-    and reduce their result once; only the public constructor, which takes
-    rational coefficients, scales to the common denominator.  ``d`` is a
-    read-only view of the coefficients as Fractions.
+    and reduce their result once (sums and products in ``_fused``); only
+    the public constructor scales rational coefficients to the common
+    denominator.  A series is never mutated, so its terms are sorted once
+    (``_ints``).  ``d`` is a read-only view of the coefficients as Fractions.
     """
 
-    __slots__ = ("trunc", "den", "num")
+    __slots__ = ("trunc", "den", "num", "_terms")
 
     def __init__(self, trunc: int, d=None):
         self.trunc = trunc
         self.den, self.num = 1, {}
         if d:
-            items = [(key, Q(v)) for key, v in d.items() if v and key[0] + key[1] <= trunc]
+            items = [(key, Fraction(v)) for key, v in d.items() if v and key[0] + key[1] <= trunc]
             self.den, nums = _qscale([v for _, v in items])
             self.num = {key: x for (key, _), x in zip(items, nums)}
 
@@ -93,7 +109,7 @@ class BiSeries:
 
     @staticmethod
     def const(q, trunc: int) -> "BiSeries":
-        q = Q(q)
+        q = Fraction(q)
         return BiSeries._reduced(trunc, q.denominator, {(0, 0): q.numerator} if trunc >= 0 else {})
 
     @staticmethod
@@ -115,20 +131,18 @@ class BiSeries:
 
     def _ints(self, T: int) -> list[tuple[int, int, int, int]]:
         """The terms of total degree <= T as (r+k, r, k, numerator), sorted
-        by total degree, each coefficient being numerator / den."""
-        return sorted((r + k, r, k, x) for (r, k), x in self.num.items() if r + k <= T)
+        by total degree once per series and kept, each coefficient being
+        numerator / den."""
+        try:
+            terms = self._terms
+        except AttributeError:
+            terms = self._terms = sorted((r + k, r, k, x) for (r, k), x in self.num.items())
+        return terms if T >= self.trunc else [term for term in terms if term[0] <= T]
 
     def _bin(self, other, sign) -> "BiSeries":
         if isinstance(other, (int, Fraction)):
             other = BiSeries.const(other, self.trunc)
-        T = min(self.trunc, other.trunc)
-        den = _int_lcm(self.den, other.den)
-        ma, mb = den // self.den, sign * (den // other.den)
-        out = {key: x * ma for key, x in self.num.items() if key[0] + key[1] <= T}
-        for key, y in other.num.items():
-            if key[0] + key[1] <= T:
-                out[key] = out.get(key, 0) + y * mb
-        return BiSeries._reduced(T, den, out)
+        return _fused(min(self.trunc, other.trunc), [(1, self), (sign, other)])
 
     def __add__(self, other):
         return self._bin(other, 1)
@@ -146,12 +160,10 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Q(other)
+            q = Fraction(other)
             num = {key: x * q.numerator for key, x in self.num.items()}
             return BiSeries._reduced(self.trunc, self.den * q.denominator, num)
-        T = min(self.trunc, other.trunc)
-        out = _convolve_into({}, self._ints(T), other._ints(T), T)
-        return BiSeries._reduced(T, self.den * other.den, out)
+        return _fused(min(self.trunc, other.trunc), (), [(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -166,7 +178,7 @@ class BiSeries:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise RejectedInput("division by zero scalar")
-            return self * (Q(1) / Q(other))
+            return self * (1 / Fraction(other))
         if (0, 0) not in other.num:
             raise RejectedInput("bivariate division by a non-unit")
         T = min(self.trunc, other.trunc)
@@ -218,10 +230,6 @@ class BiSeries:
             raise RejectedInput("unknown variable %r" % var)
         return BiSeries._reduced(self.trunc - 1, self.den, out)
 
-    def at_t1_zero(self) -> Series:
-        coeffs = [self.coeff(0, k) for k in range(self.trunc + 1)]
-        return Series("t", coeffs, self.trunc)
-
     def __eq__(self, other):
         return (
             isinstance(other, BiSeries)
@@ -267,14 +275,14 @@ def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
     r_max = T if spec.include_t1 else 0
     # gauss[q] = (2q-1)!! g_s^q, the Gaussian moment of order p = 2q, for
     # every p = k + 2 nu i + r with r <= T - i, so p <= k_max + 2 nu T
-    gauss = [Q(1)]
+    gauss = [Fraction(1)]
     for q in range(1, (k_max + two_nu * T) // 2 + 1):
         gauss.append(gauss[-1] * (2 * q - 1) * g_s)
     # (-1)^i / (i! (2 nu g_s)^i) and (-1)^r / (r! g_s^r)
-    ci = [Q(1)]
+    ci = [Fraction(1)]
     for i in range(1, T + 1):
         ci.append(ci[-1] / (-i * two_nu * g_s))
-    cr = [Q(1)]
+    cr = [Fraction(1)]
     for r in range(1, r_max + 1):
         cr.append(cr[-1] / (-r * g_s))
     prefactor = [(r, i, ci[i] * cr[r]) for i in range(T + 1) for r in range(min(r_max, T - i) + 1)]
@@ -295,20 +303,6 @@ def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
 # value, is asserted at build time along with positivity of every Hankel
 # determinant at t = 0.
 RecurrenceTable = namedtuple("RecurrenceTable", "spec n_max T b2 a tau2")
-
-
-def _fused(T: int, plain, products, sign: int = 1) -> BiSeries:
-    """plain + sign * sum(u * v for u, v in products), plain a BiSeries or
-    None: the plain terms and every product accumulate in one integer pass
-    over a common denominator, and the result is reduced once."""
-    den = _int_lcm(1 if plain is None else plain.den, *(u.den * v.den for u, v in products))
-    out = {}
-    if plain is not None:
-        m = den // plain.den
-        out = {key: x * m for key, x in plain.num.items() if key[0] + key[1] <= T}
-    for u, v in products:
-        _convolve_into(out, u._ints(T), v._ints(T), T, sign * (den // (u.den * v.den)))
-    return BiSeries._reduced(T, den, out)
 
 
 def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
@@ -359,10 +353,10 @@ def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
         for l in range(k + 1, L - k):
             products = []
             if not a[k].is_zero():
-                products.append((a[k], sigma[l]))
+                products.append((-1, a[k], sigma[l]))
             if k >= 1:
-                products.append((b2[k], sigma_prev[l]))
-            nxt.append(_fused(T, sigma[l + 1], products, -1))
+                products.append((-1, b2[k], sigma_prev[l]))
+            nxt.append(_fused(T, [(1, sigma[l + 1])], products))
         sigma_prev = sigma
         sigma = nxt + [zero]
     # tau2[n] = det H_n(t) / det H_n(0), via det H_n = prod_{k<n} h_k
@@ -413,13 +407,14 @@ def operator_power_row(table: RecurrenceTable, r: int, j: int) -> dict[int, BiSe
     for left in range(j - 1, -1, -1):
         nxt: dict[int, BiSeries] = {}
         for m in range(r - 2 - left, r + left):
+            plains = [(1, v[m - 1])] if m - 1 in v else []
             products = []
             if m in v and not table.a.get(m, zero).is_zero():
-                products.append((v[m], table.a[m]))
+                products.append((1, v[m], table.a[m]))
             if m + 1 in v and not table.b2[m + 1].is_zero():
-                products.append((v[m + 1], table.b2[m + 1]))
-            if m - 1 in v or products:
-                nxt[m] = _fused(T, v.get(m - 1), products)
+                products.append((1, v[m + 1], table.b2[m + 1]))
+            if plains or products:
+                nxt[m] = _fused(T, plains, products)
         v = nxt
     return {c: v.get(c, zero) for c in (r - 2, r - 1)}
 
@@ -516,21 +511,15 @@ def verify_hirota(table: RecurrenceTable) -> dict:
     identity for log tau2."""
     spec = table.spec
     sites = []
-    # log tau2[n] and its t1-derivative, each taken once per call and read
-    # from the table as it stands
-    @cache
-    def log_tau(n: int) -> BiSeries:
-        return table.tau2[n].log()
-
-    @cache
-    def dlog_tau(n: int) -> BiSeries:
-        return log_tau(n).diff("t1")
-
+    # log tau2[m] and its t1-derivative, each taken once per call from the
+    # table as it stands, once the product check at n has passed
+    log_tau, dlog_tau = [], []
     for n in range(1, table.n_max):
         lhs = table.b2[n] * table.tau2[n] * table.tau2[n]
         rhs = table.tau2[n + 1] * table.tau2[n - 1] * (n * spec.g_s)
         _record(sites, n, lhs - rhs, "tau_product")
-        second_diff = log_tau(n + 1) - 2 * log_tau(n) + log_tau(n - 1)
+        log_tau += [table.tau2[m].log() for m in range(len(log_tau), n + 2)]
+        second_diff = log_tau[n + 1] - 2 * log_tau[n] + log_tau[n - 1]
         _record(
             sites,
             n,
@@ -538,9 +527,10 @@ def verify_hirota(table: RecurrenceTable) -> dict:
             "tau_second_difference",
         )
         if spec.include_t1:
-            res_a = table.a[n] + spec.g_s * (dlog_tau(n + 1) - dlog_tau(n))
+            dlog_tau += [s.diff("t1") for s in log_tau[len(dlog_tau):]]
+            res_a = table.a[n] + spec.g_s * (dlog_tau[n + 1] - dlog_tau[n])
             _record(sites, n, res_a, "tau_log_derivative_a")
-            res_b = table.b2[n] - spec.g_s ** 2 * dlog_tau(n).diff("t1")
+            res_b = table.b2[n] - spec.g_s ** 2 * dlog_tau[n].diff("t1")
             _record(sites, n, res_b, "tau_log_derivative_b")
     return {
         "equation": "hirota",
@@ -570,6 +560,7 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
         R_G(n) = n^(2G) ( [t^k] b2_n  -  sum_{g<G} n^(-2g) zeta_{g,k} ).
     """
     from . import continuum_even
+    from .exact_kernel import solve_linear
 
     if ztable is None:
         ztable = continuum_even.build_ztable(nu, G, max(T + 2, 8))
@@ -582,20 +573,17 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
             % (G + 1, (nu - 1) * T // 2, T)
         )
     # genus-side targets: z_g(u) with u = -t / (2 nu)
-    scale = Q(-1, 2 * nu)
+    scale = Fraction(-1, 2 * nu)
     zeta = {}
     for g in range(G + 1):
         zs = ztable.series(g)
         zeta[g] = [zs.coeff(k) * scale ** k for k in range(T + 1)]
-    b2 = {}
-    for n in n_range:
-        table = recurrence_table(WeightSpec(nu=nu, g_s=Q(1, n)), n_max=n, T=T)
-        b2[n] = table.b2[n].at_t1_zero()
-    xs = [Q(1, n * n) for n in n_range]
+    b2 = {n: recurrence_table(WeightSpec(nu, Fraction(1, n)), n, T).b2[n] for n in n_range}
+    xs = [Fraction(1, n * n) for n in n_range]
     orders = []
     for k in range(T + 1):
         rest = [
-            b2[n].coeff(k) - sum(x ** g * zeta[g][k] for g in range(G + 1))
+            b2[n].coeff(0, k) - sum(x ** g * zeta[g][k] for g in range(G + 1))
             for n, x in zip(n_range, xs)
         ]
         higher = range(G + 1, (nu - 1) * k // 2 + 1)
@@ -604,7 +592,7 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
             status = "pass"
         except ReconstructionFailed:
             status = "fail"
-        gap = abs(Q(n_range[-1]) ** (2 * G) * rest[-1])
+        gap = abs(Fraction(n_range[-1]) ** (2 * G) * rest[-1])
         orders.append(
             {
                 "t_order": k,

@@ -480,6 +480,16 @@ def test_each_command_loads_only_what_it_runs():
     assert not lattice & {"mapgenus.continuum_even", "mapgenus.genus_even"}
 
 
+def test_lattice_and_odd_checks_load_no_other_oracle():
+    """The lattice tables and checks share no code with the continuum
+    kernel, and ``verify odd`` runs no matching oracle."""
+    lattice = engine(loaded_by("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"))
+    assert "mapgenus.lattice_oracle" in lattice and "mapgenus.exact_kernel" not in lattice
+    odd = engine(loaded_by("verify", "odd", "--nu", "2", "--order", "4"))
+    assert "mapgenus.continuum_odd" in odd
+    assert not odd & {"mapgenus.fatgraph_oracle", "mapgenus.lattice_oracle"}
+
+
 def test_engine_commands_load_no_dataclasses():
     """The records are named tuples: no engine job pays for ``dataclasses``
     and the ``inspect`` it imports."""

@@ -11,6 +11,7 @@ from mapgenus.exact_kernel import Q, Series
 from mapgenus.lattice_oracle import (
     BiSeries,
     WeightSpec,
+    _fused,
     _record,
     asymptotic_match,
     deformed_moments,
@@ -417,6 +418,43 @@ def test_biseries_canonical_form():
         assert (f * g).log() == f.log() + g.log()
 
 
+def naive_fused(T, plains, products):
+    """sum(sign * s) + sum(sign * u * v) to total degree T, one Fraction
+    operation per term and per pair of terms."""
+    out = {}
+    for sign, s in plains:
+        for key, v in cut(s.d, T).items():
+            out[key] = out.get(key, Q(0)) + sign * v
+    for sign, u, v in products:
+        for key, w in naive_mul(u.d, v.d, T).items():
+            out[key] = out.get(key, Q(0)) + sign * w
+    return cut(out, T)
+
+
+def test_fused_matches_naive():
+    """Signed sums of series and of products in one integer pass equal the
+    Fraction reference.  The operands have unequal truncations up to 8,
+    derivatives among them, and each is read by several calls at several
+    T, so its sorted terms are kept and read again, cut at each T."""
+    pick, signs, denoms = rng.choice, (1, -1), (COPRIME_DENOMS, SHARED_DENOMS)
+    for n in range(12):
+        with_t1 = n % 2 == 1
+        pool = [rand_biseries(rng.randint(2, 8), with_t1, denoms[i % 2]) for i in range(4)]
+        pool += [s.diff("t") for s in pool[:2]] + ([pool[2].diff("t1")] if with_t1 else [])
+        for _ in range(6):
+            plains = [(pick(signs), pick(pool)) for _ in range(rng.randint(0, 3))]
+            products = [(pick(signs), pick(pool), pick(pool)) for _ in range(rng.randint(0, 3))]
+            used = [s for _, s in plains] + [s for _, u, v in products for s in (u, v)]
+            T = min((s.trunc for s in used), default=8) - rng.randint(0, 2)
+            res = _fused(T, plains, products)
+            assert res.trunc == T and canonical(res)
+            assert res.d == naive_fused(T, plains, products)
+        for s in pool:
+            for T in range(s.trunc + 2):
+                kept = [(total(key), *key, x) for key, x in s.num.items() if total(key) <= T]
+                assert s._ints(T) == sorted(kept)
+
+
 def test_biseries_coefficient_view_is_read_only():
     s = BiSeries(3, {(0, 1): Q(1, 2)})
     with pytest.raises(TypeError):
@@ -561,6 +599,16 @@ def test_hirota_reads_the_table_on_every_call():
     table = recurrence_table(spec_nu2(6, with_t1=True), n_max=7, T=4)
     assert verify_hirota(table)["status"] == "pass"
     table.tau2[4] = bumped(table.tau2[4], (1, 2))
+    with pytest.raises(VerificationFailure, match=r"^tau_product residual nonzero at n=3,"):
+        verify_hirota(table)
+
+
+def test_hirota_names_the_site_of_a_corrupted_constant():
+    """A tau2 entry whose constant term is corrupted fails the product
+    check at the first site that reads it, before its log would reject it
+    as a non-unit."""
+    table = recurrence_table(spec_nu2(6, with_t1=True), n_max=7, T=4)
+    table.tau2[4] = bumped(table.tau2[4], (0, 0))
     with pytest.raises(VerificationFailure, match=r"^tau_product residual nonzero at n=3,"):
         verify_hirota(table)
 

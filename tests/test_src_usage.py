@@ -1,7 +1,8 @@
 """Every function, class and method in ``src/mapgenus`` has a caller in
 ``src/`` or is an oracle kept on purpose for the tests to compare against,
-no module under ``src/`` or ``tests/`` imports a name it never uses, and
-every function the benchmark tracer patches still exists."""
+no module under ``src/`` or ``tests/`` imports a name it never uses, every
+function the benchmark tracer patches still exists, and no two functions
+in ``src/`` share a body."""
 
 import ast
 import importlib.util
@@ -129,3 +130,28 @@ def test_trace_targets_are_distinct_functions():
     for span, obj in _trace_targets().items():
         spans.setdefault(id(obj), []).append(span)
     assert [names for names in spans.values() if len(names) > 1] == []
+
+
+def _function_bodies():
+    """(file:name, AST dump of the body) of every module-level function and
+    method with at least two statements after its docstring."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+            for scope in scopes:
+                for node in scope.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                        if len(body) >= 2:
+                            yield "%s:%s" % (name, node.name), ast.dump(ast.Module(body, []))
+
+
+def test_no_function_defined_twice():
+    # one implementation per algorithm: a copied helper (say a second
+    # rescaling to a common denominator) must be imported, not redefined
+    seen: dict[str, list[str]] = {}
+    for where, body in _function_bodies():
+        seen.setdefault(body, []).append(where)
+    assert [names for names in seen.values() if len(names) > 1] == []
