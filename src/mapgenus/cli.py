@@ -169,11 +169,9 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
             },
             "series": series_to_json(etable.series(g)),
         }
-    T = order if order is not None else max(5 * g + 12, 16)
-    ztable = continuum_even.build_ztable(nu, g, T=T)
-    etable = genus_even.build_etable(nu, g, ztable=ztable)
+    etable = genus_even.build_etable(nu, g, T=order)
     entry = etable.entries[g]
-    summary = genus_even.verify_genus_structure(nu, g, ztable, etable)
+    summary = genus_even.verify_genus_structure(nu, g, etable.ztable, etable)
     return {
         "nu": nu,
         "g": g,

@@ -412,19 +412,20 @@ class ZEntry(namedtuple("ZEntry", "series ratfn over_z0")):
 
 class ZTable:
     """Sequential store of z_g data for one valence; g = 0 is the planar
-    series itself (identity rational function).  ``log_terms`` holds the
-    log terms L_1, L_2, ... after a None at index 0, appended by
-    ``genus_even.log_term_ratfn``; it stays valid because ``solve_zg``
-    only ever adds entries."""
+    series itself (identity rational function), ``z0`` cut to order T when
+    given (a longer planar series already checked by ``catalan_data``),
+    else built here.  ``log_terms`` holds the log terms L_1, L_2, ... after
+    a None at index 0, appended by ``genus_even.log_term_ratfn``; it stays
+    valid because ``solve_zg`` only ever adds entries."""
 
-    def __init__(self, nu: int, T: int):
+    def __init__(self, nu: int, T: int, z0: Series | None = None):
         self.nu = nu
         self.T = T
-        data = catalan_data(nu, T)
-        self.c = data.c
+        self.c = Q(c_valence(nu))
+        z0 = catalan_data(nu, T).z0 if z0 is None else z0.truncate(T)
         self.base = Poly([nu, -(nu - 1)])
         self.entries: dict[int, ZEntry] = {
-            0: ZEntry(data.z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
+            0: ZEntry(z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
         }
         self.log_terms: list[DLaurent | None] = [None]
 
@@ -491,7 +492,7 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
         raise VerificationFailure(
             "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 1)
         )
-    if not (Poly.x().divides(ratfn.num) and Poly([-1, 1]).divides(ratfn.num)):
+    if ratfn.num.eval(0) or ratfn.num.eval(1):
         raise VerificationFailure("numerator of z_%d lacks the z0 (z0-1) factor" % g)
     over_z0 = DLaurent.from_ratfn(ratfn, nu).div_z()
     laurent = over_z0.pole_coeffs()
@@ -506,10 +507,10 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
     return entry
 
 
-def build_ztable(nu: int, g_max: int, T: int | None = None) -> ZTable:
+def build_ztable(nu: int, g_max: int, T: int | None = None, z0: Series | None = None) -> ZTable:
     if T is None:
         T = max(3 * g_max + 12, 16)
-    table = ZTable(nu, T)
+    table = ZTable(nu, T, z0)
     for g in range(1, g_max + 1):
         solve_zg(nu, g, table)
     return table

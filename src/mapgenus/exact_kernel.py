@@ -5,24 +5,26 @@ functions, graded (self-similar) series and exact linear solving.
 Values are exact rationals; there is no floating point anywhere.
 Truncated series arithmetic narrows to the minimum truncation of its
 operands so no result ever claims more precision than its inputs carry.
-A ``Series`` (and a ``GradedSeries``, a series with a w-weight) holds
-integer numerators over one denominator, so its sums and products run on
-plain ints: a product is one integer convolution (``_iconv``) and a
-quotient one integer forward substitution (``_forward``) with one gcd per
-output coefficient.  ``Poly``, ``DLaurent`` and reconstruction hold
-Fractions and scale each operand once to integers over the lcm of its
-denominators (``_qscale``): their products run through ``_qconv`` and a
-change of variable is one integer Taylor shift (``_taylor_shift``).
+A ``Series`` (and a ``GradedSeries``, a series with a w-weight) and a
+``DLaurent`` hold integer numerators over one denominator, so their sums
+and products run on plain ints: a product is one integer convolution
+(``_iconv``) and a series quotient one integer forward substitution
+(``_forward``) with one gcd per output coefficient.  ``Poly`` and
+reconstruction hold Fractions and scale each operand once to integers over
+the lcm of its denominators (``_qscale``): their products run through
+``_qconv`` and a change of variable is one integer Taylor shift
+(``_taylor_shift``).
 
 The genus coefficients are computed in ``DLaurent``, where sums and products
-need no gcd; ``RatFn`` defines no arithmetic and only carries a value across
-reconstruction of z_g (``series_to_ratfn``), read-back (``ratfn_to_series``)
-and printing, crossing to and from ``DLaurent`` by one Taylor shift.  Both
-work in powers of y = z - z(0) of the substitution series: its powers y^i
-start at x^i, so the change of basis is lower triangular and runs by forward
-substitution one way and integer dot products the other, over columns built
-once per (series, truncation) and kept in a small memo.  ``solve_linear``
-(fraction-free Bareiss) fits the lattice tables' higher-genus remainder.
+need no polynomial gcd; ``RatFn`` defines no arithmetic and only carries a
+value across reconstruction of z_g (``series_to_ratfn``), read-back
+(``ratfn_to_series``) and printing, crossing to and from ``DLaurent`` by one
+Taylor shift.  Both work in powers of y = z - z(0) of the substitution
+series: its powers y^i start at x^i, so the change of basis is lower
+triangular and runs by forward substitution one way and integer dot products
+the other, over columns built once per (series, truncation) and kept in a
+small memo.  ``solve_linear`` (fraction-free Bareiss) fits the lattice
+tables' higher-genus remainder.
 """
 
 from __future__ import annotations
@@ -219,9 +221,6 @@ class Poly:
         for a in reversed(self.c):
             acc = acc * x + a
         return acc
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
 
     # -- comparisons ---------------------------------------------------------
 
@@ -520,22 +519,41 @@ class DLaurent:
 
     This is the ring of the genus coefficients: their only pole sits at the
     zero of D, and z = (nu - D)/(nu - 1) keeps every polynomial in z inside
-    it, so sums, products and d/dz need no gcd.  Both ends of c are nonzero;
-    zero is the empty tuple at lo = 0.  Products run through ``_qconv``.
+    it, so sums, products and d/dz need no polynomial gcd.  The coefficients
+    are held as integer numerators ``num`` over one positive denominator
+    ``den``, reduced so that gcd(den, *num) == 1, with both ends of ``num``
+    nonzero; zero is the empty tuple at lo = 0 over 1, so every value has
+    one representation.  Sums scale to the lcm of the denominators, products
+    are one integer convolution (``_iconv``), d/dz and the quotient by z run
+    on the integers, and ``c`` is the Fraction read.
     """
 
-    __slots__ = ("nu", "lo", "c")
+    __slots__ = ("nu", "lo", "den", "num")
 
     def __init__(self, nu: int, lo: int, coeffs):
-        c = [x if type(x) is Fraction else Q(x) for x in coeffs]
-        start, end = 0, len(c)
-        while start < end and c[start] == 0:
+        self._set(nu, lo, *_qscale([x if type(x) is Fraction else Q(x) for x in coeffs]))
+
+    def _set(self, nu: int, lo: int, den: int, num) -> "DLaurent":
+        """Store num / den at D^lo, stripped of zero ends and reduced."""
+        start, end = 0, len(num)
+        while start < end and not num[start]:
             start += 1
-        while end > start and c[end - 1] == 0:
+        while end > start and not num[end - 1]:
             end -= 1
+        num = num[start:end]
+        g = _int_gcd(den, *num)
+        if den < 0:
+            g = -g
         self.nu = nu
-        self.lo = lo + start if end > start else 0
-        self.c = tuple(c[start:end])
+        self.lo = lo + start if num else 0
+        self.den = den // g
+        self.num = tuple(x // g for x in num) if g != 1 else tuple(num)
+        return self
+
+    @staticmethod
+    def of_ints(nu: int, lo: int, den: int, num) -> "DLaurent":
+        """sum_i num[i]/den D^(lo+i) for integers num and a nonzero den."""
+        return object.__new__(DLaurent)._set(nu, lo, den, num)
 
     # -- constructors --------------------------------------------------------
 
@@ -546,7 +564,7 @@ class DLaurent:
     @staticmethod
     def z(nu: int) -> "DLaurent":
         """The variable itself, z = nu/(nu-1) - D/(nu-1)."""
-        return DLaurent(nu, 0, (Q(nu, nu - 1), Q(-1, nu - 1)))
+        return DLaurent.of_ints(nu, 0, nu - 1, (nu, -1))
 
     @staticmethod
     def from_ratfn(r: RatFn, nu: int) -> "DLaurent":
@@ -562,29 +580,41 @@ class DLaurent:
         return DLaurent(nu, -P, _taylor_shift(r.num.c, Q(nu, q), Q(-1, q), (-q) ** P))
 
     def to_ratfn(self) -> RatFn:
-        """The same function as a reduced RatFn in z.  One Taylor shift:
-        self D^P is a polynomial in D = nu - (nu-1) z, and D^P is
-        (1-nu)^P (z - nu/(nu-1))^P."""
+        """The same function as a reduced RatFn in z.  One Taylor shift of
+        the integer numerators: self D^P is a polynomial in
+        D = nu - (nu-1) z, and D^P is (1-nu)^P (z - nu/(nu-1))^P."""
         q = self.nu - 1
         P = max(0, -self.lo)
-        num = _taylor_shift([0] * (self.lo + P) + list(self.c), Q(self.nu), -q, Q(1, (-q) ** P))
+        scale = Q(1, self.den * (-q) ** P)
+        num = _taylor_shift([0] * (self.lo + P) + list(self.num), Q(self.nu), -q, scale)
         return RatFn(Poly(num), Poly([Q(-self.nu, q), 1]), P, "z0")
 
     # -- structure -------------------------------------------------------------
 
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
     def coeff(self, k: int) -> Fraction:
         """Coefficient of D^k."""
         i = k - self.lo
-        return self.c[i] if 0 <= i < len(self.c) else Q(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Q(0)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
+
+    def pole_nums(self) -> list[int]:
+        """Numerators over ``den`` of D^0, D^-1, ..., D^-P by pole order 0..P."""
+        if self.lo + len(self.num) > 1:
+            raise RejectedInput("positive powers of D have no pole-order form")
+        out = [0] * (max(0, -self.lo) + 1)
+        for i, x in enumerate(self.num):
+            out[-self.lo - i] = x
+        return out
 
     def pole_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients of D^0, D^-1, ..., D^-P by pole order 0..P."""
-        if self.lo + len(self.c) > 1:
-            raise RejectedInput("positive powers of D have no pole-order form")
-        return tuple(self.coeff(-p) for p in range(max(0, -self.lo) + 1))
+        return tuple(Fraction(x, self.den) for x in self.pole_nums())
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -597,26 +627,34 @@ class DLaurent:
             raise RejectedInput("valence mismatch: %d vs %d" % (self.nu, other.nu))
         return other
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int) -> "DLaurent":
+        """self + sign * other over the lcm of the two denominators."""
         other = self._ring(other)
+        den = _int_lcm(self.den, other.den)
         lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.c), other.lo + len(other.c))
-        return DLaurent(self.nu, lo, [self.coeff(k) + other.coeff(k) for k in range(lo, hi)])
+        acc = [0] * (max(self.lo + len(self.num), other.lo + len(other.num)) - lo)
+        for f, x in ((den // self.den, self), (sign * (den // other.den), other)):
+            i = x.lo - lo
+            j = i + len(x.num)
+            acc[i:j] = map(add, acc[i:j], map(f.__mul__, x.num))
+        return DLaurent.of_ints(self.nu, lo, den, acc)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __neg__(self):
-        return DLaurent(self.nu, self.lo, [-x for x in self.c])
+        return DLaurent.of_ints(self.nu, self.lo, self.den, [-x for x in self.num])
 
     def __sub__(self, other):
-        return self + (-self._ring(other))
+        return self._sum(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DLaurent(self.nu, self.lo, [x * other for x in self.c])
+            num = [x * other.numerator for x in self.num]
+            return DLaurent.of_ints(self.nu, self.lo, self.den * other.denominator, num)
         other = self._ring(other)
-        if not self.c or not other.c:
-            return DLaurent(self.nu, 0, ())
-        n = len(self.c) + len(other.c) - 2
-        return DLaurent(self.nu, self.lo + other.lo, _qconv(self.c, other.c, n))
+        num = _iconv(self.num, other.num, len(self.num) + len(other.num) - 2)
+        return DLaurent.of_ints(self.nu, self.lo + other.lo, self.den * other.den, num)
 
     __rmul__ = __mul__
 
@@ -628,32 +666,33 @@ class DLaurent:
     def dz(self) -> "DLaurent":
         """d/dz = -(nu-1) d/dD."""
         s = 1 - self.nu
-        return DLaurent(self.nu, self.lo - 1, [s * (self.lo + i) * a for i, a in enumerate(self.c)])
+        num = [s * (self.lo + i) * x for i, x in enumerate(self.num)]
+        return DLaurent.of_ints(self.nu, self.lo - 1, self.den, num)
 
     def div_z(self, k: int = 1) -> "DLaurent":
         """Exact quotient by z^k; raises RejectedInput when z^k does not
         divide.  z = (nu - D)/(nu - 1) is a unit times D - nu, so each step
         is one synthetic division by D - nu with a zero remainder."""
         nu = self.nu
-        c = self.c
+        num = self.num
         for _ in range(k):
             # Horner at D = nu from the top, b_i = c_i + nu b_(i+1): the
             # quotient by D - nu is b_1, b_2, ... and the remainder b_0
-            b = [Q(0)] * (len(c) + 1)
-            for i in range(len(c) - 1, -1, -1):
-                b[i] = c[i] + nu * b[i + 1]
+            b = [0] * (len(num) + 1)
+            for i in range(len(num) - 1, -1, -1):
+                b[i] = num[i] + nu * b[i + 1]
             if b[0]:
                 raise RejectedInput("z does not divide this Laurent polynomial")
-            # f / z = -(nu-1) f / (D - nu)
-            c = [(1 - nu) * x for x in b[1:-1]]
-        return DLaurent(nu, self.lo, c)
+            num = b[1:-1]
+        # f / z = -(nu-1) f / (D - nu)
+        return DLaurent.of_ints(nu, self.lo, self.den, [(1 - nu) ** k * x for x in num])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DLaurent.const(self.nu, other)
         if not isinstance(other, DLaurent):
             return NotImplemented
-        return (self.nu, self.lo, self.c) == (other.nu, other.lo, other.c)
+        return (self.nu, self.lo, self.den, self.num) == (other.nu, other.lo, other.den, other.num)
 
     def __repr__(self):
         terms = ["%s*D^%d" % (qstr(a), self.lo + i) for i, a in enumerate(self.c) if a]

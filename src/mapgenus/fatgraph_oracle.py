@@ -49,7 +49,9 @@ def _connected(j: int, g: int, degs: tuple[int, ...], v: int) -> int:
     another marked vertex (the two merge), or on the root vertex itself,
     which then splits into degrees a + b = l1 - 2 that either stay in one
     component (genus drops by one) or fall into two, sharing out the genus
-    and the other vertices."""
+    and the other vertices.  Swapping a and b together with the two sides
+    of every split gives the same terms, so each split is summed once for
+    a <= b and doubled when a != b."""
     if g < 0:
         return 0
     if not degs:
@@ -68,17 +70,19 @@ def _connected(j: int, g: int, degs: tuple[int, ...], v: int) -> int:
         out += v * j * _connected(j, g, _sorted(rest + (l1 + j - 2,)), v - 1)
     for k, lk in enumerate(rest):
         out += lk * _connected(j, g, _sorted(rest[:k] + rest[k + 1:] + (l1 + lk - 2,)), v)
-    for a in range(l1 - 1):
+    # the vertices picked by each mask; the complement of mask is sides[-1 - mask]
+    sides = [tuple(d for i, d in enumerate(rest) if mask >> i & 1) for mask in range(1 << len(rest))]
+    for a in range(l1 // 2):
         b = l1 - 2 - a
-        out += _connected(j, g - 1, _sorted(rest + (a, b)), v)
-        for mask in range(1 << len(rest)):
-            left = _sorted(tuple(d for i, d in enumerate(rest) if mask >> i & 1) + (a,))
-            right = _sorted(tuple(d for i, d in enumerate(rest) if not mask >> i & 1) + (b,))
+        term = _connected(j, g - 1, _sorted(rest + (a, b)), v)
+        for mask, side in enumerate(sides):
+            left, right = _sorted(side + (a,)), _sorted(sides[-1 - mask] + (b,))
             for v1 in range(v + 1):
                 for h in range(g + 1):
                     x = _connected(j, h, left, v1)
                     if x:
-                        out += comb(v, v1) * x * _connected(j, g - h, right, v - v1)
+                        term += comb(v, v1) * x * _connected(j, g - h, right, v - v1)
+        out += term if a == b else 2 * term
     return out
 
 

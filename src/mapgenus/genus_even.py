@@ -8,12 +8,12 @@ Everything lives in the ring of Laurent polynomials in D = nu - (nu-1) z0
 (``exact_kernel.DLaurent``) with, at genus 0 and 1 only, log z0 and log D
 terms: z0 = (nu - D)/(nu - 1) is a polynomial in D, and every e_g with
 g >= 2 has its only pole at D = 0.  Sums and products therefore need no
-gcd, pole orders are direct reads, and each e_g is solved in the ring by
-inverting the tau operator one factor theta + b at a time; ``RatFn`` only
-carries it to the read-back and the printed form.  The single transport
-rule dz0/du = c z0^(nu+1) / D powers all derivatives, and the self-similar
-weight bookkeeping reduces spatial derivatives at w = 1 to a graded
-operator chain on this class.
+polynomial gcd and run on integer numerators, pole orders are direct
+reads, and each e_g is solved in the ring by inverting the tau operator
+one factor theta + b at a time; ``RatFn`` only carries it to the read-back
+and the printed form.  The single transport rule dz0/du = c z0^(nu+1) / D
+powers all derivatives, and the self-similar weight bookkeeping reduces
+spatial derivatives at w = 1 to a graded operator chain on this class.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import comb, factorial
 
 from .combinatorics import c_valence
-from .continuum_even import ZTable, build_ztable
+from .continuum_even import ZTable, build_ztable, catalan_data
 from .errors import (
     RejectedInput,
     ResonanceFailure,
@@ -32,9 +32,9 @@ from .errors import (
 )
 from .exact_kernel import (
     DLaurent,
-    Poly,
     Q,
     Series,
+    _taylor_shift,
     ratfn_to_series,
     series_log,
 )
@@ -133,16 +133,28 @@ class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)
         m nu, from the top pole down, and the D^0 equation fixes the
         constant with pivot b.  The D^-1 and D^-2 equations are left over:
         two exact surplus checks.  The kernel of theta + b is spanned by a
-        power of u, which is no Laurent polynomial in D, so X is unique."""
-        nu, r = self.nu, self.rat.pole_coeffs()
-        r += (Q(0),) * (3 - len(r))
-        x = [Q(0)] * len(r)  # x[m] is the coefficient of D^-m
+        power of u, which is no Laurent polynomial in D, so X is unique.
+
+        The solve runs on integers: with self = r / den (r[m] the D^-m
+        numerator) and P_m = prod_(m <= k <= M) k nu for the top pole M of X,
+        X[m] = den P_m x[m] is an integer, because each pivot m nu is a
+        factor of P_m, so no step divides."""
+        nu, den, r = self.nu, self.rat.den, self.rat.pole_nums()
+        r += [0] * (3 - len(r))
+        X = [0] * len(r)
+        p = 1  # P_(m+1)
         for m in range(len(r) - 3, 0, -1):
-            x[m] = (r[m + 2] + (m + 1) * (nu + 1) * x[m + 1] - (b + m + 2) * x[m + 2]) / (m * nu)
-        x[0] = r[0] / b
-        if (b + 1) * x[1] != r[1] or (b + 2) * x[2] - (nu + 1) * x[1] != r[2]:
+            X[m] = r[m + 2] * p + (m + 1) * ((nu + 1) * X[m + 1] - (b + m + 2) * nu * X[m + 2])
+            p *= m * nu
+        if (b + 1) * X[1] != r[1] * p or (b + 2) * nu * X[2] - (nu + 1) * X[1] != r[2] * p:
             raise ResonanceFailure("theta %+d has no Laurent solution: a surplus order fails" % b)
-        return LogRational(nu, DLaurent(nu, 1 - len(r), x[::-1]))
+        # over the common denominator den P_1 b: x[m] = X[m] b (P_1 / P_m) and
+        # x[0] = r[0] / (den b)
+        num, f = [r[0] * p], b
+        for m in range(1, len(r)):
+            num.append(X[m] * f)
+            f *= m * nu
+        return LogRational(nu, DLaurent.of_ints(nu, 1 - len(r), den * p * b, num[::-1]))
 
     def series(self, ctx: "SeriesContext") -> Series:
         out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0, ctx.z0.trunc)
@@ -202,13 +214,19 @@ def closed_e0_e1(nu: int) -> tuple[LogRational, LogRational]:
 
 
 def E_w_deriv(e_h: LogRational, h: int, p: int) -> LogRational:
-    """p-th spatial derivative of E_h at w = 1 by the direct graded chain:
-    the i-th step differentiates a lift of weight w^(2-2h-i)."""
+    """p-th spatial derivative of E_h at w = 1 by the direct graded chain."""
     if p < 0:
         raise RejectedInput("derivative order must be >= 0")
-    for i in range(p):
-        e_h = e_h.grade_dw(2 - 2 * h - i)
-    return e_h
+    return _graded_chain([e_h], h, p)[p]
+
+
+def _graded_chain(chain: list[LogRational], h: int, p: int) -> list[LogRational]:
+    """Extend the graded chain of the genus-h lift, chain[i] its i-th
+    spatial derivative at w = 1, to order p: the i-th step differentiates a
+    lift of weight w^(2-2h-i)."""
+    for i in range(len(chain) - 1, p):
+        chain.append(chain[-1].grade_dw(2 - 2 * h - i))
+    return chain
 
 
 def f0_jets(nu: int, j_max: int) -> list[LogRational]:
@@ -501,20 +519,30 @@ class EEntry(namedtuple("EEntry", "ratfn series rat r_factor resonant_orders")):
 
 class ETable:
     """Free-energy coefficients for one valence: closed forms at genus 0
-    and 1, solved rational forms beyond."""
+    and 1, solved rational forms beyond, expanded over the planar series z0
+    (by default the z-table's own).  ``chains`` holds, per lift h, the
+    graded chain of its spatial derivatives, which each genus of the tau
+    recursion extends by two orders instead of rebuilding."""
 
-    def __init__(self, nu: int, ztable: ZTable):
+    def __init__(self, nu: int, ztable: ZTable, z0: Series | None = None):
         self.nu = nu
         self.ztable = ztable
-        self.ctx = SeriesContext(nu, ztable.series(0))
+        self.ctx = SeriesContext(nu, ztable.series(0) if z0 is None else z0)
         e0, e1 = closed_e0_e1(nu)
         self.closed = {0: e0, 1: e1}
         self.entries: dict[int, EEntry] = {}
+        self.chains: dict[int, list[LogRational]] = {}
 
     def logrational(self, g: int) -> LogRational:
         if g in self.closed:
             return self.closed[g]
         return LogRational(self.nu, self.entries[g].rat)
+
+    def w_deriv(self, h: int, p: int) -> LogRational:
+        """p-th spatial derivative of the genus-h lift at w = 1, from the
+        lift's stored graded chain."""
+        chain = self.chains.setdefault(h, [self.logrational(h)])
+        return _graded_chain(chain, h, p)[p]
 
     def series(self, g: int) -> Series:
         if g in self.closed:
@@ -534,11 +562,11 @@ def hirota_rhs(nu: int, g: int, ztable: ZTable, etable: ETable) -> LogRational:
         raise RejectedInput("tau recursion starts at genus 1")
     total = LogRational(nu, log_term_ratfn(g, ztable))
     for ell in range(1, g + 1):
-        d = E_w_deriv(etable.logrational(g - ell), g - ell, 2 * ell + 2)
+        d = etable.w_deriv(g - ell, 2 * ell + 2)
         total = total - Q(2, factorial(2 * ell + 2)) * d
     if not total.is_rational():
         raise VerificationFailure("tau-recursion right-hand side kept log terms")
-    laur = total.laurent()
+    laur = total.rat.pole_nums()
     for pole in range(1, 2 * g):
         if pole < len(laur) and laur[pole] != 0:
             raise VerificationFailure(
@@ -568,7 +596,7 @@ def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
         raise VerificationFailure(
             "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 5)
         )
-    series = ratfn_to_series(ratfn, ztable.series(0))
+    series = ratfn_to_series(ratfn, etable.ctx.z0)
     rhs_series = rhs.series(etable.ctx)
     resonant = []
     for m in range(series.trunc + 1):
@@ -620,12 +648,9 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
     )
     ok_top = laur[top] != 0
     clauses["pole_window"] = ok_window and ok_top
-    shifted = Poly([-1, 1])
-    num = entry.ratfn.num
-    divisions = 0
-    while shifted.divides(num):
-        num = num // shifted
-        divisions += 1
+    # the multiplicity of z0 = 1 is the count of leading zeros in y = z0 - 1
+    shifted = _taylor_shift(entry.ratfn.num.c, Q(1))
+    divisions = next(i for i, a in enumerate(shifted) if a)
     # the guaranteed factor is (z0-1)^r; the exact multiplicity is the
     # minimal vertex count of a genus-g map, the ceiling of (2g-1)/(nu-1),
     # which exceeds r exactly when nu-1 does not divide 2g-1
@@ -654,10 +679,18 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
     }
 
 
-def build_etable(nu: int, g_max: int, ztable: ZTable | None = None) -> ETable:
+def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | None = None) -> ETable:
+    """e_2 .. e_g_max, expanded to order T (default 5 g_max + 12, at least
+    16).  e_g reads only the planar series and each z_g in the D ring, so
+    the z-table is built only to the z_g reconstruction surplus,
+    min(T, max(3 g_max + 12, 16)), over a cut of the same planar series.
+    A given z-table is used as it is, and its planar series sets the order."""
+    z0 = None
     if ztable is None:
-        ztable = build_ztable(nu, g_max, T=max(5 * g_max + 12, 16))
-    etable = ETable(nu, ztable)
+        T = max(5 * g_max + 12, 16) if T is None else T
+        z0 = catalan_data(nu, T).z0
+        ztable = build_ztable(nu, g_max, min(T, max(3 * g_max + 12, 16)), z0)
+    etable = ETable(nu, ztable, z0)
     for g in range(2, g_max + 1):
         solve_eg(nu, g, ztable, etable)
     return etable

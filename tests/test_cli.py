@@ -197,6 +197,29 @@ def test_eg_series_order_needs_only_the_z_g_surplus(capsys):
     assert code == 3 and out == "" and "surplus" in err
 
 
+def test_eg_series_order_above_and_below_the_z_table_truncation(capsys):
+    # the z-table stops at max(3g + 12, 16) = 21 at g = 3 whatever order
+    # e_3 is printed to: above the default 5g + 12 = 27 the closed form and
+    # its checks are unchanged and the series only grows, and an order
+    # between the z_3 surplus and 3g + 12 still solves
+    base = ("--no-cache", "eg", "--nu", "2", "--g", "3")
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    default = json.loads(out)
+    code, out, _ = run(capsys, *base, "--series-order", "40")
+    assert code == 0
+    longer = json.loads(out)
+    for key in ("ratfn", "laurent", "pole_order", "resonant_orders", "verification"):
+        assert longer[key] == default[key]
+    assert longer["series"]["trunc"] == 40 and default["series"]["trunc"] == 27
+    assert longer["series"]["coeffs"][:28] == default["series"]["coeffs"]
+    code, out, _ = run(capsys, *base, "--series-order", "14")
+    assert code == 0
+    shorter = json.loads(out)
+    assert shorter["ratfn"] == default["ratfn"]
+    assert shorter["series"]["coeffs"] == default["series"]["coeffs"][:15]
+
+
 def test_one_order_too_few_is_insufficient(capsys):
     # z_1 already has 4 numerator unknowns, so 4 orders (0..3) stop there
     code, out, err = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "3")

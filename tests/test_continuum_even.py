@@ -21,6 +21,11 @@ from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series
 
 
+def divides(d, p):
+    """True when the polynomial d divides p exactly."""
+    return p.divmod(d)[1].is_zero()
+
+
 def test_catalan_data_examples():
     data = catalan_data(2, 6)
     assert data.c == 12
@@ -85,8 +90,8 @@ def test_solve_zg_structure_nu2_g2():
     table = build_ztable(2, 2)
     entry = table.entries[2]
     assert entry.ratfn.den_pow == 9
-    assert Poly.x().divides(entry.ratfn.num)
-    assert Poly([-1, 1]).divides(entry.ratfn.num)
+    assert divides(Poly.x(), entry.ratfn.num)
+    assert divides(Poly([-1, 1]), entry.ratfn.num)
     assert entry.series.coeff(0) == 0
     # round trip: the rational form reproduces the series
     back = ratfn_to_series(entry.ratfn, table.series(0), table.T)

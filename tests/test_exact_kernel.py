@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -181,6 +182,44 @@ def test_dlaurent_ring_matches_evaluation():
         assert a * b == b * a and (a + b) - b == a
         for k in (1, 2, 3):
             assert (a * DLaurent.z(nu) ** k).div_z(k) == a
+
+
+def coeffs_at(x, lo, hi):
+    """Coefficients of D^lo .. D^(hi-1) as Fractions."""
+    return [x.coeff(k) for k in range(lo, hi)]
+
+
+def test_dlaurent_integer_ring_matches_a_fraction_reference():
+    # each operation against the same operation done Fraction by Fraction;
+    # equal values must share one reduced representation whatever the
+    # denominators they were built over
+    for _ in range(60):
+        nu = rng.randint(2, 4)
+        a, b = rand_dlaurent(nu), rand_dlaurent(nu)
+        q = rand_q(9) or Q(1)
+        lo, hi = -14, 12
+        ca, cb = coeffs_at(a, lo, hi), coeffs_at(b, lo, hi)
+        assert coeffs_at(a + b, lo, hi) == [x + y for x, y in zip(ca, cb)]
+        assert coeffs_at(a - b, lo, hi) == [x - y for x, y in zip(ca, cb)]
+        assert coeffs_at(a * q, lo, hi) == [x * q for x in ca]
+        n = len(ca)
+        prod = [Q(0)] * (2 * n - 1)
+        for i, x in enumerate(ca):
+            for k, y in enumerate(cb):
+                prod[i + k] += x * y
+        assert coeffs_at(a * b, 2 * lo, 2 * lo + 2 * n - 1) == prod
+        assert coeffs_at(a.dz(), lo - 1, hi - 1) == [(1 - nu) * (lo + i) * x for i, x in enumerate(ca)]
+        # the quotient by z = (nu - D)/(nu - 1): f = z h fixes h from the top
+        f = a * DLaurent.z(nu)
+        cf = coeffs_at(f, lo, hi + 1)
+        h = [Q(0)] * len(cf)
+        for i in range(len(cf) - 1, 0, -1):
+            h[i - 1] = nu * h[i] - (nu - 1) * cf[i]
+        assert coeffs_at(f.div_z(), lo, hi) == h[:-1]
+        assert a.c == tuple(a.coeff(k) for k in range(a.lo, a.lo + len(a.c)))
+        for x in (a * q * (1 / q), (a + b) - b, (a * b + a) - a * b):
+            assert x == a and (x.lo, x.den, x.num) == (a.lo, a.den, a.num)
+        assert gcd(a.den, *a.num) == 1 and a.den > 0
 
 
 def test_dlaurent_exact_quotients_and_pole_reads():

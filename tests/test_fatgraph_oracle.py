@@ -67,5 +67,13 @@ def test_recursion_matches_brute_force_at_four_quartic_vertices():
     assert kappa_tally(4, 4) == _brute_force(4, 4)
 
 
+def test_recursion_pins_counts_beyond_the_walk():
+    # tallies of the recursion as first shipped, which summed every root
+    # split a and b separately; sizes the brute-force walk cannot reach
+    assert kappa_tally(8, 2) == ({0: 9800, 1: 215600, 2: 1009400, 3: 781200}, 11025)
+    assert kappa_tally(6, 3) == ({0: 216000, 1: 4176000, 2: 17290800, 3: 12315600}, 461025)
+    assert kappa_tally(4, 5) == ({0: 17915904, 1: 192098304, 2: 348033024, 3: 58060800}, 38621043)
+
+
 def test_kernel_kind_reported():
     assert KERNEL_KIND in ("compiled", "pure")

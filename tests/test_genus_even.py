@@ -10,6 +10,7 @@ from mapgenus.exact_kernel import DLaurent, Q
 from mapgenus.genus_even import (
     E_w_deriv,
     E_w_derivs,
+    ETable,
     LogRational,
     build_etable,
     c_constant,
@@ -175,6 +176,37 @@ def test_log_terms_are_kept_on_the_ztable(monkeypatch):
     build_etable(2, G)
     assert products == {g: g - 1 for g in range(2, G + 1)}
     assert sum(products.values()) == G * (G - 1) // 2
+
+
+def test_z_table_stops_at_the_z_g_surplus():
+    # e_g is printed to T, the z-table is built to min(T, max(3g + 12, 16))
+    # over a cut of the same planar series
+    for T, zT in ((None, 21), (40, 21), (14, 14)):
+        etable = build_etable(2, 3, T=T)
+        assert etable.ztable.T == zT and etable.ztable.series(0).trunc == zT
+        assert etable.ctx.z0.trunc == (27 if T is None else T)
+        assert etable.ctx.z0.truncate(zT) == etable.ztable.series(0)
+        assert etable.entries[3].series.trunc == etable.ctx.z0.trunc
+
+
+@pytest.mark.parametrize("G", [4, 8, 12])
+def test_one_graded_chain_per_lift(monkeypatch, G):
+    """Lift h enters the tau recursion at every genus above it, each time
+    two orders deeper, so one stored chain per lift makes
+    sum_h (2(G-h) + 2) = G^2 + 3G spatial steps over genera 2..G, where
+    rebuilding the chain for every genus made about G^3/3."""
+    calls = []
+    grade_dw = LogRational.grade_dw
+
+    def counting(self, a):
+        calls.append(a)
+        return grade_dw(self, a)
+
+    monkeypatch.setattr(LogRational, "grade_dw", counting)
+    etable = build_etable(2, G)
+    assert len(calls) == G * G + 3 * G
+    assert sorted(etable.chains) == list(range(G))
+    assert ETable(2, etable.ztable).chains == {}
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])
