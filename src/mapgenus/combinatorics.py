@@ -15,6 +15,7 @@ Conventions fixed here and relied on downstream:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import RejectedInput
@@ -85,8 +86,9 @@ def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partiti
     return out
 
 
-def _distinct_permutations(items: tuple[int, ...]):
-    """Distinct permutations of a multiset of small length."""
+@cache
+def _distinct_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Distinct permutations of a multiset of small length, built once each."""
     items = tuple(sorted(items, reverse=True))
     n = len(items)
     out = []
@@ -103,7 +105,7 @@ def _distinct_permutations(items: tuple[int, ...]):
             rec(remaining[:i] + remaining[i + 1 :], acc + [v])
 
     rec(list(items), [])
-    return out
+    return tuple(out)
 
 
 def monomial_sym_eval(lam: Partition, xs) -> Fraction:
@@ -221,32 +223,34 @@ def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[tuple[in
 class Terms:
     """Sparse polynomial: a dict from monomial key to nonzero Fraction.
 
-    Sums, negation, differences, products, scalar multiples and equality
-    are shared.  A subclass whose polynomials meet plain numbers names the
-    key of the constant monomial (``ONE``), which an int or Fraction
-    operand of a sum or difference multiplies; one whose polynomials are
-    multiplied together says how two keys multiply (``_key_mul``).
+    The constructor is where coefficients accumulate: from a dict or an
+    iterable of (key, coefficient) pairs it adds repeated keys in one pass
+    (first occurrence fixes the order), drops zero sums and normalises each
+    survivor once; ``sum`` and every shared operation go through it.  A
+    subclass whose polynomials meet plain numbers names the key of the
+    constant monomial (``ONE``), which an int or Fraction operand of a sum
+    or difference multiplies; one whose polynomials are multiplied together
+    says how two keys multiply (``_key_mul``).
     """
 
     __slots__ = ("terms",)
     ONE: tuple
 
-    def __init__(self, terms=None):
-        self.terms: dict = {}
-        if terms:
-            for key, val in terms.items():
-                val = Q(val)
-                if val:
-                    self.terms[key] = val
+    def __init__(self, terms=()):
+        acc: dict = {}
+        for key, val in terms.items() if isinstance(terms, dict) else terms:
+            acc[key] = acc[key] + val if key in acc else val
+        self.terms: dict = {key: Q(val) for key, val in acc.items() if val}
+
+    @classmethod
+    def sum(cls, parts):
+        return cls(pair for part in parts for pair in part.terms.items())
 
     def _lift(self, other) -> "Terms":
         return type(self)({self.ONE: other}) if isinstance(other, (int, Fraction)) else other
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in self._lift(other).terms.items():
-            out[key] = out.get(key, 0) + val
-        return type(self)(out)
+        return type(self).sum((self, self._lift(other)))
 
     __radd__ = __add__
 
@@ -259,12 +263,11 @@ class Terms:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return type(self)({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = self._key_mul(k1, k2)
-                out[key] = out.get(key, 0) + v1 * v2
-        return type(self)(out)
+        return type(self)(
+            (self._key_mul(k1, k2), v1 * v2)
+            for k1, v1 in self.terms.items()
+            for k2, v2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -289,7 +292,7 @@ class LatticePolynomial(Terms):
     @staticmethod
     def monomial(coeff=1, b_offsets=(), a_offsets=(), t_deg=0) -> "LatticePolynomial":
         key = (t_deg, tuple(sorted(b_offsets)), tuple(sorted(a_offsets)))
-        return LatticePolynomial({key: Q(coeff)})
+        return LatticePolynomial({key: coeff})
 
     def times_t(self) -> "LatticePolynomial":
         return LatticePolynomial({(t + 1, b, a): v for (t, b, a), v in self.terms.items()})
@@ -328,7 +331,7 @@ def operator_power_entry(
     only) a flat step at level k weighs a[k].
     """
     kind = "dyck" if even_potential else "motzkin"
-    total = LatticePolynomial()
+    walks = []
     for steps in lattice_paths(j, row_offset, col_offset, kind):
         b_off = []
         a_off = []
@@ -339,8 +342,8 @@ def operator_power_entry(
             elif s == 0:
                 a_off.append(lvl)
             lvl += s
-        total = total + LatticePolynomial.monomial(1, b_off, a_off)
-    return total
+        walks.append(((0, tuple(sorted(b_off)), tuple(sorted(a_off))), 1))
+    return LatticePolynomial(walks)
 
 
 def lattice_equation_exprs(nu: int, kind: str) -> LatticePolynomial:

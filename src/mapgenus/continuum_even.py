@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
 
 from .combinatorics import (
+    LatticePolynomial,
     Terms,
     c_valence,
     d_coeff,
@@ -134,9 +136,12 @@ class JetExpression(Terms):
     __slots__ = ()
 
     @staticmethod
+    def key(fpow: int, jets: dict[int, int]) -> tuple:
+        return fpow, tuple(sorted((j, r) for j, r in jets.items() if r))
+
+    @staticmethod
     def monomial(coeff, fpow: int, jets: dict[int, int]) -> "JetExpression":
-        key = (fpow, tuple(sorted((j, r) for j, r in jets.items() if r)))
-        return JetExpression({key: Q(coeff)})
+        return JetExpression({JetExpression.key(fpow, jets): coeff})
 
     def __repr__(self):
         bits = []
@@ -155,12 +160,12 @@ def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
     prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
     of the variant and no repeated-part division."""
     slots = nu + 1 if variant == "toda" else nu
-    out = JetExpression()
+    parts = []
     for lam in partitions_of(2 * g + 1, max_len=slots):
         mult = multiplicities(lam)
         denom = prod(factorial(j) ** r for j, r in mult.items())
-        out = out + JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult)
-    return out
+        parts.append(JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult))
+    return JetExpression.sum(parts)
 
 
 def toda_jet(nu: int, g: int) -> JetExpression:
@@ -178,36 +183,33 @@ def toda_jet(nu: int, g: int) -> JetExpression:
 # -- spatially exact antiderivative of the string-side jets ------------------
 
 
-class SlotJetExpression:
+class SlotJetExpression(Terms):
     """Jet polynomial with per-slot scale weights, closed under a slot
     derivation that multiplies by the slot weight while raising the order.
 
-    Terms are (coefficient, weights, orders): `orders[i]` is the derivative
-    order carried by slot i and `weights[i]` its numeric scale; the plain
-    jet content of a term is prod_i f_(orders[i]) with zero orders meaning
-    bare f factors.
+    Terms map (weights, orders) -> coefficient: `orders[i]` is the
+    derivative order carried by slot i and `weights[i]` its numeric scale;
+    the plain jet content of a term is prod_i f_(orders[i]) with zero
+    orders meaning bare f factors.
     """
 
-    def __init__(self, terms):
-        self.terms = [(Q(c), tuple(x), tuple(o)) for (c, x, o) in terms if c]
+    __slots__ = ()
 
     def dw(self) -> "SlotJetExpression":
-        out = []
-        for coeff, xs, orders in self.terms:
-            for i, x in enumerate(xs):
-                if x == 0:
-                    continue
-                bumped = list(orders)
-                bumped[i] += 1
-                out.append((coeff * x, xs, tuple(bumped)))
-        return SlotJetExpression(out)
+        # terms that the derivation sends to one (weights, orders) merge
+        return SlotJetExpression(
+            ((xs, orders[:i] + (orders[i] + 1,) + orders[i + 1 :]), coeff * x)
+            for (xs, orders), coeff in self.terms.items()
+            for i, x in enumerate(xs)
+            if x
+        )
 
     def as_jet(self) -> JetExpression:
-        out = JetExpression()
-        for coeff, _xs, orders in self.terms:
+        pairs = []
+        for (_xs, orders), coeff in self.terms.items():
             jets = multiplicities(orders)  # order 0 counts the bare f factors
-            out = out + JetExpression.monomial(coeff, jets.pop(0, 0), jets)
-        return out
+            pairs.append((JetExpression.key(jets.pop(0, 0), jets), coeff))
+        return JetExpression(pairs)
 
 
 def _compositions(total: int, slots: int):
@@ -234,21 +236,14 @@ def string_jets(nu: int, g: int) -> tuple[JetExpression, SlotJetExpression]:
     eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
     lower = tuple(range(nu, 0, -1))
     upper = tuple(range(2 * nu - 1, nu - 1, -1))
-    pref = Q(2, 2 * g + 1)
+    # a term's coefficient is 2 prod_i x_i^c_i over (2g+1) prod_i c_i!
+    comps = [(comp, (2 * g + 1) * prod(map(factorial, comp))) for comp in _compositions(2 * g, nu)]
     terms = []
     for mu in strict_partitions_in_box(lower, upper):
-        xs = tuple(Q(mu[i] - eta[i]) for i in range(nu))
-        for comp in _compositions(2 * g, nu):
-            coeff = pref
-            ok = True
-            for x, ci in zip(xs, comp):
-                if ci:
-                    if x == 0:
-                        ok = False
-                        break
-                    coeff *= x ** ci / factorial(ci)
-            if ok:
-                terms.append((coeff, xs, comp))
+        xs = tuple(mu[i] - eta[i] for i in range(nu))
+        for comp, den in comps:
+            # 0**0 = 1, and a positive order on a zero slot gives a zero term
+            terms.append(((xs, comp), Q(2 * prod(x ** ci for x, ci in zip(xs, comp)), den)))
     return F, SlotJetExpression(terms)
 
 
@@ -416,7 +411,10 @@ class ZTable:
     given (a longer planar series already checked by ``catalan_data``),
     else built here.  ``log_terms`` holds the log terms L_1, L_2, ... after
     a None at index 0, appended by ``genus_even.log_term_ratfn``; it stays
-    valid because ``solve_zg`` only ever adds entries."""
+    valid because ``solve_zg`` only ever adds entries.  The lattice string
+    expression that every genus expands (``string``) and the hierarchy jets
+    that ``verify_continuum_toda`` reads (``toda``) depend on nu alone, so
+    each is built once per table, on first use."""
 
     def __init__(self, nu: int, T: int, z0: Series | None = None):
         self.nu = nu
@@ -428,6 +426,17 @@ class ZTable:
             0: ZEntry(z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
         }
         self.log_terms: list[DLaurent | None] = [None]
+        self.todas: dict[int, JetExpression] = {}
+
+    @cached_property
+    def string(self) -> LatticePolynomial:
+        return lattice_equation_exprs(self.nu, "string")
+
+    def toda(self, h: int) -> JetExpression:
+        """The genus-h hierarchy jet ``toda_jet(nu, h)``, built once."""
+        if h not in self.todas:
+            self.todas[h] = toda_jet(self.nu, h)
+        return self.todas[h]
 
     def series(self, g: int) -> Series:
         return self.entries[g].series
@@ -464,8 +473,7 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
     T = ztable.T
     N = 2 * g + 1
     family = ztable.family(g - 1)
-    expr = lattice_equation_exprs(nu, "string")
-    R = expand_lattice_polynomial(expr, family, nu, N)
+    R = expand_lattice_polynomial(ztable.string, family, nu, N)
     if R is None:
         raise VerificationFailure("empty order-%d collection" % N)
     f0 = family.f(0)
@@ -528,7 +536,7 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     for h in range(g + 1):
         M = N - 2 * h
         symbols: dict[int, list] = {}
-        for (fpow, jets), coeff in toda_jet(nu, h).terms.items():
+        for (fpow, jets), coeff in ztable.toda(h).terms.items():
             factors = []
             for j, r in ((0, fpow),) + jets:
                 if j not in symbols:

@@ -37,7 +37,7 @@ class TriPoly(Terms):
 
     @staticmethod
     def monomial(coeff, s=0, h=0, f=0) -> "TriPoly":
-        return TriPoly({(s, h, f): Q(coeff)})
+        return TriPoly({(s, h, f): coeff})
 
     def d_h(self) -> "TriPoly":
         return TriPoly(
@@ -131,40 +131,31 @@ def odd_coeff_polys(nu: int) -> dict[str, TriPoly]:
     if nu < 1:
         raise RejectedInput("valence parameter must be >= 1")
     n = 2 * nu
-    B11 = TriPoly()
-    B12 = TriPoly()
-    for mu in range(1, nu + 1):
-        B11 = B11 + TriPoly.monomial(
-            trinomial(n, 2 * mu - 1, nu - mu, nu - mu + 1), h=2 * mu - 1, f=nu - mu + 1
-        )
-    for mu in range(0, nu + 1):
-        B12 = B12 + TriPoly.monomial(
-            trinomial(n, 2 * mu, nu - mu, nu - mu), h=2 * mu, f=nu - mu
-        )
-    A11 = TriPoly.monomial(1)
-    A12 = TriPoly()
-    for mu in range(0, nu):
-        A11 = A11 + (2 * nu + 1) * TriPoly.monomial(
-            trinomial(n, 2 * mu + 1, nu - mu - 1, nu - mu) * (nu - mu),
-            h=2 * mu + 1,
-            f=nu - mu - 1,
-        ).times_s()
-        A12 = A12 + (2 * nu + 1) * TriPoly.monomial(
-            trinomial(n, 2 * mu, nu - mu - 1, nu - mu + 1) * (nu - mu + 1),
-            h=2 * mu,
-            f=nu - mu - 1,
-        ).times_s()
-    Psi1 = TriPoly()
-    Psi2 = TriPoly()
-    for mu in range(0, nu + 1):
-        Psi1 = Psi1 + TriPoly.monomial(
-            trinomial(n + 1, 2 * mu, nu - mu, nu - mu + 1), h=2 * mu, f=nu - mu + 1
-        )
-        Psi2 = Psi2 + TriPoly.monomial(
-            trinomial(n + 1, 2 * mu + 1, nu - mu - 1, nu - mu + 1),
-            h=2 * mu + 1,
-            f=nu - mu + 1,
-        )
+    w = 2 * nu + 1
+    # each polynomial is one sum over its (s, h, f) keys
+    B11 = TriPoly(
+        ((0, 2 * mu - 1, nu - mu + 1), trinomial(n, 2 * mu - 1, nu - mu, nu - mu + 1))
+        for mu in range(1, nu + 1)
+    )
+    B12 = TriPoly(((0, 2 * mu, nu - mu), trinomial(n, 2 * mu, nu - mu, nu - mu)) for mu in range(nu + 1))
+    A11 = TriPoly(
+        [(TriPoly.ONE, 1)]
+        + [
+            ((1, 2 * mu + 1, nu - mu - 1), w * trinomial(n, 2 * mu + 1, nu - mu - 1, nu - mu) * (nu - mu))
+            for mu in range(nu)
+        ]
+    )
+    A12 = TriPoly(
+        ((1, 2 * mu, nu - mu - 1), w * trinomial(n, 2 * mu, nu - mu - 1, nu - mu + 1) * (nu - mu + 1))
+        for mu in range(nu)
+    )
+    Psi1 = TriPoly(
+        ((0, 2 * mu, nu - mu + 1), trinomial(n + 1, 2 * mu, nu - mu, nu - mu + 1)) for mu in range(nu + 1)
+    )
+    Psi2 = TriPoly(
+        ((0, 2 * mu + 1, nu - mu + 1), trinomial(n + 1, 2 * mu + 1, nu - mu - 1, nu - mu + 1))
+        for mu in range(nu + 1)
+    )
     return {"B11": B11, "B12": B12, "A11": A11, "A12": A12, "Psi1": Psi1, "Psi2": Psi2}
 
 

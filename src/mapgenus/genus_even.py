@@ -217,24 +217,16 @@ def E_w_deriv(e_h: LogRational, h: int, p: int) -> LogRational:
     """p-th spatial derivative of E_h at w = 1 by the direct graded chain."""
     if p < 0:
         raise RejectedInput("derivative order must be >= 0")
-    return _graded_chain([e_h], h, p)[p]
+    return _graded_chain([e_h], 2 - 2 * h, p)[p]
 
 
-def _graded_chain(chain: list[LogRational], h: int, p: int) -> list[LogRational]:
-    """Extend the graded chain of the genus-h lift, chain[i] its i-th
-    spatial derivative at w = 1, to order p: the i-th step differentiates a
-    lift of weight w^(2-2h-i)."""
+def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]:
+    """Extend the graded chain of a self-similar lift of weight w^a,
+    chain[i] its i-th spatial derivative at w = 1, to order p: the i-th
+    step differentiates a lift of weight w^(a-i)."""
     for i in range(len(chain) - 1, p):
-        chain.append(chain[-1].grade_dw(2 - 2 * h - i))
+        chain.append(chain[-1].grade_dw(a - i))
     return chain
-
-
-def f0_jets(nu: int, j_max: int) -> list[LogRational]:
-    """Spatial derivatives of the planar lift f0 = w z0(u w^(nu-1)) at w=1."""
-    out = [LogRational(nu, DLaurent.z(nu))]
-    for j in range(1, j_max + 1):
-        out.append(out[-1].grade_dw(1 - (j - 1)))
-    return out
 
 
 def planar_lift_deriv_formula(nu: int, p: int) -> LogRational:
@@ -247,13 +239,10 @@ def planar_lift_deriv_formula(nu: int, p: int) -> LogRational:
     """
     if p < 3:
         raise RejectedInput("jet formula starts at p = 3")
-    jets = f0_jets(nu, p)
-    # f0_w/f0 carries weight w^(-1); its i-th derivative applies grades
-    # -1, -2, ..., -i in turn (f0 = z0 at w = 1)
-    ratio = LogRational(nu, jets[1].rat.div_z())
-    ratio_derivs = [ratio]
-    for i in range(1, p):
-        ratio_derivs.append(ratio_derivs[-1].grade_dw(-i))
+    # the planar lift f0 = w z0(u w^(nu-1)) has weight w^1, and f0_w/f0
+    # weight w^(-1) (f0 = z0 at w = 1)
+    jets = _graded_chain([LogRational(nu, DLaurent.z(nu))], 1, p)
+    ratio_derivs = _graded_chain([LogRational(nu, jets[1].rat.div_z())], -1, p - 1)
     out = (
         Q(comb(p, 2)) * ratio_derivs[p - 3]
         + Q(p) * ratio_derivs[p - 2]
@@ -542,7 +531,7 @@ class ETable:
         """p-th spatial derivative of the genus-h lift at w = 1, from the
         lift's stored graded chain."""
         chain = self.chains.setdefault(h, [self.logrational(h)])
-        return _graded_chain(chain, h, p)[p]
+        return _graded_chain(chain, 2 - 2 * h, p)[p]
 
     def series(self, g: int) -> Series:
         if g in self.closed:

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -149,6 +150,52 @@ def test_specialization_counts_paths():
     for j, m1, m2 in [(4, 1, -1), (3, 1, 0), (6, 0, 0)]:
         entry = operator_power_entry(j, m1, m2)
         assert specialize_counts(entry) == dyck_path_count(j, m1, m2)
+
+
+@pytest.mark.parametrize("nu", [3, 4, 5, 6])
+def test_string_expression_normalises_each_coefficient_a_bounded_number_of_times(monkeypatch, nu):
+    # summing every walk in one pass normalises each coefficient a fixed
+    # number of times; re-normalising the whole sum after every walk grows
+    # as walks x terms
+    from mapgenus import combinatorics
+
+    calls = []
+    real = combinatorics.Q
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(combinatorics, "Q", counting)
+    expr = lattice_equation_exprs(nu, "string")
+    walks = len(lattice_paths(2 * nu - 1, 1, 0)) + 1
+    assert len(calls) <= 4 * (walks + len(expr.terms))
+
+
+def test_terms_sum_matches_sequential_addition_randomized():
+    rng = random.Random(7)
+    keys = [(t, (b,), ()) for t in range(2) for b in range(-2, 3)]
+    for _ in range(40):
+        monos = [
+            LatticePolynomial.monomial(rng.randint(-3, 3), key[1], t_deg=key[0])
+            for key in rng.choices(keys, k=rng.randint(1, 12))
+        ]
+        # a cancelling pair keeps a sum that must drop to zero in play
+        mono = rng.choice(monos)
+        monos += [-mono, mono * rng.randint(-2, 2)]
+        rng.shuffle(monos)
+        sequential = LatticePolynomial()
+        for m in monos:
+            sequential = sequential + m
+        pairs = [pair for m in monos for pair in m.terms.items()]
+        assert LatticePolynomial.sum(monos) == sequential
+        assert LatticePolynomial(pairs) == sequential
+        assert LatticePolynomial(dict(sequential.terms)) == sequential
+        assert all(sequential.terms.values())
+    cancelling = [LatticePolynomial.monomial(c, (k,)) for k in range(3) for c in (2, -1, -1)]
+    assert LatticePolynomial.sum(cancelling) == LatticePolynomial()
+    assert LatticePolynomial.sum(cancelling).terms == {}
+    assert LatticePolynomial([(key, v) for m in cancelling for key, v in m.terms.items()]) == LatticePolynomial()
 
 
 def test_trinomial_conventions():

@@ -358,6 +358,48 @@ def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_corrupted_antiderivative_fails_verification(monkeypatch):
+    # every string box coefficient vanishes, so F == 0 and the check is
+    # dw(Fhat) == 0: one wrong coefficient of Fhat must break it
+    from mapgenus import continuum_even
+
+    real = continuum_even.string_jets
+
+    def corrupted(nu, g):
+        F, Fhat = real(nu, g)
+        # the term carrying all 2g orders in slot 0 is the only one whose
+        # derivation reaches order 2g+1, so nothing can cancel its change
+        key = next(k for k in Fhat.terms if k[1][0] == 2 * g)
+        Fhat.terms[key] += 1
+        return F, Fhat
+
+    assert verify_string_antiderivative(3, 2)["status"] == "pass"
+    monkeypatch.setattr(continuum_even, "string_jets", corrupted)
+    for nu, g in [(2, 1), (3, 2)]:
+        with pytest.raises(VerificationFailure):
+            verify_string_antiderivative(nu, g)
+
+
+def test_one_string_expression_and_one_hierarchy_jet_per_table(monkeypatch):
+    from mapgenus import continuum_even
+
+    calls = []
+    for name in ("lattice_equation_exprs", "toda_jet"):
+        real = getattr(continuum_even, name)
+
+        def counting(nu, arg, real=real, name=name):
+            calls.append((name, arg))
+            return real(nu, arg)
+
+        monkeypatch.setattr(continuum_even, name, counting)
+    table = build_ztable(3, 4)
+    assert calls == [("lattice_equation_exprs", "string")]
+    del calls[:]
+    for g in range(1, 4):
+        verify_continuum_toda(3, g, table)
+    assert calls == [("toda_jet", h) for h in range(4)]
+
+
 def test_evaluation_makes_no_series_products(monkeypatch):
     from mapgenus import exact_kernel
     from mapgenus.exact_kernel import DLaurent

@@ -2,7 +2,8 @@
 ``src/`` or is an oracle kept on purpose for the tests to compare against,
 no module under ``src/`` or ``tests/`` imports a name it never uses, every
 function the benchmark tracer patches still exists, and no two functions
-in ``src/`` share a body."""
+in ``src/`` share a body, and no loop sums a polynomial one monomial at a
+time."""
 
 import ast
 import importlib.util
@@ -155,3 +156,42 @@ def test_no_function_defined_twice():
     for where, body in _function_bodies():
         seen.setdefault(body, []).append(where)
     assert [names for names in seen.values() if len(names) > 1] == []
+
+
+def _monomial_loop_sums(tree):
+    """Line of each statement inside a ``for`` body that rebinds a name to
+    that name plus an expression calling ``.monomial(...)``."""
+    out = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.For):
+            continue
+        for stmt in loop.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+                    target, left, right = node.targets[0], node.value.left, node.value.right
+                    rebinds = isinstance(target, ast.Name) and isinstance(left, ast.Name) and left.id == target.id
+                    rebinds = rebinds and isinstance(node.value.op, ast.Add)
+                elif isinstance(node, ast.AugAssign):
+                    target, right = node.target, node.value
+                    rebinds = isinstance(target, ast.Name) and isinstance(node.op, ast.Add)
+                else:
+                    continue
+                calls = [
+                    sub for sub in ast.walk(right)
+                    if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "monomial"
+                ]
+                if rebinds and calls:
+                    out.add(node.lineno)
+    return out
+
+
+def test_no_monomial_accumulated_in_a_loop():
+    # each `acc = acc + X.monomial(...)` copies and re-normalises the whole
+    # polynomial; the Terms constructor and Terms.sum add them in one pass
+    sites = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            sites += ["%s:%d" % (name, line) for line in sorted(_monomial_loop_sums(tree))]
+    assert sites == []
