@@ -9,13 +9,13 @@ identity failed, 2 usage error, 3 reconstruction or resonance failure.
 Each payload builder imports the engine modules it uses, so a command
 loads only what it runs and a cache hit loads no engine module.  The cache
 digests with the BLAKE2b built into CPython, so no cached run loads
-``hashlib`` and OpenSSL, and it imports ``tempfile`` only to store.  Only
-the commands that argv names get a parser.
+``hashlib`` and OpenSSL, and it imports ``tempfile`` only to store.  One
+command table drives the argv parser, the help pages and the usage errors,
+which accept and print argparse's language and text for an 80-column
+terminal without importing argparse and the ``gettext``, ``locale`` and
+``shutil`` it loads.
 """
 
-from __future__ import annotations
-
-import argparse
 import functools
 import json
 import os
@@ -320,99 +320,258 @@ def render(payload: dict, fmt: str) -> str:
     return "".join("%-*s  %s\n" % (width, k, v) for k, v in rows)
 
 
-def _named(commands, argv) -> tuple:
-    """The commands that argv names, or all of them when it names none or
-    asks for help.  argparse dispatches only to a command whose name it
-    reads from argv, so the others need no parser.  A help page, and the
-    "invalid choice" error of an argv that names no command, list every
-    command."""
-    named = tuple(c for c in commands if c in argv)
-    if not named or any(a.startswith(("-h", "--h")) for a in argv):
-        return commands
-    return named
+# ---------------------------------------------------------------------------
+# command table, argv parser and help text
+# ---------------------------------------------------------------------------
+
+PROG = "mapgenus"
+# argparse's layout on an 80-column terminal: text width and help column
+WIDTH = 78
+HELP_COLUMN = 24
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """Each command's parser sets ``run``, its payload builder (called with
-    the command's options as keywords), and ``cached``, whether its
-    documents go through the result cache.  Only the commands that argv
-    names get a parser (``_named``)."""
-    named = _named(("z0", "zg", "eg", "maps", "verify", "trivalent", "report"), argv)
-    parser = argparse.ArgumentParser(
-        prog="mapgenus",
-        description="exact genus expansions and map enumeration on surfaces",
+class Command:
+    """One level of the command line: its help line and options, then
+    either the payload builder it runs (called with the parsed options as
+    keywords) and ``cached``, whether its documents go through the result
+    cache, or the subcommands whose name the positional ``dest`` reads."""
+
+    def __init__(self, help, options=(), run=None, cached=False, dest=None, subcommands=None):
+        self.help = help
+        self.options = options
+        self.run = run
+        self.cached = cached
+        self.dest = dest
+        self.subcommands = subcommands
+
+
+def option(flag, kind=int, default=None, required=False, dest=None) -> tuple:
+    """(flag, kind, default, required, dest): kind is ``int``, ``str``, a
+    tuple of choices, or None for a bare flag that stores True."""
+    return flag, kind, default, required, dest or flag[2:].replace("-", "_")
+
+
+# -h and --help of every level, named as its errors name it
+HELP = option("-h/--help", None, dest="help")
+
+
+def command_table() -> Command:
+    """The whole command line.  It is built per parse, so it names the
+    payload builders this module holds at that time, and ``--cache-dir``
+    defaults to the environment of that time."""
+    nu = option("--nu", required=True)
+    g = option("--g", required=True)
+    verify = {
+        "lattice": Command(
+            None,
+            (nu, option("--nmax", default=6), option("--torder", default=4), option("--with-t1", None, False)),
+            payload_verify_lattice,
+        ),
+        "continuum": Command(None, (nu, option("--g", default=2), option("--order")), payload_verify_continuum),
+        "odd": Command(None, (nu, option("--order", default=10)), payload_verify_odd),
+    }
+    commands = {
+        "z0": Command("planar generating function", (nu, option("--order", default=16)), payload_z0, True),
+        "zg": Command("two-leg generating function at genus g", (nu, g, option("--order")), payload_zg, True),
+        "eg": Command(
+            "free-energy coefficient at genus g", (nu, g, option("--series-order", dest="order")), payload_eg, True
+        ),
+        "maps": Command(
+            "labelled regular map counts by genus",
+            (option("--valence", required=True), option("--vertices", required=True), option("--genus")),
+            payload_maps,
+            True,
+        ),
+        "verify": Command("machine verification of the identities", dest="what", subcommands=verify),
+        "trivalent": Command("trivalent golden values vs matchings", (option("--mmax", default=4),), payload_trivalent),
+        "report": Command("standard verification sweep", (option("--nu", default=2),), payload_report),
+    }
+    return Command(
+        "exact genus expansions and map enumeration on surfaces",
+        (
+            option("--format", ("json", "csv", "text"), "json"),
+            option("--cache-dir", str, os.environ.get(CACHE_ENV)),
+            option("--no-cache", None, False),
+        ),
+        dest="command",
+        subcommands=commands,
     )
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
-    parser.add_argument("--no-cache", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    if "z0" in named:
-        p = sub.add_parser("z0", help="planar generating function")
-        p.set_defaults(run=payload_z0, cached=True)
-        p.add_argument("--nu", type=int, required=True)
-        p.add_argument("--order", type=int, default=16)
 
-    if "zg" in named:
-        p = sub.add_parser("zg", help="two-leg generating function at genus g")
-        p.set_defaults(run=payload_zg, cached=True)
-        p.add_argument("--nu", type=int, required=True)
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--order", type=int)
+def _invocation(opt) -> str:
+    flag, kind, _, _, dest = opt
+    if kind is None:
+        return flag
+    return "%s %s" % (flag, "{%s}" % ",".join(kind) if isinstance(kind, tuple) else dest.upper())
 
-    if "eg" in named:
-        p = sub.add_parser("eg", help="free-energy coefficient at genus g")
-        p.set_defaults(run=payload_eg, cached=True)
-        p.add_argument("--nu", type=int, required=True)
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--series-order", type=int, dest="order")
 
-    if "maps" in named:
-        p = sub.add_parser("maps", help="labelled regular map counts by genus")
-        p.set_defaults(run=payload_maps, cached=True)
-        p.add_argument("--valence", type=int, required=True)
-        p.add_argument("--vertices", type=int, required=True)
-        p.add_argument("--genus", type=int)
+def _usage(prog, cmd) -> str:
+    """The usage line.  When it is too long it wraps as argparse wraps
+    it: a required option's flag and metavar are separate words, and the
+    subcommand positional starts a row of its own."""
+    words = [prog, "[-h]"]
+    for opt in cmd.options:
+        words += _invocation(opt).split() if opt[3] else ["[%s]" % _invocation(opt)]
+    tail = ["{%s}" % ",".join(cmd.subcommands), "..."] if cmd.subcommands else []
+    line = " ".join(words + tail)
+    if len("usage: ") + len(line) <= WIDTH:
+        return "usage: %s\n" % line
+    indent = len("usage: ") + len(prog) + 1
+    rows, used = [[]], len("usage: ") - 1
+    for word in words + [None] + tail:
+        if word is None or rows[-1] and used + 1 + len(word) > WIDTH:
+            rows.append([])
+            used = indent - 1
+        if word:
+            rows[-1].append(word)
+            used += len(word) + 1
+    return "usage: %s\n" % ("\n" + " " * indent).join(" ".join(row) for row in rows if row)
 
-    if "verify" in named:
-        v = sub.add_parser("verify", help="machine verification of the identities")
-        vsub = v.add_subparsers(dest="what", required=True)
-        vnamed = _named(("lattice", "continuum", "odd"), argv)
-        if "lattice" in vnamed:
-            p = vsub.add_parser("lattice")
-            p.set_defaults(run=payload_verify_lattice, cached=False)
-            p.add_argument("--nu", type=int, required=True)
-            p.add_argument("--nmax", type=int, default=6)
-            p.add_argument("--torder", type=int, default=4)
-            p.add_argument("--with-t1", action="store_true")
-        if "continuum" in vnamed:
-            p = vsub.add_parser("continuum")
-            p.set_defaults(run=payload_verify_continuum, cached=False)
-            p.add_argument("--nu", type=int, required=True)
-            p.add_argument("--g", type=int, default=2)
-            p.add_argument("--order", type=int)
-        if "odd" in vnamed:
-            p = vsub.add_parser("odd")
-            p.set_defaults(run=payload_verify_odd, cached=False)
-            p.add_argument("--nu", type=int, required=True)
-            p.add_argument("--order", type=int, default=10)
 
-    if "trivalent" in named:
-        p = sub.add_parser("trivalent", help="trivalent golden values vs matchings")
-        p.set_defaults(run=payload_trivalent, cached=False)
-        p.add_argument("--mmax", type=int, default=4)
+def _help(prog, cmd) -> str:
+    """The help page: usage, the top level's description, then the
+    subcommands and the options, every help text at one column."""
+    options = [(2, "-h, --help", "show this help message and exit")]
+    options += [(2, _invocation(opt), None) for opt in cmd.options]
+    positionals = []
+    if cmd.subcommands:
+        positionals.append((2, "{%s}" % ",".join(cmd.subcommands), None))
+        positionals += [(4, name, sub.help) for name, sub in cmd.subcommands.items() if sub.help]
+    # every name with a help text ("-h, --help" and the command names)
+    # ends at least two columns before the help column
+    column = min(max(indent + len(text) for indent, text, _ in options + positionals) + 2, HELP_COLUMN)
+    page = _usage(prog, cmd) + "\n" + (cmd.help + "\n\n" if prog == PROG else "")
+    for title, items in (("positional arguments:", positionals), ("options:", options)):
+        if items:
+            page += title + "\n"
+            for indent, text, help in items:
+                page += ((" " * indent + text).ljust(column) + help if help else " " * indent + text) + "\n"
+            page += "\n"
+    return page[:-1]
 
-    if "report" in named:
-        p = sub.add_parser("report", help="standard verification sweep")
-        p.set_defaults(run=payload_report, cached=False)
-        p.add_argument("--nu", type=int, default=2)
-    return parser
+
+def _fail(prog, cmd, message):
+    sys.stderr.write("%s%s: error: %s\n" % (_usage(prog, cmd), prog, message))
+    raise SystemExit(2)
+
+
+def _negative_number(arg) -> bool:
+    """argparse's test ``^-\\d+$|^-\\d*\\.\\d+$`` for a token that starts
+    with "-" (``$`` also matches before a final newline)."""
+    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+    return (whole + frac).isdecimal() and (frac != "" or not dot)
+
+
+def _parse(prog, cmd, args, options) -> list:
+    """Read args against one level of the table into options, the way
+    argparse reads them, and return the tokens that no level took.
+
+    Every token is classified first: an option of this level (exact,
+    ``--opt=value``, a unique prefix of a long option, or ``-h`` with text
+    stuck to it), an unknown option, or a value (a negative number and a
+    token with a space are values, and so is everything after ``--``).
+    Then, left to right, each option takes its value; the first value no
+    option takes names a subcommand, whose level reads every later token;
+    any other token is left over."""
+    flags = {"-h": HELP, "--help": HELP}
+    for opt in cmd.options:
+        flags[opt[0]] = opt
+        options[opt[4]] = opt[2]
+    if cmd.subcommands:
+        options[cmd.dest] = None
+    else:
+        options.update(run=cmd.run, cached=cmd.cached)
+
+    # per token: None for a value, "--" for the separator, else the option
+    # (None when unknown), the flag it matched and the text after "="
+    parsed = []
+    for arg in args:
+        if arg == "--":
+            parsed += ["--"] + [None] * (len(args) - len(parsed) - 1)
+            break
+        flag, eq, explicit = arg.partition("=")
+        explicit = explicit if eq else None
+        if flag in flags:
+            matches = [(flag, explicit)]
+        elif arg.startswith("--"):
+            matches = [(f, explicit) for f in flags if f.startswith(flag)]
+        else:
+            matches = [(arg[:2], arg[2:])] if arg[:2] in flags else []
+        if len(matches) > 1:
+            _fail(prog, cmd, "ambiguous option: %s could match %s" % (arg, ", ".join(f for f, _ in matches)))
+        if matches:
+            parsed.append((flags[matches[0][0]],) + matches[0])
+        elif arg.startswith("-") and arg != "-" and not (_negative_number(arg) or " " in arg):
+            parsed.append((None, arg, None))
+        else:
+            parsed.append(None)
+
+    leftover, later = [], []
+    i = 0
+    while i < len(args):
+        found = parsed[i]
+        i += 1
+        if found is None or found == "--" or found[0] is None:
+            # a value names the subcommand, and so does "--" before a token
+            if cmd.subcommands and (found is None or found == "--" and i < len(args)):
+                name = args[i - 1]
+                if name not in cmd.subcommands:
+                    choices = ", ".join(map(repr, cmd.subcommands))
+                    _fail(prog, cmd, "argument %s: invalid choice: %r (choose from %s)" % (cmd.dest, name, choices))
+                options[cmd.dest] = name
+                sub = {}
+                later = _parse("%s %s" % (prog, name), cmd.subcommands[name], args[i:], sub)
+                options.update(sub)
+                break
+            leftover.append(args[i - 1])
+            continue
+        opt, flag, value = found
+        kind = opt[1]
+        if kind is None:
+            if value is not None:
+                # "-hh" reads as "-h -h": -h is the only short flag
+                rest = value.lstrip("h") if flag == "-h" else value
+                if rest or not value:
+                    _fail(prog, cmd, "argument %s: ignored explicit argument %r" % (opt[0], rest))
+            value = True
+        elif value is None:
+            if i == len(args) or parsed[i] is not None:
+                _fail(prog, cmd, "argument %s: expected one argument" % opt[0])
+            value = args[i]
+            i += 1
+        if opt is HELP:
+            sys.stdout.write(_help(prog, cmd))
+            raise SystemExit(0)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(prog, cmd, "argument %s: invalid int value: %r" % (opt[0], value))
+        elif isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _fail(prog, cmd, "argument %s: invalid choice: %r (choose from %s)" % (opt[0], value, choices))
+        options[opt[4]] = value
+    # a required option has no default, and a given value is never None
+    missing = [opt[0] for opt in cmd.options if opt[3] and options[opt[4]] is None]
+    if cmd.subcommands and options[cmd.dest] is None:
+        missing.append(cmd.dest)
+    if missing:
+        _fail(prog, cmd, "the following arguments are required: %s" % ", ".join(missing))
+    return leftover + later
 
 
 def parse_options(argv) -> dict:
-    """The parsed arguments as a plain dict.  The parser is built and
-    dropped here, so none of it stays referenced while the command runs."""
-    return vars(build_parser(argv).parse_args(argv))
+    """The options argv gives, every one present with its default when not
+    given, plus ``command`` (and ``what`` under verify), ``run`` and
+    ``cached``.  A help page goes to stdout and raises SystemExit(0); a
+    usage error prints the usage and the error to stderr and raises
+    SystemExit(2)."""
+    table = command_table()
+    options = {}
+    leftover = _parse(PROG, table, list(argv), options)
+    if leftover:
+        _fail(PROG, table, "unrecognized arguments: %s" % " ".join(leftover))
+    return options
 
 
 # exit code and stderr prefix of each engine error; an error class not

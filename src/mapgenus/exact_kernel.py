@@ -482,6 +482,13 @@ class RatFn:
         self.den_pow = den_pow
         self.var = var
 
+    @staticmethod
+    def _of(num: Poly, den_base: Poly, den_pow: int, var: str) -> "RatFn":
+        """A record whose parts are already in the reduced form above."""
+        out = object.__new__(RatFn)
+        out.num, out.den_base, out.den_pow, out.var = num, den_base, den_pow, var
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -582,12 +589,14 @@ class DLaurent:
     def to_ratfn(self) -> RatFn:
         """The same function as a reduced RatFn in z.  One Taylor shift of
         the integer numerators: self D^P is a polynomial in
-        D = nu - (nu-1) z, and D^P is (1-nu)^P (z - nu/(nu-1))^P."""
+        D = nu - (nu-1) z, and D^P is (1-nu)^P (z - nu/(nu-1))^P.  The
+        record is reduced as built: with lo < 0, self D^P has the nonzero
+        constant term num[0] in D, so D does not divide it."""
         q = self.nu - 1
         P = max(0, -self.lo)
         scale = Q(1, self.den * (-q) ** P)
         num = _taylor_shift([0] * (self.lo + P) + list(self.num), Q(self.nu), -q, scale)
-        return RatFn(Poly(num), Poly([Q(-self.nu, q), 1]), P, "z0")
+        return RatFn._of(Poly(num), Poly([Q(-self.nu, q), 1]) if P else Poly.one(), P, "z0")
 
     # -- structure -------------------------------------------------------------
 

@@ -443,7 +443,8 @@ def test_cli_maps_entrypoint_identity():
 
 
 # Loads the cli in a fresh interpreter, dispatches the argv given as JSON
-# (if any) and prints the modules that import and dispatch loaded.  The
+# (if any), checks that it returns the exit code given after it, and prints
+# the modules that import and dispatch loaded.  The
 # interpreter starts without ``site``, whose .pth hooks may import modules
 # of their own before the script runs.
 FOOTPRINT = """
@@ -453,18 +454,20 @@ from mapgenus import cli
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.dispatch(json.loads(sys.argv[1]))
-    assert code == 0, code
+    assert code == int(sys.argv[2]), code
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 CLI_ONLY = {"mapgenus", "mapgenus.cli", "mapgenus.errors"}
 
 
-def loaded_by(*argv) -> set:
+def loaded_by(*argv, code=0) -> set:
+    """The modules that importing the cli, then dispatching argv (if any)
+    with the exit code given, load in a fresh interpreter."""
     import subprocess
     import sys
 
-    args = [sys.executable, "-S", "-c", FOOTPRINT] + ([json.dumps(argv)] if argv else [])
+    args = [sys.executable, "-S", "-c", FOOTPRINT] + ([json.dumps(argv), str(code)] if argv else [])
     proc = subprocess.run(args, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
@@ -540,38 +543,77 @@ def test_cached_runs_load_no_openssl(tmp_path):
     assert len(os.listdir(tmp_path)) == 1
 
 
-def test_one_parser_per_named_command(monkeypatch, capsys):
-    """argparse dispatches only to a command named in argv, so only those
-    get a parser; with none named, every command does, and help lists all."""
-    import argparse
+COMMANDS = ("z0", "zg", "eg", "maps", "verify", "trivalent", "report")
 
+
+def test_help_and_usage_errors_list_every_command(capsys):
+    """One table holds every command, whatever argv names: the help page
+    and a top-level usage error after a named command list all seven."""
     import mapgenus.cli as cli_mod
 
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv, parsers in (
-        (["zg", "--nu", "2", "--g", "3"], 2),
-        (["verify", "lattice", "--nu", "2"], 3),
-        ([], 11),
-    ):
-        built.clear()
-        try:
-            cli_mod.parse_options(argv)
-        except SystemExit:
-            assert not argv
-        assert len(built) == parsers, argv
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli_mod.parse_options(["--help"])
+    assert exc.value.code == 0
     usage = capsys.readouterr().out
-    for command in ("z0", "zg", "eg", "maps", "verify", "trivalent", "report"):
+    for command in COMMANDS:
         assert "\n    %s " % command in usage, command
+    for argv in (["--format", "xml", "zg", "--nu", "2", "--g", "3"], ["zg", "--nu", "2", "--g", "3", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.parse_options(argv)
+        assert exc.value.code == 2
+        assert "{%s} ...\nmapgenus: error: " % ",".join(COMMANDS) in capsys.readouterr().err, argv
+
+
+# Help pages, usage errors and parses of the command line as the argparse
+# parser it replaced printed and built them (COLUMNS unset, no tty), except
+# that every usage error lists all seven commands
+with open(os.path.join(ROOT, "tests", "cli_golden.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN["text"], ids=[" ".join(c["argv"]) or "-" for c in GOLDEN["text"]])
+def test_help_and_usage_text_is_golden(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["parse"], ids=[" ".join(c["argv"]) + (" [env]" if c["env"] else "") for c in GOLDEN["parse"]]
+)
+def test_parse_table(monkeypatch, capsys, case):
+    # every option present with its default, the builder as the function
+    # object, and the cache key dispatch builds from the dict unchanged
+    import mapgenus.cli as cli_mod
+
+    if case["env"]:
+        monkeypatch.setenv(cli_mod.CACHE_ENV, case["env"])
+    else:
+        monkeypatch.delenv(cli_mod.CACHE_ENV, raising=False)
+    expected = dict(case["options"])
+    options = cli_mod.parse_options(case["argv"])
+    assert options.pop("run") is getattr(cli_mod, expected.pop("run"))
+    assert options == expected
+    keys = []
+    monkeypatch.setattr(
+        cli_mod, "cache_lookup_or_compute", lambda cache_dir, key, producer, no_cache=False: keys.append(key) or {}
+    )
+    assert run(capsys, *case["argv"]) == (0, "{}\n" if expected["format"] == "json" else "", "")
+    assert keys == [case["key"]]
+
+
+# what a run may load beyond the interpreter's start: the cache's BLAKE2b,
+# the math module errors.py uses, the three CLI modules, and json
+STARTUP_ALLOWED = CLI_ONLY | {"_blake2", "math", "json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+
+
+def test_startup_loads_only_the_allowed_modules(tmp_path, capsys):
+    """Importing the cli, a warm cache hit, a help page and a usage error
+    load no argparse, gettext, locale or shutil."""
+    hit = ["--cache-dir", str(tmp_path), "zg", "--nu", "2", "--g", "1"]
+    assert dispatch(hit) == 0
+    capsys.readouterr()
+    for argv, code in (((), 0), (hit, 0), (("--help",), 0), (("zg", "--nu", "x"), 2)):
+        loaded = loaded_by(*argv, code=code)
+        assert loaded <= STARTUP_ALLOWED, (argv, sorted(loaded - STARTUP_ALLOWED))
 
 
 def test_records_are_immutable():

@@ -856,6 +856,26 @@ def test_dlaurent_crossing_matches_horner_forms_randomized():
             assert ratfn_to_json(f.to_ratfn()) == ratfn_to_json(r)
 
 
+def test_to_ratfn_record_matches_the_normalising_constructor_randomized():
+    # to_ratfn stores its parts as they are built; RatFn.__init__ given the
+    # same parts must find nothing to reduce, with lo below, at and above 0
+    for nu in (2, 3, 5):
+        base = Poly([Q(-nu, nu - 1), 1])
+        for lo in (-4, -1, 0, 2):
+            for _ in range(6):
+                ends = [rand_q() or Q(1), rand_q() or Q(-1)]
+                f = DLaurent(nu, lo, ends[:1] + rand_coeffs(rng.randint(0, 5), SHARED_DENOMS) + ends[1:])
+                assert f.lo == lo
+                for g in (f, DLaurent(nu, lo, ())):
+                    r = g.to_ratfn()
+                    P = max(0, -g.lo)
+                    ref = RatFn(r.num, base, P, "z0")
+                    assert (r.num.c, r.den_base.c, r.den_pow, r.var) == (ref.num.c, ref.den_base.c, ref.den_pow, ref.var)
+                    assert r == horner_to_ratfn(g)
+    zero = DLaurent(2, -3, ()).to_ratfn()
+    assert (zero.num.c, zero.den_base.c, zero.den_pow) == ((), (1,), 0)
+
+
 def test_dlaurent_from_ratfn_rejects_a_shifted_power():
     # (z - 1)^2 at nu = 2 is a power of a linear base, but not of D
     with pytest.raises(RejectedInput):
