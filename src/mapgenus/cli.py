@@ -136,8 +136,7 @@ def payload_zg(nu: int, g: int, order: int | None) -> dict:
 
     if g < 0:
         raise RejectedInput("genus must be >= 0")
-    T = order if order is not None else max(3 * g + 12, 16)
-    table = continuum_even.build_ztable(nu, g, T=T)
+    table = continuum_even.build_ztable(nu, g, T=order)
     entry = table.entries[g]
     return {
         "nu": nu,
@@ -239,12 +238,11 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
 
     if g < 0:
         raise RejectedInput("genus must be >= 0")
-    T = order if order is not None else max(3 * g + 12, 16)
+    ztable = continuum_even.build_ztable(nu, g, T=order)
     reports = [
-        continuum_even.verify_string_functional(nu, max(T, 20)),
-        continuum_even.verify_burgers(nu, max(T, 10)),
+        continuum_even.verify_string_functional(nu, max(ztable.T, 20)),
+        continuum_even.verify_burgers(nu, max(ztable.T, 10)),
     ]
-    ztable = continuum_even.build_ztable(nu, g, T=T)
     for gg in range(1, g + 1):
         reports.append(continuum_even.verify_string_antiderivative(nu, gg))
         reports.append(continuum_even.verify_continuum_toda(nu, gg, ztable))

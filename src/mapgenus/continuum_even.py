@@ -183,35 +183,6 @@ def toda_jet(nu: int, g: int) -> JetExpression:
 # -- spatially exact antiderivative of the string-side jets ------------------
 
 
-class SlotJetExpression(Terms):
-    """Jet polynomial with per-slot scale weights, closed under a slot
-    derivation that multiplies by the slot weight while raising the order.
-
-    Terms map (weights, orders) -> coefficient: `orders[i]` is the
-    derivative order carried by slot i and `weights[i]` its numeric scale;
-    the plain jet content of a term is prod_i f_(orders[i]) with zero
-    orders meaning bare f factors.
-    """
-
-    __slots__ = ()
-
-    def dw(self) -> "SlotJetExpression":
-        # terms that the derivation sends to one (weights, orders) merge
-        return SlotJetExpression(
-            ((xs, orders[:i] + (orders[i] + 1,) + orders[i + 1 :]), coeff * x)
-            for (xs, orders), coeff in self.terms.items()
-            for i, x in enumerate(xs)
-            if x
-        )
-
-    def as_jet(self) -> JetExpression:
-        pairs = []
-        for (_xs, orders), coeff in self.terms.items():
-            jets = multiplicities(orders)  # order 0 counts the bare f factors
-            pairs.append((JetExpression.key(jets.pop(0, 0), jets), coeff))
-        return JetExpression(pairs)
-
-
 def _compositions(total: int, slots: int):
     if slots == 1:
         yield (total,)
@@ -221,36 +192,54 @@ def _compositions(total: int, slots: int):
             yield (head,) + rest
 
 
-def string_jets(nu: int, g: int) -> tuple[JetExpression, SlotJetExpression]:
-    """The genus-g string-side jet polynomial and its spatial antiderivative.
+def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], tuple[Fraction, ...]]]:
+    """The genus-g string-side jet polynomial F and its spatial
+    antiderivative, summed over the staircase box.
 
-    The antiderivative runs over slot compositions of 2g (partitions padded
-    with zeros to nu slots), weighted per slot by the staircase separations,
-    with 0**0 = 1 and prefactor 2/(2g+1); its slot derivation must reproduce
-    the jet polynomial exactly (checked by verify_string_antiderivative).
+    The antiderivative has one entry per composition c of 2g into nu slots
+    (slot i carries derivative order c_i): the tuple of slot sums
+
+        W_i(c) = 2 sum_mu x_i prod_j x_j^c_j / ((2g+1) prod_j c_j!)
+
+    over the box points x = mu - eta, with 0**0 = 1.  Every string box
+    coefficient vanishes, so F is the zero jet polynomial, and
+    verify_string_antiderivative checks that the slot derivative of the
+    antiderivative cancels.
     """
     if g < 1:
         raise RejectedInput("string jets start at genus 1")
     F = _partition_jet(nu, g, "string")
-    # antiderivative: slots weighted by mu - eta over the staircase box
     eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
     lower = tuple(range(nu, 0, -1))
     upper = tuple(range(2 * nu - 1, nu - 1, -1))
-    # a term's coefficient is 2 prod_i x_i^c_i over (2g+1) prod_i c_i!
-    comps = [(comp, (2 * g + 1) * prod(map(factorial, comp))) for comp in _compositions(2 * g, nu)]
-    terms = []
-    for mu in strict_partitions_in_box(lower, upper):
-        xs = tuple(mu[i] - eta[i] for i in range(nu))
-        for comp, den in comps:
-            # 0**0 = 1, and a positive order on a zero slot gives a zero term
-            terms.append(((xs, comp), Q(2 * prod(x ** ci for x, ci in zip(xs, comp)), den)))
-    return F, SlotJetExpression(terms)
+    points = [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+    antiderivative = {}
+    for comp in _compositions(2 * g, nu):
+        sums = [0] * nu
+        for xs in points:
+            weight = prod(x ** ci for x, ci in zip(xs, comp))
+            for i, x in enumerate(xs):
+                sums[i] += x * weight
+        den = (2 * g + 1) * prod(map(factorial, comp))
+        antiderivative[comp] = tuple(Q(2 * s, den) for s in sums)
+    return F, antiderivative
 
 
 def verify_string_antiderivative(nu: int, g: int) -> dict:
-    """dw of the antiderivative equals the string-side jet polynomial."""
-    F, Fhat = string_jets(nu, g)
-    if Fhat.dw().as_jet() != F:
+    """The slot derivative of the string antiderivative equals the
+    string-side jet polynomial F; since every string box coefficient
+    vanishes, this checks that the derivative cancels.  Slot i of the entry
+    of composition c raises that slot's order: W_i(c) lands on the jet
+    monomial of the orders c + e_i."""
+    F, antiderivative = string_jets(nu, g)
+    pairs = []
+    for comp, sums in antiderivative.items():
+        for i, w in enumerate(sums):
+            if w:
+                jets = multiplicities(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
+                # order 0 counts the bare f factors
+                pairs.append((JetExpression.key(jets.pop(0, 0), jets), w))
+    if JetExpression(pairs) != F:
         raise VerificationFailure(
             "string antiderivative fails at nu=%d, g=%d" % (nu, g)
         )
@@ -419,8 +408,8 @@ class ZTable:
     def __init__(self, nu: int, T: int, z0: Series | None = None):
         self.nu = nu
         self.T = T
-        self.c = Q(c_valence(nu))
         z0 = catalan_data(nu, T).z0 if z0 is None else z0.truncate(T)
+        self.c = Q(c_valence(nu))
         self.base = Poly([nu, -(nu - 1)])
         self.entries: dict[int, ZEntry] = {
             0: ZEntry(z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))

@@ -492,24 +492,8 @@ class RatFn:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def const(q: QLike, var: str = "z") -> "RatFn":
-        return RatFn(Poly.const(q), Poly.one(), 0, var)
-
-    @staticmethod
     def from_poly(p: Poly, var: str = "z") -> "RatFn":
         return RatFn(p, Poly.one(), 0, var)
-
-    # -- structure -------------------------------------------------------------
-
-    def den(self) -> Poly:
-        return self.den_base ** self.den_pow
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFn.const(other, self.var)
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return (self.num * other.den() == other.num * self.den())
 
     def __repr__(self):
         if self.den_pow == 0:

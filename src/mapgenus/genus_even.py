@@ -673,8 +673,11 @@ def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | Non
     16).  e_g reads only the planar series and each z_g in the D ring, so
     the z-table is built only to the z_g reconstruction surplus,
     min(T, max(3 g_max + 12, 16)), over a cut of the same planar series.
-    A given z-table is used as it is, and its planar series sets the order."""
+    A given z-table is used as it is, and its planar series sets the order,
+    so it cannot be given together with T."""
     z0 = None
+    if ztable is not None and T is not None:
+        raise RejectedInput("give a z-table or an order T, not both: the z-table's planar series sets the order")
     if ztable is None:
         T = max(5 * g_max + 12, 16) if T is None else T
         z0 = catalan_data(nu, T).z0

@@ -33,6 +33,7 @@ CLOSED_FORM_DIGESTS = {
     "trivalent --mmax 6": "2891e4939e41283862a1bd55a83d07f5eaac94471ccbfeabecfb6731847934ad",
     "z0 --nu 5 --order 30": "18c54679add0ecb05a9afa0bd978e4a4882bb53c0872665046c4c7ef80cd84d5",
     "eg --nu 5 --g 3": "758d81ad14a2bcb9cbc3b99003cd940c757c94ce841dec26f7a2d1546c8cbbed",
+    "verify continuum --nu 5 --g 2": "228075d766879d4560447a319df91cf3e764709399c2f162b82a35f67d7cab0f",
 }
 
 
@@ -236,6 +237,9 @@ def test_one_order_too_few_is_insufficient(capsys):
         ("eg", "--nu", "2", "--g", "0", "--series-order", "0"),
         ("eg", "--nu", "2", "--g", "1", "--series-order", "0"),
         ("maps", "--valence", "4", "--vertices", "2", "--genus", "-1"),
+        ("zg", "--nu", "0", "--g", "1"),
+        ("eg", "--nu", "0", "--g", "1"),
+        ("verify", "continuum", "--nu", "0", "--g", "1"),
     ],
 )
 def test_invalid_input_is_usage_error(capsys, argv):

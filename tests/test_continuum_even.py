@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -77,7 +77,8 @@ def test_solve_z1_closed_form():
     table = build_ztable(2, 1)
     entry = table.entries[1]
     expected = RatFn(Q(2, 3) * Poly.x() * Poly([-1, 1]) ** 2, Poly([2, -1]), 4, "z0")
-    assert entry.ratfn == expected
+    got = entry.ratfn  # equal in value: num times the other's denominator
+    assert got.num * expected.den_base ** expected.den_pow == expected.num * got.den_base ** got.den_pow
     assert [entry.series.coeff(k) for k in range(4)] == [0, 0, 96, 10368]
     # partial fractions of z1/z0: (2/3)(1/D^4 - 2/D^3 + 1/D^2)
     assert entry.laurent[4] == Q(2, 3)
@@ -359,25 +360,38 @@ def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
 
 
 def test_corrupted_antiderivative_fails_verification(monkeypatch):
-    # every string box coefficient vanishes, so F == 0 and the check is
-    # dw(Fhat) == 0: one wrong coefficient of Fhat must break it
+    # every string box coefficient vanishes, so F == 0 and the check is that
+    # the slot derivative of the antiderivative cancels: one wrong slot sum
+    # must break it
     from mapgenus import continuum_even
 
     real = continuum_even.string_jets
-
-    def corrupted(nu, g):
-        F, Fhat = real(nu, g)
-        # the term carrying all 2g orders in slot 0 is the only one whose
-        # derivation reaches order 2g+1, so nothing can cancel its change
-        key = next(k for k in Fhat.terms if k[1][0] == 2 * g)
-        Fhat.terms[key] += 1
-        return F, Fhat
-
     assert verify_string_antiderivative(3, 2)["status"] == "pass"
-    monkeypatch.setattr(continuum_even, "string_jets", corrupted)
-    for nu, g in [(2, 1), (3, 2)]:
-        with pytest.raises(VerificationFailure):
-            verify_string_antiderivative(nu, g)
+    # slot 0 of the composition carrying all 2g orders in slot 0 is the only
+    # slot sum whose derivation reaches order 2g+1, so nothing can cancel a
+    # bump of it; moved to slot 1 it lands on the orders (2g, 1, 0, ...)
+    # instead, which only a derivation that raises its own slot tells apart
+    for bumps in ((1, 0), (1, -1)):
+
+        def corrupted(nu, g):
+            F, antiderivative = real(nu, g)
+            key = (2 * g,) + (0,) * (nu - 1)
+            sums = antiderivative[key]
+            antiderivative[key] = tuple(w + b for w, b in zip(sums, bumps)) + sums[2:]
+            return F, antiderivative
+
+        monkeypatch.setattr(continuum_even, "string_jets", corrupted)
+        for nu, g in [(2, 1), (3, 2)]:
+            with pytest.raises(VerificationFailure):
+                verify_string_antiderivative(nu, g)
+
+
+def test_string_antiderivative_has_one_entry_per_composition():
+    # summed over the staircase box: at most one entry per composition of 2g
+    # into nu slots, C(2g+nu-1, nu-1) = 126 at (6, 2)
+    nu, g = 6, 2
+    _, antiderivative = string_jets(nu, g)
+    assert len(antiderivative) <= comb(2 * g + nu - 1, nu - 1) == 126
 
 
 def test_one_string_expression_and_one_hierarchy_jet_per_table(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from mapgenus.combinatorics import multiplicities, partitions_of
 from mapgenus.continuum_even import build_ztable, verify_continuum_toda
-from mapgenus.errors import ResonanceFailure
+from mapgenus.errors import RejectedInput, ResonanceFailure
 from mapgenus.exact_kernel import DLaurent, Q
 from mapgenus.genus_even import (
     E_w_deriv,
@@ -187,6 +187,15 @@ def test_z_table_stops_at_the_z_g_surplus():
         assert etable.ctx.z0.trunc == (27 if T is None else T)
         assert etable.ctx.z0.truncate(zT) == etable.ztable.series(0)
         assert etable.entries[3].series.trunc == etable.ctx.z0.trunc
+
+
+def test_build_etable_rejects_an_order_beside_a_z_table():
+    # a given z-table's planar series sets the order, so a T beside it
+    # would be ignored
+    ztable = build_ztable(2, 2, T=16)
+    with pytest.raises(RejectedInput, match="not both"):
+        build_etable(2, 2, ztable=ztable, T=30)
+    assert build_etable(2, 2, ztable=ztable).ctx.z0.trunc == 16
 
 
 @pytest.mark.parametrize("G", [4, 8, 12])
