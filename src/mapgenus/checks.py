@@ -1,0 +1,369 @@
+"""The identities that ``verify continuum`` checks beyond the z_g solve,
+and the ``verify continuum`` and ``report`` commands' payload builders.
+
+It holds the planar functional equation, the hodograph solution of the
+leading transport equation, the jet-form continuum hierarchy (whose
+genus-h jets ``continuum_even.verify_continuum_toda`` evaluates on the
+solved family) and the spatially exact antiderivative of the string-side
+jets, together with the partitions, boxed strict partitions and monomial
+symmetric values behind their staircase-box coefficients.  No other
+command runs them, so only these two commands compile them.
+"""
+
+from collections import namedtuple
+from fractions import Fraction
+from functools import cache
+from math import factorial, prod
+
+from .combinatorics import Terms
+from .continuum_even import build_ztable, catalan_data, verify_continuum_toda
+from .errors import RejectedInput, VerificationFailure, status_of
+from .exact_kernel import GradedSeries, Q
+
+Partition = tuple[int, ...]
+
+
+# ---------------------------------------------------------------------------
+# partitions and the staircase-box coefficients
+# ---------------------------------------------------------------------------
+
+
+def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
+    """All partitions of n (weakly decreasing tuples), descending-lex sorted.
+
+    n = 0 yields the empty partition; max_len bounds the number of parts.
+    """
+    if n < 0:
+        raise RejectedInput("cannot partition a negative integer")
+    out: list[Partition] = []
+
+    def rec(rest, largest, acc):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        if max_len is not None and len(acc) == max_len:
+            return
+        for part in range(min(rest, largest), 0, -1):
+            acc.append(part)
+            rec(rest - part, part, acc)
+            acc.pop()
+
+    rec(n, n, [])
+    return out
+
+
+def multiplicities(lam: Partition) -> dict[int, int]:
+    r: dict[int, int] = {}
+    for part in lam:
+        r[part] = r.get(part, 0) + 1
+    return r
+
+
+def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partition]:
+    """All strictly decreasing mu with lower <= mu <= upper componentwise."""
+    if len(lower) != len(upper):
+        raise RejectedInput("box bounds must have equal length")
+    if any(a > b for a, b in zip(lower, upper)):
+        raise RejectedInput("empty box: lower bound exceeds upper bound")
+    if any(lower[i] <= lower[i + 1] for i in range(len(lower) - 1)) or any(
+        upper[i] <= upper[i + 1] for i in range(len(upper) - 1)
+    ):
+        raise RejectedInput("box bounds must themselves be strictly decreasing")
+    k = len(lower)
+    out: list[Partition] = []
+
+    def rec(i, prev, acc):
+        if i == k:
+            out.append(tuple(acc))
+            return
+        hi = min(upper[i], prev - 1)
+        for v in range(hi, lower[i] - 1, -1):
+            acc.append(v)
+            rec(i + 1, v, acc)
+            acc.pop()
+
+    rec(0, upper[0] + 1, [])
+    return out
+
+
+@cache
+def _distinct_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Distinct permutations of a multiset of small length, built once each."""
+    items = tuple(sorted(items, reverse=True))
+    n = len(items)
+    out = []
+
+    def rec(remaining, acc):
+        if not remaining:
+            out.append(tuple(acc))
+            return
+        seen = set()
+        for i, v in enumerate(remaining):
+            if v in seen:
+                continue
+            seen.add(v)
+            rec(remaining[:i] + remaining[i + 1 :], acc + [v])
+
+    rec(list(items), [])
+    return tuple(out)
+
+
+def monomial_sym_eval(lam: Partition, xs) -> Fraction:
+    """Value of the monomial symmetric polynomial m_lam at the point xs.
+
+    Zero by convention when lam has more parts than xs has entries; 0**0
+    counts as 1 when padded zero exponents meet zero entries.
+    """
+    if len(lam) > len(xs):
+        return Q(0)
+    exps = tuple(lam) + (0,) * (len(xs) - len(lam))
+    # integer points (as d_coeff passes) stay in int arithmetic throughout
+    total = 0
+    for perm in _distinct_permutations(exps):
+        term = 1
+        for x, e in zip(xs, perm):
+            if e:
+                term *= x ** e
+            # e == 0 contributes a factor 1 even when x == 0
+        total += term
+    return Q(total)
+
+
+def d_coeff(nu: int, lam: Partition, variant: str) -> Fraction:
+    """Hierarchy coefficient for one partition: a doubled sum of monomial
+    symmetric values over strict partitions in a staircase box.
+
+    variant "toda": nu+1 slots, box (nu+1,...,1) .. (2nu,...,nu), reference
+    staircase (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
+    (nu,...,1) .. (2nu-1,...,nu), reference (2nu-1, 2nu-3, ..., 1).
+    """
+    size = sum(lam)
+    if size % 2 == 0:
+        raise RejectedInput("partition size must be odd (2g+1)")
+    if variant == "toda":
+        slots = nu + 1
+        eta = tuple(2 * nu - 2 * i for i in range(slots))
+        lower = tuple(range(nu + 1, 0, -1))
+        upper = tuple(range(2 * nu, nu - 1, -1))
+    elif variant == "string":
+        slots = nu
+        eta = tuple(2 * nu - 1 - 2 * i for i in range(slots))
+        lower = tuple(range(nu, 0, -1))
+        upper = tuple(range(2 * nu - 1, nu - 1, -1))
+    else:
+        raise RejectedInput("variant must be 'toda' or 'string'")
+    if len(lam) > slots:
+        raise RejectedInput("partition longer than the slot count %d" % slots)
+    total = Q(0)
+    for mu in strict_partitions_in_box(lower, upper):
+        total += 2 * monomial_sym_eval(lam, [mu[i] - eta[i] for i in range(slots)])
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the planar functional equation, the hodograph solution and the leading
+# transport equation
+# ---------------------------------------------------------------------------
+
+
+def verify_string_functional(nu: int, T: int) -> dict:
+    """catalan_data asserts the functional equation to order T."""
+    catalan_data(nu, T)
+    return {"identity": "planar_functional_equation", "nu": nu, "order": T, "status": "pass"}
+
+
+# f0(u, w) = w z0(u w^(nu-1)), implicitly defined by w = f0 - c u f0^nu
+HodographSolution = namedtuple("HodographSolution", "c f0")
+
+
+def hodograph_solution(nu: int, T: int) -> HodographSolution:
+    data = catalan_data(nu, T)
+    f0 = GradedSeries.from_series(data.z0, base2=2, step2=2 * (nu - 1))
+    w = GradedSeries.const("u", 1, base2=2, step2=2 * (nu - 1), trunc=T)
+    res = f0 - data.c * (f0 ** nu).xmul(1) - w
+    if not res.is_zero():
+        raise VerificationFailure("hodograph relation fails at nu=%d" % nu)
+    return HodographSolution(c=data.c, f0=f0)
+
+
+def verify_burgers(nu: int, T: int) -> dict:
+    """The hodograph solution satisfies df0/du = (c/(nu+1)) dw(f0^(nu+1))."""
+    sol = hodograph_solution(nu, T)
+    res = sol.f0.dx() - Q(sol.c, nu + 1) * (sol.f0 ** (nu + 1)).dw().truncate(T - 1)
+    if not res.is_zero():
+        raise VerificationFailure("leading transport equation fails at nu=%d" % nu)
+    # initial-data slope: du f0 at u=0 equals c w^nu
+    slope = sol.f0.dx()
+    if slope.coeff(0) != sol.c or slope.base2 != 2 * nu:
+        raise VerificationFailure("characteristic speed on initial data is off")
+    return {"identity": "leading_transport", "nu": nu, "order": T, "status": "pass"}
+
+
+# ---------------------------------------------------------------------------
+# jet expressions (differential polynomials in f, f_w, f_ww, ...)
+# ---------------------------------------------------------------------------
+
+
+class JetExpression(Terms):
+    """Polynomial in the jet symbols f, f_w, f_ww, ... of a single unknown.
+
+    Terms map (f_power, ((order, multiplicity), ...)) -> coefficient; all
+    factorial normalizations are absorbed into the coefficients at build
+    time.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def key(fpow: int, jets: dict[int, int]) -> tuple:
+        return fpow, tuple(sorted((j, r) for j, r in jets.items() if r))
+
+    @staticmethod
+    def monomial(coeff, fpow: int, jets: dict[int, int]) -> "JetExpression":
+        return JetExpression({JetExpression.key(fpow, jets): coeff})
+
+    def __repr__(self):
+        bits = []
+        for (fpow, jets), coeff in sorted(self.terms.items()):
+            factors = []
+            if fpow:
+                factors.append("f^%d" % fpow)
+            factors += ["f_w(%d)^%d" % (j, r) for j, r in jets]
+            bits.append("%s %s" % (coeff, "*".join(factors) or "1"))
+        return "JetExpression(%s)" % " + ".join(bits) if bits else "JetExpression(0)"
+
+
+def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
+    """Sum over the partitions lambda of 2g+1 with at most `slots` parts
+    (nu+1 for "toda", nu for "string") of the jet monomial f^(slots-len)
+    prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
+    of the variant and no repeated-part division."""
+    slots = nu + 1 if variant == "toda" else nu
+    parts = []
+    for lam in partitions_of(2 * g + 1, max_len=slots):
+        mult = multiplicities(lam)
+        denom = prod(factorial(j) ** r for j, r in mult.items())
+        parts.append(JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult))
+    return JetExpression.sum(parts)
+
+
+def toda_jet(nu: int, g: int) -> JetExpression:
+    """Genus-g right-hand side of the continuum coupling-flow hierarchy: the
+    partition sum of 2g+1 over nu+1 slots.
+
+    The box sum uses classical monomial symmetric values, and the
+    finite-size oracle pins this pairing exactly (a repeated-part division
+    would fail it at every nu >= 3)."""
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
+    return _partition_jet(nu, g, "toda")
+
+
+# -- spatially exact antiderivative of the string-side jets ------------------
+
+
+def _compositions(total: int, slots: int):
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, slots - 1):
+            yield (head,) + rest
+
+
+def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], tuple[Fraction, ...]]]:
+    """The genus-g string-side jet polynomial F and its spatial
+    antiderivative, summed over the staircase box.
+
+    The antiderivative has one entry per composition c of 2g into nu slots
+    (slot i carries derivative order c_i): the tuple of slot sums
+
+        W_i(c) = 2 sum_mu x_i prod_j x_j^c_j / ((2g+1) prod_j c_j!)
+
+    over the box points x = mu - eta, with 0**0 = 1.  Every string box
+    coefficient vanishes, so F is the zero jet polynomial, and
+    verify_string_antiderivative checks that the slot derivative of the
+    antiderivative cancels.
+    """
+    if g < 1:
+        raise RejectedInput("string jets start at genus 1")
+    F = _partition_jet(nu, g, "string")
+    eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
+    lower = tuple(range(nu, 0, -1))
+    upper = tuple(range(2 * nu - 1, nu - 1, -1))
+    points = [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+    antiderivative = {}
+    for comp in _compositions(2 * g, nu):
+        sums = [0] * nu
+        for xs in points:
+            weight = prod(x ** ci for x, ci in zip(xs, comp))
+            for i, x in enumerate(xs):
+                sums[i] += x * weight
+        den = (2 * g + 1) * prod(map(factorial, comp))
+        antiderivative[comp] = tuple(Q(2 * s, den) for s in sums)
+    return F, antiderivative
+
+
+def verify_string_antiderivative(nu: int, g: int) -> dict:
+    """The slot derivative of the string antiderivative equals the
+    string-side jet polynomial F; since every string box coefficient
+    vanishes, this checks that the derivative cancels.  Slot i of the entry
+    of composition c raises that slot's order: W_i(c) lands on the jet
+    monomial of the orders c + e_i."""
+    F, antiderivative = string_jets(nu, g)
+    pairs = []
+    for comp, sums in antiderivative.items():
+        for i, w in enumerate(sums):
+            if w:
+                jets = multiplicities(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
+                # order 0 counts the bare f factors
+                pairs.append((JetExpression.key(jets.pop(0, 0), jets), w))
+    if JetExpression(pairs) != F:
+        raise VerificationFailure(
+            "string antiderivative fails at nu=%d, g=%d" % (nu, g)
+        )
+    return {"identity": "string_antiderivative", "nu": nu, "g": g, "status": "pass"}
+
+
+# ---------------------------------------------------------------------------
+# the verify continuum and report commands
+# ---------------------------------------------------------------------------
+
+
+def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
+    ztable = build_ztable(nu, g, T=order)
+    reports = [
+        verify_string_functional(nu, max(ztable.T, 20)),
+        verify_burgers(nu, max(ztable.T, 10)),
+    ]
+    for gg in range(1, g + 1):
+        reports.append(verify_string_antiderivative(nu, gg))
+        reports.append(verify_continuum_toda(nu, gg, ztable))
+    identities = [{"tag": r["identity"], "status": r["status"]} for r in reports]
+    return {"nu": nu, "g": g, "identities": identities, "status": status_of(identities)}
+
+
+def payload_report(nu: int) -> dict:
+    """One standard verification sweep: every identity tag with its status."""
+    from . import fatgraph_oracle
+    from .continuum_odd import payload_trivalent, payload_verify_odd
+    from .lattice_oracle import asymptotic_match, payload_verify_lattice
+
+    out = []
+    out.extend(payload_verify_lattice(nu, 6, 4, True)["identities"])
+    out.extend(payload_verify_continuum(nu, 2, None)["identities"])
+    out.extend(payload_verify_odd(max(nu - 1, 1), 8)["identities"])
+    tri = payload_trivalent(4)
+    out.append({"tag": tri["identity"], "status": tri["status"]})
+    match = asymptotic_match(nu, 1, [4, 6, 8, 10], 3)
+    out.append({"tag": match["equation"], "status": match["status"]})
+    counts = fatgraph_oracle.kappa_counts(4, 2)
+    out.append(
+        {
+            "tag": "matching_tally",
+            "status": "pass" if sum(counts.values()) == 96 else "fail",
+        }
+    )
+    return {"nu": nu, "identities": out, "status": status_of(out)}

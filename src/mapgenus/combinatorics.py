@@ -1,133 +1,25 @@
-"""Partitions, restricted partitions in a box, monomial symmetric polynomial
-evaluation, the continuum-hierarchy coefficients, lattice-path enumeration,
-the sparse polynomial algebra shared by every symbolic equation, and
-symbolic entries of powers of the three-term recursion operator.
+"""The leading transport coefficient and the higher Catalan numbers,
+lattice-path enumeration, the sparse polynomial algebra shared by every
+symbolic equation, and symbolic entries of powers of the three-term
+recursion operator.
 
-Conventions fixed here and relied on downstream:
-
-* trinomial/multinomial coefficients with any negative lower index are 0;
-* 0**0 = 1 when a monomial weight is evaluated at a zero entry;
-* offset variables b2[k] / a[k] are indexed by position relative to a
-  generic lattice site n, never by absolute position, so every generated
-  equation is manifestly shift-invariant.
+Offset variables b2[k] / a[k] are indexed by position relative to a
+generic lattice site n, never by absolute position, so every generated
+equation is manifestly shift-invariant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .errors import RejectedInput
 from .exact_kernel import Q
 
-Partition = tuple[int, ...]
-
 
 # ---------------------------------------------------------------------------
-# partitions
+# planar coefficients
 # ---------------------------------------------------------------------------
-
-def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
-    """All partitions of n (weakly decreasing tuples), descending-lex sorted.
-
-    n = 0 yields the empty partition; max_len bounds the number of parts.
-    """
-    if n < 0:
-        raise RejectedInput("cannot partition a negative integer")
-    out: list[Partition] = []
-
-    def rec(rest, largest, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        if max_len is not None and len(acc) == max_len:
-            return
-        for part in range(min(rest, largest), 0, -1):
-            acc.append(part)
-            rec(rest - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
-def multiplicities(lam: Partition) -> dict[int, int]:
-    r: dict[int, int] = {}
-    for part in lam:
-        r[part] = r.get(part, 0) + 1
-    return r
-
-
-def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partition]:
-    """All strictly decreasing mu with lower <= mu <= upper componentwise."""
-    if len(lower) != len(upper):
-        raise RejectedInput("box bounds must have equal length")
-    if any(a > b for a, b in zip(lower, upper)):
-        raise RejectedInput("empty box: lower bound exceeds upper bound")
-    if any(lower[i] <= lower[i + 1] for i in range(len(lower) - 1)) or any(
-        upper[i] <= upper[i + 1] for i in range(len(upper) - 1)
-    ):
-        raise RejectedInput("box bounds must themselves be strictly decreasing")
-    k = len(lower)
-    out: list[Partition] = []
-
-    def rec(i, prev, acc):
-        if i == k:
-            out.append(tuple(acc))
-            return
-        hi = min(upper[i], prev - 1)
-        for v in range(hi, lower[i] - 1, -1):
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-
-    rec(0, upper[0] + 1, [])
-    return out
-
-
-@cache
-def _distinct_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Distinct permutations of a multiset of small length, built once each."""
-    items = tuple(sorted(items, reverse=True))
-    n = len(items)
-    out = []
-
-    def rec(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        seen = set()
-        for i, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            rec(remaining[:i] + remaining[i + 1 :], acc + [v])
-
-    rec(list(items), [])
-    return tuple(out)
-
-
-def monomial_sym_eval(lam: Partition, xs) -> Fraction:
-    """Value of the monomial symmetric polynomial m_lam at the point xs.
-
-    Zero by convention when lam has more parts than xs has entries; 0**0
-    counts as 1 when padded zero exponents meet zero entries.
-    """
-    if len(lam) > len(xs):
-        return Q(0)
-    exps = tuple(lam) + (0,) * (len(xs) - len(lam))
-    # integer points (as d_coeff passes) stay in int arithmetic throughout
-    total = 0
-    for perm in _distinct_permutations(exps):
-        term = 1
-        for x, e in zip(xs, perm):
-            if e:
-                term *= x ** e
-            # e == 0 contributes a factor 1 even when x == 0
-        total += term
-    return Q(total)
-
 
 def c_valence(nu: int) -> int:
     """Leading transport coefficient; both closed forms must agree."""
@@ -147,37 +39,6 @@ def higher_catalan(nu: int, j: int) -> Fraction:
     if a != b:
         raise RejectedInput("closed forms for the higher Catalan number disagree")
     return a
-
-
-def d_coeff(nu: int, lam: Partition, variant: str) -> Fraction:
-    """Hierarchy coefficient for one partition: a doubled sum of monomial
-    symmetric values over strict partitions in a staircase box.
-
-    variant "toda": nu+1 slots, box (nu+1,...,1) .. (2nu,...,nu), reference
-    staircase (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
-    (nu,...,1) .. (2nu-1,...,nu), reference (2nu-1, 2nu-3, ..., 1).
-    """
-    size = sum(lam)
-    if size % 2 == 0:
-        raise RejectedInput("partition size must be odd (2g+1)")
-    if variant == "toda":
-        slots = nu + 1
-        eta = tuple(2 * nu - 2 * i for i in range(slots))
-        lower = tuple(range(nu + 1, 0, -1))
-        upper = tuple(range(2 * nu, nu - 1, -1))
-    elif variant == "string":
-        slots = nu
-        eta = tuple(2 * nu - 1 - 2 * i for i in range(slots))
-        lower = tuple(range(nu, 0, -1))
-        upper = tuple(range(2 * nu - 1, nu - 1, -1))
-    else:
-        raise RejectedInput("variant must be 'toda' or 'string'")
-    if len(lam) > slots:
-        raise RejectedInput("partition longer than the slot count %d" % slots)
-    total = Q(0)
-    for mu in strict_partitions_in_box(lower, upper):
-        total += 2 * monomial_sym_eval(lam, [mu[i] - eta[i] for i in range(slots)])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +223,3 @@ def lattice_equation_exprs(nu: int, kind: str) -> LatticePolynomial:
         top = operator_power_entry(2 * nu, 1, -1)
         return top - top.shift(-1)
     raise RejectedInput("kind must be 'string' or 'toda'")
-
-
-def trinomial(n: int, a: int, b: int, c: int) -> int:
-    """Multinomial n!/(a! b! c!), zero whenever any lower index is negative."""
-    if a < 0 or b < 0 or c < 0 or a + b + c != n:
-        return 0
-    return factorial(n) // (factorial(a) * factorial(b) * factorial(c))

@@ -1,8 +1,10 @@
 """Even-valence continuum machinery: the planar generating function and its
-higher Catalan coefficients, the hodograph solution of the leading-order
-transport equation, the jet-form hierarchy, the integrable continuum string
-equations, and the solver producing every higher-genus two-leg generating
-function z_g as a rational function of z0.
+higher Catalan coefficients, the expansion of the lattice equations into
+the continuum, the solver producing every higher-genus two-leg generating
+function z_g as a rational function of z0, the check of the continuum
+hierarchy on the solved family, and the ``z0`` and ``zg`` commands' payload
+builders.  The hodograph solution, the jet-form hierarchy and the string
+antiderivative, which only ``verify continuum`` runs, live in ``checks``.
 
 Orientation convention (pinned once, used everywhere): the canonical map
 variable u satisfies
@@ -28,17 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
 
-from .combinatorics import (
-    LatticePolynomial,
-    Terms,
-    c_valence,
-    d_coeff,
-    higher_catalan,
-    lattice_equation_exprs,
-    multiplicities,
-    partitions_of,
-    strict_partitions_in_box,
-)
+from .combinatorics import LatticePolynomial, c_valence, higher_catalan, lattice_equation_exprs
 from .errors import RejectedInput, VerificationFailure
 from .exact_kernel import (
     DLaurent,
@@ -47,6 +39,9 @@ from .exact_kernel import (
     Q,
     RatFn,
     Series,
+    qstr,
+    ratfn_to_json,
+    series_to_json,
     series_to_ratfn,
 )
 
@@ -80,170 +75,6 @@ def functional_residual(z0: Series, nu: int, c: Fraction) -> Series:
     """Residual of z0 - 1 - c u z0^nu (zero iff z0 is the planar series)."""
     u = Series.x(z0.var, z0.trunc)
     return z0 - 1 - c * u * z0 ** nu
-
-
-def verify_string_functional(nu: int, T: int) -> dict:
-    """catalan_data asserts the functional equation to order T."""
-    catalan_data(nu, T)
-    return {"identity": "planar_functional_equation", "nu": nu, "order": T, "status": "pass"}
-
-
-# ---------------------------------------------------------------------------
-# hodograph solution and the leading transport equation
-# ---------------------------------------------------------------------------
-
-
-# f0(u, w) = w z0(u w^(nu-1)), implicitly defined by w = f0 - c u f0^nu
-HodographSolution = namedtuple("HodographSolution", "c f0")
-
-
-def hodograph_solution(nu: int, T: int) -> HodographSolution:
-    data = catalan_data(nu, T)
-    f0 = GradedSeries.from_series(data.z0, base2=2, step2=2 * (nu - 1))
-    w = GradedSeries.const("u", 1, base2=2, step2=2 * (nu - 1), trunc=T)
-    res = f0 - data.c * (f0 ** nu).xmul(1) - w
-    if not res.is_zero():
-        raise VerificationFailure("hodograph relation fails at nu=%d" % nu)
-    return HodographSolution(c=data.c, f0=f0)
-
-
-def verify_burgers(nu: int, T: int) -> dict:
-    """The hodograph solution satisfies df0/du = (c/(nu+1)) dw(f0^(nu+1))."""
-    sol = hodograph_solution(nu, T)
-    res = sol.f0.dx() - Q(sol.c, nu + 1) * (sol.f0 ** (nu + 1)).dw().truncate(T - 1)
-    if not res.is_zero():
-        raise VerificationFailure("leading transport equation fails at nu=%d" % nu)
-    # initial-data slope: du f0 at u=0 equals c w^nu
-    slope = sol.f0.dx()
-    if slope.coeff(0) != sol.c or slope.base2 != 2 * nu:
-        raise VerificationFailure("characteristic speed on initial data is off")
-    return {"identity": "leading_transport", "nu": nu, "order": T, "status": "pass"}
-
-
-# ---------------------------------------------------------------------------
-# jet expressions (differential polynomials in f, f_w, f_ww, ...)
-# ---------------------------------------------------------------------------
-
-
-class JetExpression(Terms):
-    """Polynomial in the jet symbols f, f_w, f_ww, ... of a single unknown.
-
-    Terms map (f_power, ((order, multiplicity), ...)) -> coefficient; all
-    factorial normalizations are absorbed into the coefficients at build
-    time.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def key(fpow: int, jets: dict[int, int]) -> tuple:
-        return fpow, tuple(sorted((j, r) for j, r in jets.items() if r))
-
-    @staticmethod
-    def monomial(coeff, fpow: int, jets: dict[int, int]) -> "JetExpression":
-        return JetExpression({JetExpression.key(fpow, jets): coeff})
-
-    def __repr__(self):
-        bits = []
-        for (fpow, jets), coeff in sorted(self.terms.items()):
-            factors = []
-            if fpow:
-                factors.append("f^%d" % fpow)
-            factors += ["f_w(%d)^%d" % (j, r) for j, r in jets]
-            bits.append("%s %s" % (coeff, "*".join(factors) or "1"))
-        return "JetExpression(%s)" % " + ".join(bits) if bits else "JetExpression(0)"
-
-
-def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
-    """Sum over the partitions lambda of 2g+1 with at most `slots` parts
-    (nu+1 for "toda", nu for "string") of the jet monomial f^(slots-len)
-    prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
-    of the variant and no repeated-part division."""
-    slots = nu + 1 if variant == "toda" else nu
-    parts = []
-    for lam in partitions_of(2 * g + 1, max_len=slots):
-        mult = multiplicities(lam)
-        denom = prod(factorial(j) ** r for j, r in mult.items())
-        parts.append(JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult))
-    return JetExpression.sum(parts)
-
-
-def toda_jet(nu: int, g: int) -> JetExpression:
-    """Genus-g right-hand side of the continuum coupling-flow hierarchy: the
-    partition sum of 2g+1 over nu+1 slots.
-
-    The box sum uses classical monomial symmetric values, and the
-    finite-size oracle pins this pairing exactly (a repeated-part division
-    would fail it at every nu >= 3)."""
-    if g < 0:
-        raise RejectedInput("genus must be >= 0")
-    return _partition_jet(nu, g, "toda")
-
-
-# -- spatially exact antiderivative of the string-side jets ------------------
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
-def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], tuple[Fraction, ...]]]:
-    """The genus-g string-side jet polynomial F and its spatial
-    antiderivative, summed over the staircase box.
-
-    The antiderivative has one entry per composition c of 2g into nu slots
-    (slot i carries derivative order c_i): the tuple of slot sums
-
-        W_i(c) = 2 sum_mu x_i prod_j x_j^c_j / ((2g+1) prod_j c_j!)
-
-    over the box points x = mu - eta, with 0**0 = 1.  Every string box
-    coefficient vanishes, so F is the zero jet polynomial, and
-    verify_string_antiderivative checks that the slot derivative of the
-    antiderivative cancels.
-    """
-    if g < 1:
-        raise RejectedInput("string jets start at genus 1")
-    F = _partition_jet(nu, g, "string")
-    eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
-    lower = tuple(range(nu, 0, -1))
-    upper = tuple(range(2 * nu - 1, nu - 1, -1))
-    points = [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
-    antiderivative = {}
-    for comp in _compositions(2 * g, nu):
-        sums = [0] * nu
-        for xs in points:
-            weight = prod(x ** ci for x, ci in zip(xs, comp))
-            for i, x in enumerate(xs):
-                sums[i] += x * weight
-        den = (2 * g + 1) * prod(map(factorial, comp))
-        antiderivative[comp] = tuple(Q(2 * s, den) for s in sums)
-    return F, antiderivative
-
-
-def verify_string_antiderivative(nu: int, g: int) -> dict:
-    """The slot derivative of the string antiderivative equals the
-    string-side jet polynomial F; since every string box coefficient
-    vanishes, this checks that the derivative cancels.  Slot i of the entry
-    of composition c raises that slot's order: W_i(c) lands on the jet
-    monomial of the orders c + e_i."""
-    F, antiderivative = string_jets(nu, g)
-    pairs = []
-    for comp, sums in antiderivative.items():
-        for i, w in enumerate(sums):
-            if w:
-                jets = multiplicities(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
-                # order 0 counts the bare f factors
-                pairs.append((JetExpression.key(jets.pop(0, 0), jets), w))
-    if JetExpression(pairs) != F:
-        raise VerificationFailure(
-            "string antiderivative fails at nu=%d, g=%d" % (nu, g)
-        )
-    return {"identity": "string_antiderivative", "nu": nu, "g": g, "status": "pass"}
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +246,19 @@ class ZTable:
             0: ZEntry(z0, RatFn.from_poly(Poly.x(), var="z0"), DLaurent.const(nu, 1))
         }
         self.log_terms: list[DLaurent | None] = [None]
-        self.todas: dict[int, JetExpression] = {}
+        self.todas: dict = {}
 
     @cached_property
     def string(self) -> LatticePolynomial:
         return lattice_equation_exprs(self.nu, "string")
 
-    def toda(self, h: int) -> JetExpression:
-        """The genus-h hierarchy jet ``toda_jet(nu, h)``, built once."""
+    def toda(self, h: int):
+        """The genus-h hierarchy jet ``checks.toda_jet(nu, h)``, built once;
+        only ``verify continuum`` reads it, so the jet builders are imported
+        here, not by every run that builds a z-table."""
         if h not in self.todas:
+            from .checks import toda_jet
+
             self.todas[h] = toda_jet(self.nu, h)
         return self.todas[h]
 
@@ -539,3 +374,34 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     if not residual.is_zero():
         raise VerificationFailure("continuum hierarchy fails at nu=%d, g=%d" % (nu, g))
     return {"identity": "continuum_hierarchy", "nu": nu, "g": g, "status": "pass"}
+
+
+# ---------------------------------------------------------------------------
+# the z0 and zg commands
+# ---------------------------------------------------------------------------
+
+
+def payload_z0(nu: int, order: int) -> dict:
+    data = catalan_data(nu, order)
+    return {
+        "nu": nu,
+        "order": order,
+        "c": qstr(data.c),
+        "zetas": [qstr(z) for z in data.zetas],
+        "series": series_to_json(data.z0),
+    }
+
+
+def payload_zg(nu: int, g: int, order: int | None) -> dict:
+    if g < 0:
+        raise RejectedInput("genus must be >= 0")
+    table = build_ztable(nu, g, T=order)
+    entry = table.entries[g]
+    return {
+        "nu": nu,
+        "g": g,
+        "ratfn": ratfn_to_json(entry.ratfn),
+        "series": series_to_json(entry.series),
+        "laurent_over_z0": [qstr(a) for a in entry.laurent],
+        "pole_order": entry.ratfn.den_pow,
+    }

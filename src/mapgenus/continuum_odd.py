@@ -1,7 +1,8 @@
 """Odd-valence leading order: the trinomial coefficient systems of the
 two-component continuum equations, their conservation-law and hodograph
-identities, the series solution of the leading pair, and trivalent golden
-values checked against the matching oracle.
+identities, the series solution of the leading pair, trivalent golden
+values checked against the matching oracle, and the ``verify odd`` and
+``trivalent`` commands' payload builders.
 
 For valence 2 nu + 1 both recurrence strings survive the continuum limit:
 the diagonal coefficients scale as w^(1/2) u(s w^(nu-1/2)) and the squared
@@ -14,8 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial
 
-from .combinatorics import Terms, trinomial
-from .errors import RejectedInput, VerificationFailure
+from .combinatorics import Terms
+from .errors import RejectedInput, VerificationFailure, status_of
 from .exact_kernel import GradedSeries, Q, Series, series_log
 
 
@@ -117,6 +118,13 @@ class GradedPowers:
 # ---------------------------------------------------------------------------
 # the coefficient polynomials of the two-component system
 # ---------------------------------------------------------------------------
+
+
+def trinomial(n: int, a: int, b: int, c: int) -> int:
+    """Multinomial n!/(a! b! c!), zero whenever any lower index is negative."""
+    if a < 0 or b < 0 or c < 0 or a + b + c != n:
+        return 0
+    return factorial(n) // (factorial(a) * factorial(b) * factorial(c))
 
 
 def odd_coeff_polys(nu: int) -> dict[str, TriPoly]:
@@ -326,8 +334,10 @@ def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
 
     if m_max % 2 or m_max < 2:
         raise RejectedInput("m_max must be even and >= 2")
-    forms = trivalent_closed_forms(T)
+    # the counts first: an m_max past the matching cap fails before the
+    # golden forms are expanded
     kappa = {m: fatgraph_oracle.kappa_counts(3, m) for m in range(2, m_max + 1, 2)}
+    forms = trivalent_closed_forms(T)
     # calibration on (g=0, m=2): e0 = 6 tau + ... and kappa/(2! 3^2) = 2/3
     lead = forms[0].coeff(1)
     target = Q(kappa[2].get(0, 0), factorial(2) * 9)
@@ -356,3 +366,22 @@ def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
         "comparisons": comparisons,
         "status": "pass",
     }
+
+
+# ---------------------------------------------------------------------------
+# the verify odd and trivalent commands
+# ---------------------------------------------------------------------------
+
+
+def payload_verify_odd(nu: int, order: int) -> dict:
+    coefficients = verify_odd_identities(nu)
+    pair = solve_leading_odd(nu, order)
+    identities = [
+        {"tag": "coefficient_identities", "status": coefficients["status"]},
+        {"tag": "leading_pair_residuals", "status": pair.residuals["status"]},
+    ]
+    return {"nu": nu, "order": order, "identities": identities, "status": status_of(identities)}
+
+
+def payload_trivalent(mmax: int) -> dict:
+    return trivalent_checks(T=max(4, mmax // 2 + 2), m_max=mmax)

@@ -1,16 +1,27 @@
-"""Exception hierarchy shared by all engine modules, the pass/fail verdict
-of a list of checks, and the scaling of rationals to integers over one
+"""Exception hierarchy shared by all engine modules, with the command line's
+exit code and stderr prefix of each error, the pass/fail verdict of a list
+of checks, and the scaling of rationals to integers over one
 denominator that both exact-arithmetic modules use."""
 
 from math import lcm
 
 
 class EngineError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``cli_exit`` is
+    the exit code and stderr prefix the command line gives an error of the
+    class; a subclass that sets none takes its base's."""
+
+    cli_exit = (1, "engine error")
+
+
+USAGE = (2, "usage error")
+RECONSTRUCTION = (3, "reconstruction/resonance failure")
 
 
 class RejectedInput(EngineError, ValueError):
     """An argument violates a documented precondition."""
+
+    cli_exit = USAGE
 
 
 class PoleAtBasepoint(EngineError):
@@ -20,13 +31,19 @@ class PoleAtBasepoint(EngineError):
 class InsufficientData(EngineError):
     """A reconstruction system is underdetermined."""
 
+    cli_exit = RECONSTRUCTION
+
 
 class ReconstructionFailed(EngineError):
     """A reconstruction system is inconsistent (wrong ansatz or corrupted data)."""
 
+    cli_exit = RECONSTRUCTION
+
 
 class ResonanceFailure(EngineError):
     """A solvability condition at a resonant series order does not hold."""
+
+    cli_exit = RECONSTRUCTION
 
 
 class VerificationFailure(EngineError):
@@ -36,6 +53,8 @@ class VerificationFailure(EngineError):
     locate the first failure.
     """
 
+    cli_exit = (1, "verification failure")
+
 
 class DegenerateTable(EngineError):
     """A leading Hankel determinant vanished where positivity is guaranteed."""
@@ -44,9 +63,13 @@ class DegenerateTable(EngineError):
 class NoMatchingExists(EngineError):
     """A perfect matching was requested on an odd number of half-edges."""
 
+    cli_exit = USAGE
+
 
 class SizeLimit(EngineError):
     """An exhaustive enumeration exceeds the configured desk-scale cap."""
+
+    cli_exit = USAGE
 
 
 def status_of(entries: list) -> str:

@@ -16,6 +16,8 @@ vertex degrees, in milliseconds where the brute-force walk over all
 (jm-1)!! matchings takes seconds.  That walk, ``genus_tally`` in
 ``tests/_mapcore_py.py``, is the test suite's assumption-free cross-check of
 the recursion.  ``KERNEL_KIND`` records that the counts run in pure Python.
+The ``maps`` command's payload builder sits at the end, so that command
+loads no other engine module.
 """
 
 from __future__ import annotations
@@ -130,3 +132,11 @@ def eg_series_from_kappa(j: int, g: int, m_max: int, cap: int = HALF_EDGE_CAP) -
         coeffs.append(Q(kappa, factorial(m) * j ** m))
     return Series("u", coeffs, m_max)
 
+
+def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
+    if genus is not None and genus < 0:
+        raise RejectedInput("--genus must be >= 0")
+    counts = kappa_counts(valence, vertices)
+    if genus is not None:
+        return {str(genus): counts.get(genus, 0)}
+    return {str(g): c for g, c in sorted(counts.items())}

@@ -11,6 +11,7 @@ log-difference-based.
 
 Each sum, product and table entry is one integer pass (``_fused``), and
 only ``asymptotic_match``'s fit imports the continuum derivation's kernel.
+The ``verify lattice`` command's payload builder closes the module.
 
 A sign/normalization note that the verifications pin down exactly: with the
 weight (1/g_s)(lambda^2/2 + t/(2 nu) lambda^(2 nu)), the coupling flow of
@@ -609,4 +610,40 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
         "n_range": n_range,
         "orders": orders,
         "status": status_of(orders),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the verify lattice command
+# ---------------------------------------------------------------------------
+
+def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
+    if nmax < 1:
+        raise RejectedInput("--nmax must be >= 1")
+    spec = WeightSpec(nu=nu, g_s=Fraction(1, nmax), include_t1=with_t1)
+    table = recurrence_table(spec, n_max=nmax + nu + 1, T=torder)
+    reports = [
+        verify_lattice_equations(table, "string"),
+        verify_lattice_equations(table, "toda"),
+        verify_hirota(table),
+    ]
+    if with_t1:
+        reports.append(verify_lattice_equations(table, "toda_t1"))
+    identities = [
+        {
+            "equation": r["equation"],
+            "tag": r["equation"],
+            "n": [s["n"] for s in r["sites"]],
+            "status": r["status"],
+            "first_failure": None,
+        }
+        for r in reports
+    ]
+    return {
+        "nu": nu,
+        "n_max": nmax,
+        "t_order": torder,
+        "with_t1": with_t1,
+        "identities": identities,
+        "status": status_of(identities),
     }

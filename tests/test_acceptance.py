@@ -7,13 +7,14 @@ module-scoped fixtures so the suite runs in minutes end to end.
 
 import pytest
 
-from mapgenus.combinatorics import c_valence, d_coeff
+from mapgenus.checks import d_coeff, verify_string_antiderivative
+from mapgenus.combinatorics import c_valence
+from mapgenus.conservation import planar_lift_deriv_formula, q_c_tables, q_table
 from mapgenus.continuum_even import (
     build_ztable,
     catalan_data,
     functional_residual,
     verify_continuum_toda,
-    verify_string_antiderivative,
 )
 from mapgenus.errors import NoMatchingExists
 from mapgenus.exact_kernel import Poly, Q
@@ -29,9 +30,6 @@ from mapgenus.genus_even import (
     c_constant,
     face_count,
     hirota_rhs,
-    planar_lift_deriv_formula,
-    q_c_tables,
-    q_table,
     resonance_lambda,
     verify_genus_structure,
 )

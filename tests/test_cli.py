@@ -161,7 +161,7 @@ def test_verify_lattice_failed_identity_fails_document(monkeypatch, capsys):
 
 
 def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, capsys):
-    import mapgenus.continuum_even as continuum_even
+    import mapgenus.checks as checks
     import mapgenus.continuum_odd as continuum_odd
 
     monkeypatch.setattr(
@@ -170,7 +170,7 @@ def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, ca
     code, out, _ = run(capsys, "verify", "odd", "--nu", "1", "--order", "6")
     assert code == 1 and json.loads(out)["status"] == "fail"
     monkeypatch.setattr(
-        continuum_even, "verify_burgers", lambda nu, T: {"identity": "leading_transport", "status": "fail"}
+        checks, "verify_burgers", lambda nu, T: {"identity": "leading_transport", "status": "fail"}
     )
     code, out, _ = run(capsys, "verify", "continuum", "--nu", "2", "--g", "1")
     assert code == 1 and json.loads(out)["status"] == "fail"
@@ -271,12 +271,12 @@ def test_engine_error_cases_cover_every_subclass():
 def test_engine_error_exit_code_and_prefix(monkeypatch, tmp_path, capsys, error, code, prefix):
     # raised by a cached command's payload builder: one stderr line, no
     # document, and no cache entry
-    import mapgenus.cli as cli_mod
+    import mapgenus.continuum_even as continuum_even
 
     def broken(**options):
         raise error("injected")
 
-    monkeypatch.setattr(cli_mod, "payload_z0", broken)
+    monkeypatch.setattr(continuum_even, "payload_z0", broken)
     got, out, err = run(capsys, "--cache-dir", str(tmp_path), "z0", "--nu", "2")
     assert (got, out, err) == (code, "", prefix + " injected\n")
     assert os.listdir(tmp_path) == []
@@ -584,8 +584,8 @@ def test_help_and_usage_text_is_golden(capsys, case):
     "case", GOLDEN["parse"], ids=[" ".join(c["argv"]) + (" [env]" if c["env"] else "") for c in GOLDEN["parse"]]
 )
 def test_parse_table(monkeypatch, capsys, case):
-    # every option present with its default, the builder as the function
-    # object, and the cache key dispatch builds from the dict unchanged
+    # every option present with its default, the builder by the name that
+    # imports it, and the cache key dispatch builds from the dict unchanged
     import mapgenus.cli as cli_mod
 
     if case["env"]:
@@ -594,7 +594,8 @@ def test_parse_table(monkeypatch, capsys, case):
         monkeypatch.delenv(cli_mod.CACHE_ENV, raising=False)
     expected = dict(case["options"])
     options = cli_mod.parse_options(case["argv"])
-    assert options.pop("run") is getattr(cli_mod, expected.pop("run"))
+    name = options.pop("run")
+    assert name == expected.pop("run") and cli_mod.builder(name).__name__ == name
     assert options == expected
     keys = []
     monkeypatch.setattr(
@@ -605,8 +606,11 @@ def test_parse_table(monkeypatch, capsys, case):
 
 
 # what a run may load beyond the interpreter's start: the cache's BLAKE2b,
-# the math module errors.py uses, the three CLI modules, and json
-STARTUP_ALLOWED = CLI_ONLY | {"_blake2", "math", "json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+# the math module errors.py uses, the three CLI modules, the help and usage
+# text (only for a help page or a usage error), and json
+STARTUP_ALLOWED = CLI_ONLY | {
+    "mapgenus.usage", "_blake2", "math", "json", "json.decoder", "json.encoder", "json.scanner", "_json"
+}
 
 
 def test_startup_loads_only_the_allowed_modules(tmp_path, capsys):
@@ -618,6 +622,64 @@ def test_startup_loads_only_the_allowed_modules(tmp_path, capsys):
     for argv, code in (((), 0), (hit, 0), (("--help",), 0), (("zg", "--nu", "x"), 2)):
         loaded = loaded_by(*argv, code=code)
         assert loaded <= STARTUP_ALLOWED, (argv, sorted(loaded - STARTUP_ALLOWED))
+
+
+CACHE = object()  # stands for the test's cache directory in an argv
+CONTINUUM = {"mapgenus.combinatorics", "mapgenus.continuum_even", "mapgenus.exact_kernel"}
+ODD = {"mapgenus.combinatorics", "mapgenus.continuum_odd", "mapgenus.exact_kernel"}
+# the argv of each run, its exit code, and the mapgenus modules it loads
+# beyond CLI_ONLY: each builder sits beside its engine, the conservation
+# laws load for no command, and the help text only for help and errors
+FOOTPRINTS = {
+    "import cli": ((), 0, set()),
+    "z0": (("--no-cache", "z0", "--nu", "2", "--order", "6"), 0, CONTINUUM),
+    "zg": (("--no-cache", "zg", "--nu", "2", "--g", "1"), 0, CONTINUUM),
+    "eg": (
+        ("--no-cache", "eg", "--nu", "2", "--g", "2"),
+        0,
+        CONTINUUM | {"mapgenus.genus_even", "mapgenus.fatgraph_oracle"},
+    ),
+    "maps": (("--no-cache", "maps", "--valence", "4", "--vertices", "2"), 0, {"mapgenus.fatgraph_oracle"}),
+    "verify lattice": (
+        ("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"),
+        0,
+        {"mapgenus.lattice_oracle"},
+    ),
+    "verify continuum": (("verify", "continuum", "--nu", "2", "--g", "1"), 0, CONTINUUM | {"mapgenus.checks"}),
+    "verify odd": (("verify", "odd", "--nu", "2", "--order", "4"), 0, ODD),
+    "trivalent": (("trivalent",), 0, ODD | {"mapgenus.fatgraph_oracle"}),
+    "report": (
+        ("report",),
+        0,
+        CONTINUUM | ODD | {"mapgenus.checks", "mapgenus.fatgraph_oracle", "mapgenus.lattice_oracle"},
+    ),
+    "warm hit": (("--cache-dir", CACHE, "zg", "--nu", "2", "--g", "1"), 0, set()),
+    "--help": (("--help",), 0, {"mapgenus.usage"}),
+    "usage error": (("zg", "--nu", "x"), 2, {"mapgenus.usage"}),
+}
+
+
+@pytest.mark.parametrize("case", FOOTPRINTS)
+def test_each_run_loads_exactly_its_modules(tmp_path, capsys, case):
+    argv, code, extra = FOOTPRINTS[case]
+    argv = [str(tmp_path) if arg is CACHE else arg for arg in argv]
+    if CACHE in FOOTPRINTS[case][0]:
+        # the cold run stores the entry that the measured run hits
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+    assert engine(loaded_by(*argv, code=code)) == CLI_ONLY | extra
+
+
+def test_trivalent_past_the_matching_cap_fails_before_the_golden_forms(monkeypatch, capsys):
+    # the map counts are taken first: 8 trivalent vertices (24 half-edges)
+    # exceed the cap before any golden form is expanded
+    from mapgenus import continuum_odd
+
+    def expanded(T):
+        raise AssertionError("golden forms expanded to order %d" % T)
+
+    monkeypatch.setattr(continuum_odd, "trivalent_closed_forms", expanded)
+    assert run(capsys, "trivalent", "--mmax", "400") == (2, "", "usage error: half-edge count 24 exceeds cap 20\n")
 
 
 def test_records_are_immutable():

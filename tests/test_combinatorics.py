@@ -3,20 +3,16 @@ from math import comb
 
 import pytest
 
+from mapgenus.checks import d_coeff, monomial_sym_eval, multiplicities, partitions_of, strict_partitions_in_box
 from mapgenus.combinatorics import (
     LatticePolynomial,
     c_valence,
-    d_coeff,
     higher_catalan,
     lattice_equation_exprs,
     lattice_paths,
-    monomial_sym_eval,
-    multiplicities,
     operator_power_entry,
-    partitions_of,
-    strict_partitions_in_box,
-    trinomial,
 )
+from mapgenus.continuum_odd import trinomial
 from mapgenus.errors import RejectedInput
 
 

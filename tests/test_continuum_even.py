@@ -2,20 +2,22 @@ from math import comb, factorial
 
 import pytest
 
-from mapgenus.combinatorics import LatticePolynomial, lattice_equation_exprs
-from mapgenus.continuum_even import (
+from mapgenus.checks import (
     JetExpression,
-    build_ztable,
-    catalan_data,
-    expand_lattice_polynomial,
-    functional_residual,
     hodograph_solution,
     string_jets,
     toda_jet,
     verify_burgers,
-    verify_continuum_toda,
     verify_string_antiderivative,
     verify_string_functional,
+)
+from mapgenus.combinatorics import LatticePolynomial, lattice_equation_exprs
+from mapgenus.continuum_even import (
+    build_ztable,
+    catalan_data,
+    expand_lattice_polynomial,
+    functional_residual,
+    verify_continuum_toda,
 )
 from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series
@@ -133,7 +135,7 @@ def test_string_box_coefficients_vanish_by_antisymmetry():
     pairwise and every string-variant box coefficient is exactly zero.
     (The antiderivative identity is still a real constraint on the slot
     construction, whose terms are individually nonzero.)"""
-    from mapgenus.combinatorics import d_coeff, partitions_of, strict_partitions_in_box
+    from mapgenus.checks import d_coeff, partitions_of, strict_partitions_in_box
 
     for nu in (2, 3, 4):
         for g in (1, 2):
@@ -157,7 +159,8 @@ def test_planar_coefficients_strictly_positive():
 
 
 def test_burgers_coefficient_counts_paths():
-    from mapgenus.combinatorics import d_coeff, lattice_paths
+    from mapgenus.checks import d_coeff
+    from mapgenus.combinatorics import lattice_paths
 
     for nu in (1, 2, 3):
         assert d_coeff(nu, (1,), "toda") == (nu + 1) * len(lattice_paths(2 * nu, 2, 0))
@@ -348,11 +351,11 @@ def test_mixed_weight_jet_polynomial_is_rejected():
 
 
 def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
-    from mapgenus import continuum_even
+    from mapgenus import checks
     from mapgenus.cli import dispatch
 
     table = build_ztable(2, 1, T=10)
-    monkeypatch.setattr(continuum_even, "toda_jet", lambda nu, g: JetExpression())
+    monkeypatch.setattr(checks, "toda_jet", lambda nu, g: JetExpression())
     with pytest.raises(VerificationFailure):
         verify_continuum_toda(2, 1, table)
     assert dispatch(["--no-cache", "verify", "continuum", "--nu", "2", "--g", "1"]) == 1
@@ -363,9 +366,9 @@ def test_corrupted_antiderivative_fails_verification(monkeypatch):
     # every string box coefficient vanishes, so F == 0 and the check is that
     # the slot derivative of the antiderivative cancels: one wrong slot sum
     # must break it
-    from mapgenus import continuum_even
+    from mapgenus import checks
 
-    real = continuum_even.string_jets
+    real = checks.string_jets
     assert verify_string_antiderivative(3, 2)["status"] == "pass"
     # slot 0 of the composition carrying all 2g orders in slot 0 is the only
     # slot sum whose derivation reaches order 2g+1, so nothing can cancel a
@@ -380,7 +383,7 @@ def test_corrupted_antiderivative_fails_verification(monkeypatch):
             antiderivative[key] = tuple(w + b for w, b in zip(sums, bumps)) + sums[2:]
             return F, antiderivative
 
-        monkeypatch.setattr(continuum_even, "string_jets", corrupted)
+        monkeypatch.setattr(checks, "string_jets", corrupted)
         for nu, g in [(2, 1), (3, 2)]:
             with pytest.raises(VerificationFailure):
                 verify_string_antiderivative(nu, g)
@@ -395,17 +398,17 @@ def test_string_antiderivative_has_one_entry_per_composition():
 
 
 def test_one_string_expression_and_one_hierarchy_jet_per_table(monkeypatch):
-    from mapgenus import continuum_even
+    from mapgenus import checks, continuum_even
 
     calls = []
-    for name in ("lattice_equation_exprs", "toda_jet"):
-        real = getattr(continuum_even, name)
+    for module, name in ((continuum_even, "lattice_equation_exprs"), (checks, "toda_jet")):
+        real = getattr(module, name)
 
         def counting(nu, arg, real=real, name=name):
             calls.append((name, arg))
             return real(nu, arg)
 
-        monkeypatch.setattr(continuum_even, name, counting)
+        monkeypatch.setattr(module, name, counting)
     table = build_ztable(3, 4)
     assert calls == [("lattice_equation_exprs", "string")]
     del calls[:]

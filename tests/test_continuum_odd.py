@@ -1,11 +1,11 @@
 import pytest
 
-from mapgenus import cli, continuum_odd
-from mapgenus.combinatorics import trinomial
+from mapgenus import continuum_odd
 from mapgenus.continuum_odd import (
     TriPoly,
     odd_coeff_polys,
     solve_leading_odd,
+    trinomial,
     trivalent_checks,
     trivalent_closed_forms,
     trivalent_z0,
@@ -165,7 +165,7 @@ def test_verify_odd_work_bound(monkeypatch):
         return residuals(pair, P)
 
     monkeypatch.setattr(continuum_odd, "verify_leading_residuals", once)
-    assert cli.payload_verify_odd(4, 24)["status"] == "pass"
+    assert continuum_odd.payload_verify_odd(4, 24)["status"] == "pass"
     assert suites == [24]
     assert len(calls) <= 1000
 

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from mapgenus.combinatorics import multiplicities, partitions_of
+from mapgenus.checks import multiplicities, partitions_of
+from mapgenus.conservation import planar_lift_deriv_formula, q_c_tables, q_table
 from mapgenus.continuum_even import build_ztable, verify_continuum_toda
 from mapgenus.errors import RejectedInput, ResonanceFailure
 from mapgenus.exact_kernel import DLaurent, Q
@@ -18,9 +19,6 @@ from mapgenus.genus_even import (
     face_count,
     hirota_rhs,
     log_term_ratfn,
-    planar_lift_deriv_formula,
-    q_c_tables,
-    q_table,
     resonance_lambda,
     verify_genus_structure,
 )
