@@ -16,7 +16,7 @@ from functools import cache
 from math import factorial, prod
 
 from .combinatorics import Terms
-from .continuum_even import build_ztable, catalan_data, verify_continuum_toda
+from .continuum_even import CatalanData, build_ztable, catalan_data, verify_continuum_toda, ztable_order
 from .errors import RejectedInput, VerificationFailure, status_of
 from .exact_kernel import GradedSeries, Q
 
@@ -166,9 +166,17 @@ def d_coeff(nu: int, lam: Partition, variant: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def verify_string_functional(nu: int, T: int) -> dict:
+def planar_data(nu: int, T: int, planar: CatalanData | None = None) -> CatalanData:
+    """catalan_data(nu, T), or its cut from ``planar``: planar data that
+    catalan_data built for nu to order T or beyond, and so checked."""
+    if planar is None:
+        return catalan_data(nu, T)
+    return CatalanData(planar.c, planar.zetas[:T], planar.z0.truncate(T))
+
+
+def verify_string_functional(nu: int, T: int, planar: CatalanData | None = None) -> dict:
     """catalan_data asserts the functional equation to order T."""
-    catalan_data(nu, T)
+    planar_data(nu, T, planar)
     return {"identity": "planar_functional_equation", "nu": nu, "order": T, "status": "pass"}
 
 
@@ -176,8 +184,8 @@ def verify_string_functional(nu: int, T: int) -> dict:
 HodographSolution = namedtuple("HodographSolution", "c f0")
 
 
-def hodograph_solution(nu: int, T: int) -> HodographSolution:
-    data = catalan_data(nu, T)
+def hodograph_solution(nu: int, T: int, planar: CatalanData | None = None) -> HodographSolution:
+    data = planar_data(nu, T, planar)
     f0 = GradedSeries.from_series(data.z0, base2=2, step2=2 * (nu - 1))
     w = GradedSeries.const("u", 1, base2=2, step2=2 * (nu - 1), trunc=T)
     res = f0 - data.c * (f0 ** nu).xmul(1) - w
@@ -186,9 +194,9 @@ def hodograph_solution(nu: int, T: int) -> HodographSolution:
     return HodographSolution(c=data.c, f0=f0)
 
 
-def verify_burgers(nu: int, T: int) -> dict:
+def verify_burgers(nu: int, T: int, planar: CatalanData | None = None) -> dict:
     """The hodograph solution satisfies df0/du = (c/(nu+1)) dw(f0^(nu+1))."""
-    sol = hodograph_solution(nu, T)
+    sol = hodograph_solution(nu, T, planar)
     res = sol.f0.dx() - Q(sol.c, nu + 1) * (sol.f0 ** (nu + 1)).dw().truncate(T - 1)
     if not res.is_zero():
         raise VerificationFailure("leading transport equation fails at nu=%d" % nu)
@@ -333,10 +341,16 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
 def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
     if g < 0:
         raise RejectedInput("genus must be >= 0")
-    ztable = build_ztable(nu, g, T=order)
+    T = ztable_order(g) if order is None else order
+    # catalan_data sees max(T, 20), so it would not reject this order itself
+    if T < 1:
+        raise RejectedInput("need nu >= 1 and T >= 1")
+    # one planar series, at the largest order a check reads, cut for each
+    planar = catalan_data(nu, max(T, 20))
+    ztable = build_ztable(nu, g, T, planar.z0)
     reports = [
-        verify_string_functional(nu, max(ztable.T, 20)),
-        verify_burgers(nu, max(ztable.T, 10)),
+        verify_string_functional(nu, max(T, 20), planar),
+        verify_burgers(nu, max(T, 10), planar),
     ]
     for gg in range(1, g + 1):
         reports.append(verify_string_antiderivative(nu, gg))

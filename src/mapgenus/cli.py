@@ -16,6 +16,12 @@ errors, which accept and print argparse's language and text for an
 80-column terminal without importing argparse and the ``gettext``,
 ``locale`` and ``shutil`` it loads; the text itself is written by
 ``usage``, which only a help page or a usage error imports.
+
+``main``, behind ``python -m mapgenus`` and the console script, ends the
+process once the run's output is written: it flushes stdout and stderr and
+calls ``os._exit``, so the interpreter's teardown does not run, unless a
+trace or profile hook or an ``-i`` prompt needs the normal exit.
+``dispatch`` runs one command and returns its exit code.
 """
 
 import functools
@@ -382,4 +388,28 @@ def dispatch(argv) -> int:
 
 
 def main() -> int:
-    return dispatch(sys.argv[1:])
+    """Run the command line on ``sys.argv``, then end the process.
+
+    Once ``dispatch`` has returned, stdout and stderr are flushed and the
+    process ends with ``os._exit``.  That skips the interpreter's teardown:
+    the ``atexit`` callbacks other code registered, the clearing of every
+    loaded module and the final garbage collections, which can take as
+    long as a short job's own work.  The exit code is returned instead,
+    for the caller's normal exit, when a trace or profile hook is
+    installed (pdb, coverage, cProfile, trace), when ``-i`` or
+    ``PYTHONINSPECT`` asked for a prompt, and when a stream is missing or
+    closed or a flush fails, so that a closed pipe is reported as the
+    interpreter reports it.  An exception out of ``dispatch`` propagates."""
+    code = dispatch(sys.argv[1:])
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        return code
+    # from Python 3.12 cProfile and coverage may hook in through sys.monitoring
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6)):
+        return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, ValueError, OSError):
+        return code
+    os._exit(code)

@@ -339,9 +339,15 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
     return entry
 
 
+def ztable_order(g_max: int) -> int:
+    """The default truncation of a z-table to genus g_max: the orders the
+    z_g reconstruction needs, with a surplus."""
+    return max(3 * g_max + 12, 16)
+
+
 def build_ztable(nu: int, g_max: int, T: int | None = None, z0: Series | None = None) -> ZTable:
     if T is None:
-        T = max(3 * g_max + 12, 16)
+        T = ztable_order(g_max)
     table = ZTable(nu, T, z0)
     for g in range(1, g_max + 1):
         solve_zg(nu, g, table)

@@ -27,7 +27,7 @@ from functools import cache, cached_property
 from math import factorial
 
 from .combinatorics import c_valence
-from .continuum_even import ZTable, build_ztable, catalan_data
+from .continuum_even import ZTable, build_ztable, catalan_data, ztable_order
 from .errors import (
     RejectedInput,
     ResonanceFailure,
@@ -510,7 +510,7 @@ def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | Non
     if ztable is None:
         T = max(5 * g_max + 12, 16) if T is None else T
         z0 = catalan_data(nu, T).z0
-        ztable = build_ztable(nu, g_max, min(T, max(3 * g_max + 12, 16)), z0)
+        ztable = build_ztable(nu, g_max, min(T, ztable_order(g_max)), z0)
     etable = ETable(nu, ztable, z0)
     for g in range(2, g_max + 1):
         solve_eg(nu, g, ztable, etable)

@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from mapgenus import errors
-from mapgenus.cli import cache_lookup_or_compute, dispatch
+from mapgenus.cli import CACHE_ENV, cache_lookup_or_compute, dispatch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -170,7 +172,7 @@ def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, ca
     code, out, _ = run(capsys, "verify", "odd", "--nu", "1", "--order", "6")
     assert code == 1 and json.loads(out)["status"] == "fail"
     monkeypatch.setattr(
-        checks, "verify_burgers", lambda nu, T: {"identity": "leading_transport", "status": "fail"}
+        checks, "verify_burgers", lambda nu, T, planar: {"identity": "leading_transport", "status": "fail"}
     )
     code, out, _ = run(capsys, "verify", "continuum", "--nu", "2", "--g", "1")
     assert code == 1 and json.loads(out)["status"] == "fail"
@@ -431,19 +433,104 @@ def test_cache_readonly_dir_warns_and_computes(tmp_path, capsys):
         os.chmod(cache, stat.S_IRWXU)
 
 
-def test_cli_maps_entrypoint_identity():
-    # second invocation through a cache directory serves identical bytes
-    import subprocess
-    import sys
+def mapgenus(*argv, head=("-m", "mapgenus")):
+    """Run ``python -m mapgenus`` (or the given interpreter arguments) with
+    argv in a fresh interpreter, with no cache directory from the
+    environment and buffered streams, so that output reaches the pipe only
+    if the process flushes it."""
+    env = {k: v for k, v in os.environ.items() if k not in (CACHE_ENV, "PYTHONUNBUFFERED")}
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, env=env, stdin=subprocess.DEVNULL)
 
-    env = dict(os.environ)
-    out1 = subprocess.run(
-        [sys.executable, "-m", "mapgenus", "maps", "--valence", "4", "--vertices", "2"],
-        capture_output=True,
-        env=env,
-    )
-    assert out1.returncode == 0
-    assert json.loads(out1.stdout) == {"0": 36, "1": 60}
+
+def test_cli_maps_entrypoint_identity(tmp_path):
+    # second invocation through a cache directory serves identical bytes
+    cache = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache), "maps", "--valence", "4", "--vertices", "2"]
+    first = mapgenus(*argv)
+    assert first.returncode == 0 and first.stderr == b""
+    assert json.loads(first.stdout) == {"0": 36, "1": 60}
+    # the store finished before the process ended: one complete entry
+    (entry,) = os.listdir(cache)
+    assert entry.endswith(".json")
+    with open(cache / entry) as fh:
+        assert json.load(fh)["payload"] == {"0": 36, "1": 60}
+    stored = os.stat(cache / entry)
+    second = mapgenus(*argv)
+    assert second.returncode == 0 and second.stderr == b""
+    assert second.stdout == first.stdout
+    # a hit leaves the entry untouched; a miss would replace the file
+    hit = os.stat(cache / entry)
+    assert os.listdir(cache) == [entry]
+    assert (hit.st_ino, hit.st_mtime_ns) == (stored.st_ino, stored.st_mtime_ns)
+
+
+# argv (with FILE standing for a regular file) and the exit code
+PROCESS_CASES = {
+    "document": (["maps", "--valence", "4", "--vertices", "2"], 0),
+    "parser error": (["maps", "--valence", "4"], 2),
+    "engine usage error": (["zg", "--nu", "0", "--g", "2"], 2),
+    "reconstruction failure": (["zg", "--nu", "2", "--g", "2", "--order", "6"], 3),
+    "cache not writable": (["--cache-dir", "FILE", "maps", "--valence", "4", "--vertices", "2"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+def test_process_exit_and_streams_match_dispatch(tmp_path, monkeypatch, capsys, case):
+    argv, code = PROCESS_CASES[case]
+    regular = tmp_path / "file"
+    regular.write_text("")
+    argv = [str(regular) if arg == "FILE" else arg for arg in argv]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    if case == "cache not writable":
+        assert "cache not writable" in expected[2]
+    proc = mapgenus(*argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+
+
+# Registers an atexit callback that marks stderr, installs the hook that
+# argv[1] names (trace, profile or none), then runs ``python -m mapgenus``
+# on the rest of argv.  Under -i the prompt reads end of file and exits.
+FALLBACK = """
+import atexit, runpy, sys
+atexit.register(sys.stderr.write, "atexit ran\\n")
+hook = sys.argv.pop(1)
+if hook == "trace":
+    sys.settrace(lambda *event: None)
+elif hook == "profile":
+    sys.setprofile(lambda *event: None)
+runpy.run_module("mapgenus", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, hook",
+    [((), "trace"), ((), "profile"), (("-i",), "none"), ((), "none")],
+    ids=["trace", "profile", "prompt", "fast exit"],
+)
+def test_fast_exit_only_without_a_hook_or_prompt(flags, hook):
+    proc = mapgenus("maps", "--valence", "4", "--vertices", "2", head=(*flags, "-c", FALLBACK, hook))
+    assert proc.returncode == 0 and json.loads(proc.stdout) == {"0": 36, "1": 60}
+    # the fast exit skips the atexit callbacks of other code: the
+    # documented trade; a hooked or prompting run exits normally and runs them
+    fast_exit = (flags, hook) == ((), "none")
+    assert (b"atexit ran" in proc.stderr) is not fast_exit
+
+
+def test_cprofile_still_prints_its_statistics():
+    proc = mapgenus("maps", "--valence", "4", "--vertices", "2", head=("-m", "cProfile", "-m", "mapgenus"))
+    assert proc.returncode == 0
+    document, statistics = proc.stdout.decode().split("\n", 1)
+    assert json.loads(document) == {"0": 36, "1": 60}
+    assert "function calls" in statistics
+
+
+def test_console_script_runs_main():
+    # a plain line match: tomllib is Python 3.11+, the package supports 3.10
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        lines = [line.strip() for line in fh]
+    assert lines[lines.index("[project.scripts]") + 1] == 'mapgenus = "mapgenus.cli:main"'
 
 
 # Loads the cli in a fresh interpreter, dispatches the argv given as JSON
@@ -468,9 +555,6 @@ CLI_ONLY = {"mapgenus", "mapgenus.cli", "mapgenus.errors"}
 def loaded_by(*argv, code=0) -> set:
     """The modules that importing the cli, then dispatching argv (if any)
     with the exit code given, load in a fresh interpreter."""
-    import subprocess
-    import sys
-
     args = [sys.executable, "-S", "-c", FOOTPRINT] + ([json.dumps(argv), str(code)] if argv else [])
     proc = subprocess.run(args, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

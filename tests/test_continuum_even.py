@@ -459,3 +459,23 @@ def test_zero_reconstruction_fails_pole_order(monkeypatch):
     monkeypatch.setattr(continuum_even, "series_to_ratfn", zero)
     with pytest.raises(VerificationFailure, match="pole order 0 at genus 1, expected 4"):
         build_ztable(2, 1)
+
+
+def test_verify_continuum_builds_the_planar_series_once(monkeypatch):
+    import mapgenus.checks as checks
+    import mapgenus.continuum_even as continuum_even
+
+    orders = []
+
+    def counted(nu, T):
+        orders.append((nu, T))
+        return catalan_data(nu, T)
+
+    monkeypatch.setattr(checks, "catalan_data", counted)
+    monkeypatch.setattr(continuum_even, "catalan_data", counted)
+    # the z-table is cut to order 18, the functional equation read to 20
+    assert checks.payload_verify_continuum(3, 2, None)["status"] == "pass"
+    assert orders == [(3, 20)]
+    orders.clear()
+    assert checks.payload_verify_continuum(2, 1, 24)["status"] == "pass"
+    assert orders == [(2, 24)]
