@@ -16,7 +16,7 @@ from functools import cache
 from math import factorial, prod
 
 from .combinatorics import Terms
-from .continuum_even import CatalanData, build_ztable, catalan_data, verify_continuum_toda, ztable_order
+from .continuum_even import CatalanData, build_ztable, catalan_data, require_positive, verify_continuum_toda, ztable_order
 from .errors import RejectedInput, VerificationFailure, status_of
 from .exact_kernel import GradedSeries, Q
 
@@ -341,10 +341,10 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
 def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
     if g < 0:
         raise RejectedInput("genus must be >= 0")
-    T = ztable_order(g) if order is None else order
+    require_positive("--nu", nu)
     # catalan_data sees max(T, 20), so it would not reject this order itself
-    if T < 1:
-        raise RejectedInput("need nu >= 1 and T >= 1")
+    require_positive("--order", order)
+    T = ztable_order(g) if order is None else order
     # one planar series, at the largest order a check reads, cut for each
     planar = catalan_data(nu, max(T, 20))
     ztable = build_ztable(nu, g, T, planar.z0)

@@ -41,6 +41,22 @@ def higher_catalan(nu: int, j: int) -> Fraction:
     return a
 
 
+def painleve_a(g: int) -> Fraction:
+    """a_g of the Painleve I solution u = x^(1/2) sum_g a_g x^(-5g/2) of
+    u^2 - u''/6 = x: a_0 = 1 and 2 a_g = (1/6) e (e - 1) a_(g-1) -
+    sum_(h=1..g-1) a_h a_(g-h) with e = 1/2 - 5 (g - 1)/2.  In the
+    double-scaling limit (Brezin and Kazakov; Douglas and Shenker; Gross and
+    Migdal, 1990) the D^-(5g-1) coefficient of z_g/z0 is -2 (2 nu)^(3g-1) a_g;
+    this shares no code with the derivation of z_g."""
+    if g < 0:
+        raise RejectedInput("Painleve I coefficients start at g = 0")
+    a = [Fraction(1)]
+    for k in range(1, g + 1):
+        e = Fraction(1, 2) - Fraction(5 * (k - 1), 2)
+        a.append((e * (e - 1) / 6 * a[k - 1] - sum(a[h] * a[k - h] for h in range(1, k))) / 2)
+    return a[g]
+
+
 # ---------------------------------------------------------------------------
 # lattice paths
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinatorics import c_valence
+from .continuum_even import LogRational, _graded_chain
 from .errors import RejectedInput, VerificationFailure
 from .exact_kernel import DLaurent, Q
-from .genus_even import ETable, LogRational, _graded_chain, falling
+from .genus_even import ETable, falling
 
 
 # ---------------------------------------------------------------------------

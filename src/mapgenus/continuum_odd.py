@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial
+from operator import mul
 
 from .combinatorics import Terms
 from .errors import RejectedInput, VerificationFailure, status_of
@@ -206,41 +207,58 @@ def verify_odd_identities(nu: int) -> dict:
 OddLeadingPair = namedtuple("OddLeadingPair", "nu h0 f0 powers residuals")
 
 
-def _widen(g: GradedSeries, T: int) -> GradedSeries:
-    """g with its truncation raised to T, the new orders zero: g's integer
-    numerators, padded, over g's denominator."""
-    out = GradedSeries(g.var, g.num, g.base2, g.step2, T)
-    out.den = g.den
-    return out
+def _product_coeff(x: list[int], y: list[int], n: int) -> int:
+    """The s^n coefficient of the product of two coefficient lists."""
+    return sum(map(mul, x[: n + 1], reversed(y[: n + 1])))
+
+
+def _leading_orders(nu: int, T: int, P: dict) -> tuple[list[int], list[int]]:
+    """The s-coefficients 0..T of (h0, f0) at w = 1, each order computed
+    once, on integers.  Order p of h = -(2nu+1) s B12(h, f) and
+    f = 1 - (2nu+1) s B11(h, f) reads only orders below p, so each pure
+    power h^a, f^b gains one order per step and each monomial of B11 and
+    B12 costs one more product coefficient.  The polynomials' coefficients
+    are trinomials, read by their numerators; the hodograph residuals of
+    ``solve_leading_odd`` re-check the pair against the polynomials."""
+    w = 2 * nu + 1
+    h, f = [0] * (T + 1), [1] + [0] * T
+    polys = [([(key, c.numerator) for key, c in P[name].terms.items()], out) for name, out in (("B12", h), ("B11", f))]
+    top = max(max(a, b) for terms, _ in polys for (_s, a, b), _c in terms)
+    # powers of h and of f: [x^0, x, x^2, ...], filled in order by order
+    hp, fp = ([[1] + [0] * T, x] + [[0] * (T + 1) for _ in range(top - 1)] for x in (h, f))
+    for n in range(T):
+        for powers, x in ((hp, h), (fp, f)):
+            for k in range(2, top + 1):
+                powers[k][n] = _product_coeff(powers[k - 1], x, n)
+        for terms, out in polys:
+            out[n + 1] = -w * sum(c * _product_coeff(hp[a], fp[b], n - s) for (s, a, b), c in terms if s <= n)
+    return h, f
 
 
 def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:
-    """Iterate the hodograph relations to their unique series fixed point
+    """Solve the hodograph relations for their unique series fixed point
     and verify the transport and conservation forms exactly.
 
-    Starting from (h, f) = (0, w), each pass through
+    Starting from (h, f) = (0, w), the fixed point of
         h <- -(2nu+1) s B12(h, f),    f <- w - (2nu+1) s B11(h, f)
-    fixes one more order in s: the factor s makes order p of the images
-    depend on orders below p alone, so pass p runs at truncation p on the
-    result of pass p-1 and the loop ends at p = T.  The hodograph residuals
-    are then checked at the full truncation T.  The fixed point satisfies
-    the leading transport system and its conservation form identically,
-    and the string system normalized with right side (0, 1) (the printed
-    extra factor of s does not come out of the hodograph differentiation;
-    pinned here and recorded).  The identity suite runs once, and its
-    report is kept as ``pair.residuals``.
+    is fixed one order in s at a time: the factor s makes order p of the
+    images depend on orders below p alone (``_leading_orders``).  The
+    hodograph residuals are then checked at the full truncation T.  The
+    fixed point satisfies the leading transport system and its
+    conservation form identically, and the string system normalized with
+    right side (0, 1) (the printed extra factor of s does not come out of
+    the hodograph differentiation; pinned here and recorded).  The
+    identity suite runs once, and its report is kept as
+    ``pair.residuals``.
     """
     if T < 1:
         raise RejectedInput("need at least one series order")
     P = odd_coeff_polys(nu)
     w = 2 * nu + 1
     step2 = 2 * nu - 1
-    h = GradedSeries("s", [0], base2=1, step2=step2, trunc=0)
-    f = GradedSeries("s", [1], base2=2, step2=step2, trunc=0)
-    for p in range(1, T + 1):
-        powers = GradedPowers(_widen(h, p), _widen(f, p))
-        h = -w * P["B12"].eval_graded(powers).xmul(1)
-        f = GradedSeries("s", [1], 2, step2, p) - w * P["B11"].eval_graded(powers).xmul(1)
+    hs, fs = _leading_orders(nu, T, P)
+    h = GradedSeries("s", hs, base2=1, step2=step2)
+    f = GradedSeries("s", fs, base2=2, step2=step2)
     pair = OddLeadingPair(nu, h, f, GradedPowers(h, f), None)
     # fixed point reached: residuals of the hodograph relations
     if not (h + w * P["B12"].eval_graded(pair.powers).xmul(1)).is_zero():

@@ -15,16 +15,16 @@ the lcm of its denominators (``_qscale``): their products run through
 ``_qconv`` and a change of variable is one integer Taylor shift
 (``_taylor_shift``).
 
-The genus coefficients are computed in ``DLaurent``, where sums and products
+Both genus families are solved in ``DLaurent``, where sums and products
 need no polynomial gcd; ``RatFn`` defines no arithmetic and only carries a
-value across reconstruction of z_g (``series_to_ratfn``), read-back
-(``ratfn_to_series``) and printing, crossing to and from ``DLaurent`` by one
-Taylor shift.  Both work in powers of y = z - z(0) of the substitution
-series: its powers y^i start at x^i, so the change of basis is lower
-triangular and runs by forward substitution one way and integer dot products
-the other, over columns built once per (series, truncation) and kept in a
-small memo.  ``solve_linear`` (fraction-free Bareiss) fits the lattice
-tables' higher-genus remainder.
+value to the read-back (``ratfn_to_series``) and printing, built from
+``DLaurent`` by one Taylor shift.  The read-back, and the u-series
+reconstruction (``series_to_ratfn``) that the tests compare the ring solve
+against, work in powers of y = z - z(0) of the substitution series: its
+powers y^i start at x^i, so the change of basis is lower triangular, over
+columns built once per (series, truncation) and kept in a small memo.
+``solve_linear`` (fraction-free Bareiss) fits the lattice tables'
+higher-genus remainder.
 """
 
 from __future__ import annotations
@@ -145,10 +145,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return Poly((1,))
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
 
     @staticmethod
     def const(q: QLike) -> "Poly":
@@ -489,12 +485,6 @@ class RatFn:
         out.num, out.den_base, out.den_pow, out.var = num, den_base, den_pow, var
         return out
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: Poly, var: str = "z") -> "RatFn":
-        return RatFn(p, Poly.one(), 0, var)
-
     def __repr__(self):
         if self.den_pow == 0:
             return "RatFn(%r)" % (self.num,)
@@ -550,25 +540,12 @@ class DLaurent:
 
     @staticmethod
     def const(nu: int, q: QLike) -> "DLaurent":
-        return DLaurent(nu, 0, (q,))
+        return DLaurent.of_ints(nu, 0, q.denominator, (q.numerator,))
 
     @staticmethod
     def z(nu: int) -> "DLaurent":
         """The variable itself, z = nu/(nu-1) - D/(nu-1)."""
         return DLaurent.of_ints(nu, 0, nu - 1, (nu, -1))
-
-    @staticmethod
-    def from_ratfn(r: RatFn, nu: int) -> "DLaurent":
-        """r as a Laurent polynomial in D; r must be a polynomial or have a
-        power of D as denominator (in monic form, of z - nu/(nu-1)).  One
-        Taylor shift: z = nu/(nu-1) - D/(nu-1), and (z - nu/(nu-1))^P is
-        (-D/(nu-1))^P."""
-        q = nu - 1
-        k = r.den_base.degree
-        if k and r.den_base != Poly([Q(-nu, q), 1]) ** k:
-            raise RejectedInput("denominator is not a power of D = %d - %d z" % (nu, q))
-        P = k * r.den_pow
-        return DLaurent(nu, -P, _taylor_shift(r.num.c, Q(nu, q), Q(-1, q), (-q) ** P))
 
     def to_ratfn(self) -> RatFn:
         """The same function as a reduced RatFn in z.  One Taylor shift of
@@ -620,26 +597,30 @@ class DLaurent:
             raise RejectedInput("valence mismatch: %d vs %d" % (self.nu, other.nu))
         return other
 
-    def _sum(self, other, sign: int) -> "DLaurent":
-        """self + sign * other over the lcm of the two denominators."""
-        other = self._ring(other)
-        den = _int_lcm(self.den, other.den)
-        lo = min(self.lo, other.lo)
-        acc = [0] * (max(self.lo + len(self.num), other.lo + len(other.num)) - lo)
-        for f, x in ((den // self.den, self), (sign * (den // other.den), other)):
+    @staticmethod
+    def combination(nu: int, terms) -> "DLaurent":
+        """The sum of q * x over the (q, x) terms, q rational and x in the
+        ring of valence nu, as one integer linear combination over the lcm
+        of the denominators, reduced once."""
+        live = [(q, x) for q, x in terms if q and x.num]
+        den = _int_lcm(*(q.denominator * x.den for q, x in live))
+        lo = min((x.lo for _, x in live), default=0)
+        acc = [0] * (max((x.lo + len(x.num) for _, x in live), default=0) - lo)
+        for q, x in live:
+            f = q.numerator * (den // (q.denominator * x.den))
             i = x.lo - lo
             j = i + len(x.num)
             acc[i:j] = map(add, acc[i:j], map(f.__mul__, x.num))
-        return DLaurent.of_ints(self.nu, lo, den, acc)
+        return DLaurent.of_ints(nu, lo, den, acc)
 
     def __add__(self, other):
-        return self._sum(other, 1)
+        return DLaurent.combination(self.nu, [(1, self), (1, self._ring(other))])
 
     def __neg__(self):
         return DLaurent.of_ints(self.nu, self.lo, self.den, [-x for x in self.num])
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        return DLaurent.combination(self.nu, [(1, self), (-1, self._ring(other))])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -952,26 +933,6 @@ class GradedSeries(Series):
         """Time derivative d/dx."""
         out = [j * x for j, x in enumerate(self.num[1:], 1)] or [0]
         return self._like(self.den, out, self.base2 + self.step2)
-
-    def integrate_w(self):
-        """Termwise antiderivative in w; rejects any w^(-1) term.
-
-        The absence of w^(-1) terms is exactly the spatial-exactness property
-        the integrated equations rely on, so hitting one is an error.
-        """
-        out = []
-        for j, x in enumerate(self.num):
-            e2 = self.base2 + j * self.step2
-            if e2 == -2:
-                if x:
-                    raise RejectedInput("w^(-1) term obstructs termwise antiderivative")
-                out.append(0)
-            else:
-                out.append(Fraction(2 * x, self.den * (e2 + 2)))
-        return GradedSeries(self.var, out, self.base2 + 2, self.step2)
-
-    def at_w1(self) -> Series:
-        return Series._of(self.var, self.den, self.num)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):

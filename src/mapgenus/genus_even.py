@@ -6,7 +6,8 @@ verification of the structure theorem for every higher-genus coefficient.
 
 Everything lives in the ring of Laurent polynomials in D = nu - (nu-1) z0
 (``exact_kernel.DLaurent``) with, at genus 0 and 1 only, log z0 and log D
-terms: z0 = (nu - D)/(nu - 1) is a polynomial in D, and every e_g with
+terms (``continuum_even.LogRational``, whose ring calculus the z_g solve
+shares): z0 = (nu - D)/(nu - 1) is a polynomial in D, and every e_g with
 g >= 2 has its only pole at D = 0.  Sums and products therefore need no
 polynomial gcd and run on integer numerators, pole orders are direct
 reads, and each e_g is solved in the ring by inverting the tau operator
@@ -27,12 +28,8 @@ from functools import cache, cached_property
 from math import factorial
 
 from .combinatorics import c_valence
-from .continuum_even import ZTable, build_ztable, catalan_data, ztable_order
-from .errors import (
-    RejectedInput,
-    ResonanceFailure,
-    VerificationFailure,
-)
+from .continuum_even import LogRational, ZTable, _graded_chain, build_ztable, catalan_data, require_positive, ztable_order
+from .errors import RejectedInput, ResonanceFailure, VerificationFailure
 from .exact_kernel import (
     DLaurent,
     Q,
@@ -66,114 +63,8 @@ def face_count(nu: int, g: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the function class: Laurent in D plus two fixed log species
+# closed forms at genus 0 and 1
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _carriers(nu: int) -> tuple[DLaurent, DLaurent]:
-    """The d/dz0 carriers of the map and spatial transports:
-    dz0/du = c z0^(nu+1)/D and theta = (nu-1) z0 (z0-1)/D."""
-    z = DLaurent.z(nu)
-    inv_d = DLaurent(nu, -1, (1,))
-    return c_valence(nu) * z ** (nu + 1) * inv_d, (nu - 1) * z * (z - 1) * inv_d
-
-
-class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)))):
-    """rat + c0 log z0 + c1 log D with rat a Laurent polynomial in D, closed
-    under d/du and under the graded spatial derivative at w = 1."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LogRational(self.nu, self.rat + other, self.c0, self.c1)
-        if self.nu != other.nu:
-            raise RejectedInput("valence mismatch")
-        return LogRational(
-            self.nu, self.rat + other.rat, self.c0 + other.c0, self.c1 + other.c1
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other * (-1)
-
-    def __mul__(self, scalar):
-        scalar = Q(scalar)
-        return LogRational(self.nu, self.rat * scalar, self.c0 * scalar, self.c1 * scalar)
-
-    __rmul__ = __mul__
-
-    def is_rational(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
-    def _transport(self, carrier: DLaurent) -> "LogRational":
-        """carrier * d/dz0 on every part; the carrier is divisible by z0,
-        and log z0, log D differentiate to 1/z0 and -(nu-1)/D."""
-        out = carrier * self.rat.dz()
-        if self.c0:
-            out = out + carrier.div_z() * self.c0
-        if self.c1:
-            out = out + carrier * DLaurent(self.nu, -1, ((1 - self.nu) * self.c1,))
-        return LogRational(self.nu, out)
-
-    def du(self) -> "LogRational":
-        """Derivative in the map variable through dz0/du = c z0^(nu+1)/D."""
-        return self._transport(_carriers(self.nu)[0])
-
-    def theta(self) -> "LogRational":
-        """Spatial transport (nu-1) z0 (z0-1)/D d/dz0 on every part."""
-        return self._transport(_carriers(self.nu)[1])
-
-    def grade_dw(self, a: int) -> "LogRational":
-        """One spatial derivative of w^a X at w = 1: a X + theta X."""
-        return self * a + self.theta()
-
-    def theta_inverse(self, b: int) -> "LogRational":
-        """The rational X with theta X + b X = self, for b != 0 and self
-        rational, a Laurent polynomial in D with no positive power.
-
-        On the ring theta D^k = -k nu D^(k-2) + k (nu+1) D^(k-1) - k D^k,
-        so the D^-(m+2) equation fixes the D^-m coefficient of X with pivot
-        m nu, from the top pole down, and the D^0 equation fixes the
-        constant with pivot b.  The D^-1 and D^-2 equations are left over:
-        two exact surplus checks.  The kernel of theta + b is spanned by a
-        power of u, which is no Laurent polynomial in D, so X is unique.
-
-        The solve runs on integers: with self = r / den (r[m] the D^-m
-        numerator) and P_m = prod_(m <= k <= M) k nu for the top pole M of X,
-        X[m] = den P_m x[m] is an integer, because each pivot m nu is a
-        factor of P_m, so no step divides."""
-        nu, den, r = self.nu, self.rat.den, self.rat.pole_nums()
-        r += [0] * (3 - len(r))
-        X = [0] * len(r)
-        p = 1  # P_(m+1)
-        for m in range(len(r) - 3, 0, -1):
-            X[m] = r[m + 2] * p + (m + 1) * ((nu + 1) * X[m + 1] - (b + m + 2) * nu * X[m + 2])
-            p *= m * nu
-        if (b + 1) * X[1] != r[1] * p or (b + 2) * nu * X[2] - (nu + 1) * X[1] != r[2] * p:
-            raise ResonanceFailure("theta %+d has no Laurent solution: a surplus order fails" % b)
-        # over the common denominator den P_1 b: x[m] = X[m] b (P_1 / P_m) and
-        # x[0] = r[0] / (den b)
-        num, f = [r[0] * p], b
-        for m in range(1, len(r)):
-            num.append(X[m] * f)
-            f *= m * nu
-        return LogRational(nu, DLaurent.of_ints(nu, 1 - len(r), den * p * b, num[::-1]))
-
-    def series(self, ctx: "SeriesContext") -> Series:
-        out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0, ctx.z0.trunc)
-        if self.c0:
-            out = out + self.c0 * ctx.log_z0
-        if self.c1:
-            out = out + self.c1 * ctx.log_base
-        return out
-
-    def laurent(self) -> tuple[Fraction, ...]:
-        if not self.is_rational():
-            raise RejectedInput("log terms have no Laurent data at the base")
-        return self.rat.pole_coeffs()
 
 
 class SeriesContext:
@@ -192,11 +83,6 @@ class SeriesContext:
     def log_base(self) -> Series:
         base_series = self.nu - (self.nu - 1) * self.z0
         return series_log(base_series / base_series.coeff(0))
-
-
-# ---------------------------------------------------------------------------
-# closed forms at genus 0 and 1
-# ---------------------------------------------------------------------------
 
 
 def closed_e0_e1(nu: int) -> tuple[LogRational, LogRational]:
@@ -224,15 +110,6 @@ def E_w_deriv(e_h: LogRational, h: int, p: int) -> LogRational:
     if p < 0:
         raise RejectedInput("derivative order must be >= 0")
     return _graded_chain([e_h], 2 - 2 * h, p)[p]
-
-
-def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]:
-    """Extend the graded chain of a self-similar lift of weight w^a,
-    chain[i] its i-th spatial derivative at w = 1, to order p: the i-th
-    step differentiates a lift of weight w^(a-i)."""
-    for i in range(len(chain) - 1, p):
-        chain.append(chain[-1].grade_dw(a - i))
-    return chain
 
 
 def E_w_derivs(etable: "ETable", h: int, p: int) -> LogRational:
@@ -500,7 +377,7 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
 def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | None = None) -> ETable:
     """e_2 .. e_g_max, expanded to order T (default 5 g_max + 12, at least
     16).  e_g reads only the planar series and each z_g in the D ring, so
-    the z-table is built only to the z_g reconstruction surplus,
+    the z-table keeps the order of its own default print,
     min(T, max(3 g_max + 12, 16)), over a cut of the same planar series.
     A given z-table is used as it is, and its planar series sets the order,
     so it cannot be given together with T."""
@@ -525,6 +402,8 @@ def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | Non
 def payload_eg(nu: int, g: int, order: int | None) -> dict:
     if g < 0:
         raise RejectedInput("genus must be >= 0")
+    require_positive("--nu", nu)
+    require_positive("--series-order", order)
     if g < 2:
         T = order if order is not None else 16
         etable = ETable(nu, ZTable(nu, T))

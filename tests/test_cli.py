@@ -178,33 +178,39 @@ def test_verify_odd_and_continuum_failed_identity_fails_document(monkeypatch, ca
     assert code == 1 and json.loads(out)["status"] == "fail"
 
 
-def test_reconstruction_without_surplus_order_is_insufficient(capsys):
-    # z_2 has 7 numerator unknowns: 7 orders would fit them with nothing
-    # left to check the fit, so an eighth order is required
-    code, out, err = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "6")
-    assert code == 3 and out == "" and "surplus" in err
-    code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "7")
-    assert code == 0 and json.loads(out)["pole_order"] == 9
-
-
-def test_eg_series_order_needs_only_the_z_g_surplus(capsys):
-    # e_2 is solved in the D ring, so only z_2's reconstruction asks for
-    # orders: 8 orders (0..7) suffice, and the series is the longer one cut
-    code, out, _ = run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "7")
+def short_and_longer(capsys, argv, option, orders):
+    """The documents of argv at each order and at the default order: each
+    short series is the default one cut, and the rest is the same."""
+    code, out, _ = run(capsys, "--no-cache", *argv)
     assert code == 0
-    doc = json.loads(out)
-    longer = json.loads(run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "8")[1])
-    assert doc["series"]["coeffs"] == longer["series"]["coeffs"][:8]
-    assert {k: v for k, v in doc.items() if k != "series"} == {k: v for k, v in longer.items() if k != "series"}
-    code, out, err = run(capsys, "--no-cache", "eg", "--nu", "2", "--g", "2", "--series-order", "6")
-    assert code == 3 and out == "" and "surplus" in err
+    longer = json.loads(out)
+    for order in orders:
+        code, out, _ = run(capsys, "--no-cache", *argv, option, str(order))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["series"]["trunc"] == order < longer["series"]["trunc"]
+        assert doc["series"]["coeffs"] == longer["series"]["coeffs"][: order + 1]
+        assert {k: v for k, v in doc.items() if k != "series"} == {k: v for k, v in longer.items() if k != "series"}
+
+
+def test_zg_short_order_prints_the_longer_series_cut(capsys):
+    # z_g is solved in the D ring, so no order is read to fit it: orders
+    # below its 3g + 1 numerator unknowns print the same closed form
+    short_and_longer(capsys, ("zg", "--nu", "2", "--g", "2"), "--order", (1, 3, 6, 7))
+
+
+def test_eg_short_order_prints_the_longer_series_cut(capsys):
+    # e_2 and the z_g behind it are both solved in the D ring: a short
+    # order only cuts the printed series (and the resonant orders, 2 and 3
+    # here, are those it reaches)
+    short_and_longer(capsys, ("eg", "--nu", "2", "--g", "2"), "--series-order", (3, 6, 7))
 
 
 def test_eg_series_order_above_and_below_the_z_table_truncation(capsys):
     # the z-table stops at max(3g + 12, 16) = 21 at g = 3 whatever order
     # e_3 is printed to: above the default 5g + 12 = 27 the closed form and
     # its checks are unchanged and the series only grows, and an order
-    # between the z_3 surplus and 3g + 12 still solves
+    # below 3g + 12 only cuts the series
     base = ("--no-cache", "eg", "--nu", "2", "--g", "3")
     code, out, _ = run(capsys, *base)
     assert code == 0
@@ -221,12 +227,6 @@ def test_eg_series_order_above_and_below_the_z_table_truncation(capsys):
     shorter = json.loads(out)
     assert shorter["ratfn"] == default["ratfn"]
     assert shorter["series"]["coeffs"] == default["series"]["coeffs"][:15]
-
-
-def test_one_order_too_few_is_insufficient(capsys):
-    # z_1 already has 4 numerator unknowns, so 4 orders (0..3) stop there
-    code, out, err = run(capsys, "--no-cache", "zg", "--nu", "2", "--g", "2", "--order", "3")
-    assert code == 3 and out == "" and "4 orders for 4 unknowns" in err
 
 
 @pytest.mark.parametrize(
@@ -249,6 +249,32 @@ def test_invalid_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zg", "--nu", "0", "--g", "2"), "--nu must be >= 1"),
+        (("zg", "--nu", "2", "--g", "2", "--order", "0"), "--order must be >= 1"),
+        (("z0", "--nu", "-1"), "--nu must be >= 1"),
+        (("z0", "--nu", "2", "--order", "0"), "--order must be >= 1"),
+        (("eg", "--nu", "0", "--g", "3"), "--nu must be >= 1"),
+        (("eg", "--nu", "2", "--g", "3", "--series-order", "0"), "--series-order must be >= 1"),
+        (("verify", "continuum", "--nu", "0"), "--nu must be >= 1"),
+        (("verify", "continuum", "--nu", "2", "--order", "0"), "--order must be >= 1"),
+        (("verify", "continuum", "--nu", "2", "--order", "-3"), "--order must be >= 1"),
+    ],
+)
+def test_usage_errors_name_the_option(capsys, argv, message):
+    assert run(capsys, "--no-cache", *argv) == (2, "", "usage error: %s\n" % message)
+
+
+def test_valence_two_has_only_the_planar_entry(capsys):
+    # nu = 1 passes the option check; D = 1 there, so only genus 0 exists
+    code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "1", "--g", "0")
+    assert code == 0 and json.loads(out)["ratfn"] == {"var": "z0", "num": ["0", "1"], "den_base": ["1"], "den_pow": 0}
+    code, out, err = run(capsys, "--no-cache", "zg", "--nu", "1", "--g", "1")
+    assert (code, out) == (2, "") and "nu >= 2" in err
 
 
 # every engine error with the exit code and stderr prefix the README gives it
@@ -469,7 +495,7 @@ PROCESS_CASES = {
     "document": (["maps", "--valence", "4", "--vertices", "2"], 0),
     "parser error": (["maps", "--valence", "4"], 2),
     "engine usage error": (["zg", "--nu", "0", "--g", "2"], 2),
-    "reconstruction failure": (["zg", "--nu", "2", "--g", "2", "--order", "6"], 3),
+    "short order": (["zg", "--nu", "2", "--g", "2", "--order", "6"], 0),
     "cache not writable": (["--cache-dir", "FILE", "maps", "--valence", "4", "--vertices", "2"], 0),
 }
 
@@ -774,7 +800,7 @@ def test_records_are_immutable():
 
     etable = build_etable(2, 2)
     records = [
-        (etable.ztable.entries[1], "series"),
+        (etable.ztable.entries[1], "ratfn"),
         (etable.entries[2], "r_factor"),
         (recurrence_table(WeightSpec(nu=2, g_s=Q(1)), n_max=4, T=2), "b2"),
         (solve_leading_odd(2, 4), "residuals"),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from mapgenus.combinatorics import (
     lattice_equation_exprs,
     lattice_paths,
     operator_power_entry,
+    painleve_a,
 )
 from mapgenus.continuum_odd import trinomial
 from mapgenus.errors import RejectedInput
@@ -200,3 +202,11 @@ def test_trinomial_conventions():
     assert trinomial(2, 1, 0, 1) == 2
     assert trinomial(3, 1, -1, 3) == 0
     assert trinomial(4, 1, 1, 1) == 0
+
+
+def test_painleve_coefficients():
+    assert [painleve_a(g) for g in range(3)] == [1, Fraction(-1, 48), Fraction(-49, 4608)]
+    # by hand, e = -9/2: 2 a_3 = (33/8) a_2 - 2 a_1 a_2
+    assert painleve_a(3) == Fraction(-1225, 55296)
+    with pytest.raises(RejectedInput):
+        painleve_a(-1)

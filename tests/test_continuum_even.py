@@ -1,4 +1,4 @@
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -11,8 +11,10 @@ from mapgenus.checks import (
     verify_string_antiderivative,
     verify_string_functional,
 )
-from mapgenus.combinatorics import LatticePolynomial, lattice_equation_exprs
+from mapgenus.combinatorics import LatticePolynomial, c_valence, lattice_equation_exprs, painleve_a
 from mapgenus.continuum_even import (
+    LogRational,
+    _collect,
     build_ztable,
     catalan_data,
     expand_lattice_polynomial,
@@ -20,7 +22,7 @@ from mapgenus.continuum_even import (
     verify_continuum_toda,
 )
 from mapgenus.errors import RejectedInput, VerificationFailure
-from mapgenus.exact_kernel import GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series
+from mapgenus.exact_kernel import DLaurent, GradedSeries, Poly, Q, RatFn, Series, ratfn_to_series, series_to_ratfn
 
 
 def divides(d, p):
@@ -78,10 +80,10 @@ def test_string_jets_partition_filter():
 def test_solve_z1_closed_form():
     table = build_ztable(2, 1)
     entry = table.entries[1]
-    expected = RatFn(Q(2, 3) * Poly.x() * Poly([-1, 1]) ** 2, Poly([2, -1]), 4, "z0")
+    expected = RatFn(Q(2, 3) * Poly([0, 1]) * Poly([-1, 1]) ** 2, Poly([2, -1]), 4, "z0")
     got = entry.ratfn  # equal in value: num times the other's denominator
     assert got.num * expected.den_base ** expected.den_pow == expected.num * got.den_base ** got.den_pow
-    assert [entry.series.coeff(k) for k in range(4)] == [0, 0, 96, 10368]
+    assert [table.series(1).coeff(k) for k in range(4)] == [0, 0, 96, 10368]
     # partial fractions of z1/z0: (2/3)(1/D^4 - 2/D^3 + 1/D^2)
     assert entry.laurent[4] == Q(2, 3)
     assert entry.laurent[3] == Q(-4, 3)
@@ -93,16 +95,13 @@ def test_solve_zg_structure_nu2_g2():
     table = build_ztable(2, 2)
     entry = table.entries[2]
     assert entry.ratfn.den_pow == 9
-    assert divides(Poly.x(), entry.ratfn.num)
+    assert divides(Poly([0, 1]), entry.ratfn.num)
     assert divides(Poly([-1, 1]), entry.ratfn.num)
-    assert entry.series.coeff(0) == 0
-    # round trip: the rational form reproduces the series
-    back = ratfn_to_series(entry.ratfn, table.series(0), table.T)
-    assert back == entry.series
-    # two-leg counts: coefficients times m! (2 nu)^m over x scaling are integers
-    for m in range(table.T + 1):
-        val = entry.series.coeff(m)
-        assert (val * 1).denominator >= 1  # exact rationals survive the pipeline
+    series = table.series(2)
+    assert series.coeff(0) == 0 and series.trunc == table.T
+    # round trip: the series reconstructs to the rational form it came from
+    back = series_to_ratfn(series, table.series(0), Poly([2, -1]), 6, 9, "z0")
+    assert (back.num, back.den_base, back.den_pow) == (entry.ratfn.num, entry.ratfn.den_base, entry.ratfn.den_pow)
 
 
 def test_solve_zg_nu3():
@@ -214,8 +213,20 @@ def _reference_expansion(expr, z_series, nu, N):
     return total
 
 
-def _same_graded(a, b):
-    return a.c == b.c and a.base2 == b.base2 and a.trunc == b.trunc and a.step2 == b.step2
+def z_list(table, g_max):
+    return [table.series(h) for h in range(g_max + 1)]
+
+
+def at_w1(value, table):
+    """A ring value at w = 1 as the series of coefficients in u."""
+    return ratfn_to_series(value.to_ratfn(), table.series(0)).c
+
+
+def same_as_reference(got, want, table):
+    """The ring collection (weight, value) against a reference GradedSeries:
+    the weight is the series' weight, and the value its coefficients."""
+    weight, value = got
+    return 2 * weight == want.base2 and at_w1(value, table) == want.c
 
 
 def test_lattice_expansion_matches_schoolbook_products():
@@ -224,9 +235,9 @@ def test_lattice_expansion_matches_schoolbook_products():
         expr = lattice_equation_exprs(nu, "string")
         for g in range(1, g_top + 1):
             N = 2 * g + 1
-            got = expand_lattice_polynomial(expr, table.family(g - 1), nu, N)
-            want = _reference_expansion(expr, table.z_list(g - 1), nu, N)
-            assert _same_graded(got, want), (nu, g)
+            got = expand_lattice_polynomial(expr, table, g - 1, N)
+            want = _reference_expansion(expr, z_list(table, g - 1), nu, N)
+            assert same_as_reference(got, want, table), (nu, g)
 
 
 def test_lattice_expansion_sees_every_term():
@@ -235,44 +246,44 @@ def test_lattice_expansion_sees_every_term():
     nu, g = 2, 2
     N = 2 * g + 1
     table = build_ztable(nu, g - 1, T=10)
-    family = table.family(g - 1)
     expr = lattice_equation_exprs(nu, "string")
-    base = expand_lattice_polynomial(expr, family, nu, N)
+    weight, base = expand_lattice_polynomial(expr, table, g - 1, N)
     for key in sorted(expr.terms):
         t_deg, b_off, _ = key
         if not any(b_off):
             continue
         bumped = LatticePolynomial(dict(expr.terms))
         bumped.terms[key] += 1
-        got = expand_lattice_polynomial(bumped, family, nu, N)
+        got_weight, got = expand_lattice_polynomial(bumped, table, g - 1, N)
         single = LatticePolynomial.monomial(1, b_off, t_deg=t_deg)
-        delta = _reference_expansion(single, table.z_list(g - 1), nu, N)
+        delta = _reference_expansion(single, z_list(table, g - 1), nu, N)
         assert not delta.is_zero()
-        assert not _same_graded(got, base)
-        assert _same_graded(got, base + delta), key
+        assert got != base and got_weight == weight
+        assert same_as_reference((weight, got - base), delta, table), key
 
 
-# -- integer evaluation against the Fraction Horner form ----------------------
+# -- ring evaluation against the series Horner form ---------------------------
 
 
-def fraction_jet(family, h, j):
-    jet = family.f(h)
+def series_jet(table, h, j):
+    """dw^j f_h as a GradedSeries, by j termwise derivatives of the lift."""
+    jet = GradedSeries.from_series(table.series(h), 2 - 4 * h, 2 * (table.nu - 1))
     for _ in range(j):
         jet = jet.dw()
     return jet
 
 
-def fraction_horner(node, family):
-    """The Fraction Horner value of a jet trie: one GradedSeries product per
+def series_horner(node, table):
+    """The series Horner value of a jet trie: one GradedSeries product per
     prefix symbol and one scaling per last symbol."""
     total = None
     for sym, child in node.items():
-        term = fraction_jet(family, *sym) * (fraction_horner(child, family) if type(child) is dict else child)
+        term = series_jet(table, *sym) * (series_horner(child, table) if type(child) is dict else child)
         total = term if total is None else total + term
     return total
 
 
-def fraction_evaluate(poly, family):
+def series_evaluate(poly, table):
     trie = {}
     for mono, c in poly.items():
         if c:
@@ -280,7 +291,7 @@ def fraction_evaluate(poly, family):
             for sym in mono[:-1]:
                 node = node.setdefault(sym, {})
             node[mono[-1]] = c
-    return fraction_horner(trie, family) if trie else None
+    return series_horner(trie, table) if trie else None
 
 
 def random_jet_polynomial(rng, gmax, length, order, count):
@@ -299,6 +310,8 @@ def random_jet_polynomial(rng, gmax, length, order, count):
 
 
 def test_integer_evaluation_matches_fraction_horner_randomized(monkeypatch):
+    # the ring value at w = 1 of a jet polynomial against the Horner value
+    # of the same polynomial on the graded series jets
     import random
 
     from mapgenus import continuum_even
@@ -306,48 +319,48 @@ def test_integer_evaluation_matches_fraction_horner_randomized(monkeypatch):
     rng = random.Random(7)
     for nu in (2, 3, 4):
         table = build_ztable(nu, 2, T=12)
-        family = table.family(2)
         for _ in range(12):
             poly = random_jet_polynomial(rng, 2, rng.randint(1, 4), rng.randint(0, 6), rng.randint(1, 9))
-            got = continuum_even._evaluate(poly, family)
-            want = fraction_evaluate(poly, family)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert _same_graded(got, want)
+            got = continuum_even._ring_value(poly, table)
+            want = series_evaluate(poly, table)
+            assert got.is_zero() if want is None else at_w1(got, table) == want.c
         # and every polynomial the engine itself collects
         seen = []
-        evaluate = continuum_even._evaluate
+        evaluate = continuum_even._ring_value
         monkeypatch.setattr(
-            continuum_even, "_evaluate", lambda poly, fam: seen.append((dict(poly), fam)) or evaluate(poly, fam)
+            continuum_even, "_ring_value", lambda poly, tab: seen.append((dict(poly), tab)) or evaluate(poly, tab)
         )
-        expand_lattice_polynomial(lattice_equation_exprs(nu, "string"), table.family(1), nu, 5)
+        expand_lattice_polynomial(lattice_equation_exprs(nu, "string"), table, 1, 5)
         verify_continuum_toda(nu, 2, table)
         monkeypatch.undo()
         assert len(seen) >= 2
-        for poly, fam in seen:
-            assert _same_graded(evaluate(poly, fam), fraction_evaluate(poly, fam))
+        for poly, tab in seen:
+            assert at_w1(evaluate(poly, tab), tab) == series_evaluate(poly, tab).c
 
 
 def test_integer_jets_match_repeated_dw():
+    # the graded chain of each lift in the D ring, read at w = 1, against
+    # termwise spatial derivatives of its graded series
     for nu in (2, 3, 4):
-        family = build_ztable(nu, 2, T=10).family(2)
+        table = build_ztable(nu, 2, T=10)
         for h in range(3):
             for j in (5, 0, 7, 2):  # out of order: jets are built on first use
-                assert _same_graded(family.scaled(h, j), fraction_jet(family, h, j))
+                assert at_w1(table.jet(h, j), table) == series_jet(table, h, j).c
+        assert [len(table.chains[h]) for h in range(3)] == [8, 8, 8]
 
 
 def test_mixed_weight_jet_polynomial_is_rejected():
-    from mapgenus import continuum_even
-
-    family = build_ztable(2, 1, T=8).family(1)
-    for poly in (
-        {((0, 0),): Q(1), ((0, 1),): Q(2)},  # two last symbols of one level
-        {((0, 0), (0, 0)): Q(1), ((0, 1), (1, 0)): Q(1)},  # two prefixes
+    # a monomial's w-weight is its factor count less its order, less nu - 1
+    # per power of t: a collection must not mix them
+    table = build_ztable(2, 1, T=8)
+    for terms in (
+        {(0, (1,), ()): Q(1), (0, (1, 1), ()): Q(1)},  # one factor and two
+        {(0, (1,), ()): Q(1), (1, (1,), ()): Q(1)},  # a power of t apart
     ):
         with pytest.raises(RejectedInput, match="weight mismatch"):
-            continuum_even._evaluate(poly, family)
+            expand_lattice_polynomial(LatticePolynomial(terms), table, 1, 1)
     # cancelled terms carry no weight
-    assert continuum_even._evaluate({((0, 0),): Q(0), ((0, 1),): Q(0)}, family) is None
+    assert expand_lattice_polynomial(LatticePolynomial({(0, (0,), ()): Q(1), (0, (1,), ()): Q(-1)}), table, 1, 0) is None
 
 
 def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
@@ -418,11 +431,13 @@ def test_one_string_expression_and_one_hierarchy_jet_per_table(monkeypatch):
 
 
 def test_evaluation_makes_no_series_products(monkeypatch):
+    # z_g and the hierarchy check are solved in the D ring: no graded
+    # series product, no reconstruction from a series and no read-back
+    import sys
+
     from mapgenus import exact_kernel
-    from mapgenus.exact_kernel import DLaurent
 
     table = build_ztable(3, 2, T=12)
-    family = table.family(1)
     calls = []
     for cls in (GradedSeries, DLaurent):
         mul = cls.__mul__
@@ -433,30 +448,31 @@ def test_evaluation_makes_no_series_products(monkeypatch):
 
         monkeypatch.setattr(cls, "__mul__", counted)
         monkeypatch.setattr(cls, "__rmul__", counted)
+    for name in ("series_to_ratfn", "ratfn_to_series"):
+        real = getattr(exact_kernel, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("mapgenus")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
     # the jet products are integer convolutions: no rational is rescaled
     scales = []
     qscale = exact_kernel._qscale
     monkeypatch.setattr(exact_kernel, "_qscale", lambda xs: scales.append(1) or qscale(xs))
-    expand_lattice_polynomial(lattice_equation_exprs(3, "string"), family, 3, 5)
+    expand_lattice_polynomial(lattice_equation_exprs(3, "string"), table, 1, 5)
     verify_continuum_toda(3, 2, table)
     assert scales == []
     calls.clear()
-    build_ztable(3, 3, T=14)
-    assert "DLaurent" not in calls and "GradedSeries" in calls
+    table = build_ztable(3, 3, T=14)
+    for g in range(1, 4):
+        verify_continuum_toda(3, g, table)
+    assert "DLaurent" in calls
+    assert not {"GradedSeries", "series_to_ratfn", "ratfn_to_series"} & set(calls)
 
 
 def test_zero_reconstruction_fails_pole_order(monkeypatch):
-    # a z_g that reconstructs to zero has no pole, whatever order it was
-    # fitted with, so it cannot pass as the genus-g closed form
-    from mapgenus import continuum_even
-
-    real = continuum_even.series_to_ratfn
-
-    def zero(*args, **kwargs):
-        r = real(*args, **kwargs)
-        return RatFn(Poly(()), r.den_base, r.den_pow, r.var)
-
-    monkeypatch.setattr(continuum_even, "series_to_ratfn", zero)
+    # a z_g that integrates to zero has no pole, so it cannot pass as the
+    # genus-g closed form
+    real = LogRational.theta_inverse
+    monkeypatch.setattr(LogRational, "theta_inverse", lambda self, b: real(self, b) * 0)
     with pytest.raises(VerificationFailure, match="pole order 0 at genus 1, expected 4"):
         build_ztable(2, 1)
 
@@ -479,3 +495,110 @@ def test_verify_continuum_builds_the_planar_series_once(monkeypatch):
     orders.clear()
     assert checks.payload_verify_continuum(2, 1, 24)["status"] == "pass"
     assert orders == [(2, 24)]
+
+
+# -- the D-ring solve against the u-series reference ---------------------------
+
+
+class SeriesFamily:
+    """Planar and higher-genus series z_0, z_1, ... read like a z-table."""
+
+    def __init__(self, nu, zs):
+        self.nu = nu
+        self.zs = zs
+
+    def series(self, h):
+        return self.zs[h]
+
+
+def integrate_w(g):
+    """Termwise antiderivative in w of a graded series; a w^(-1) term would
+    obstruct it."""
+    out = []
+    for j, x in enumerate(g.c):
+        e2 = g.base2 + j * g.step2
+        assert e2 != -2 or x == 0
+        out.append(Q(0) if e2 == -2 else 2 * x / (e2 + 2))
+    return GradedSeries(g.var, out, g.base2 + 2, g.step2)
+
+
+def series_collection(expr, family, gmax, N):
+    """The order-N string collection of the engine's jet polynomial,
+    evaluated per power of t on graded-series jets in Horner form."""
+    nu = family.nu
+    groups = {}
+    for (t_deg, b_off, _), coeff in expr.terms.items():
+        factors = [
+            sorted((2 * h + j, (h, j), kappa ** j) for h in range(min(N // 2, gmax) + 1) for j in range(N - 2 * h + 1))
+            for kappa in b_off
+        ]
+        _collect(factors, coeff, N, groups.setdefault(t_deg, {}))
+    total = None
+    for t_deg, poly in groups.items():
+        scaled = {mono: c * (-2 * nu) ** t_deg / prod(factorial(j) for _, j in mono) for mono, c in poly.items()}
+        part = series_evaluate(scaled, family)
+        if part is not None:
+            part = part.xmul(t_deg)
+            total = part if total is None else total + part
+    return total
+
+
+def series_reference_ztable(nu, g_max, T):
+    """z_1 .. z_g_max on truncated u-series: the order-(2g+1) string
+    collection on graded-series jets, integrated termwise in w, divided by
+    1 - nu c u f0^(nu-1), read at w = 1 and reconstructed over z0."""
+    z0 = catalan_data(nu, T).z0
+    family = SeriesFamily(nu, [z0])
+    expr = lattice_equation_exprs(nu, "string")
+    f0 = GradedSeries.from_series(z0, 2, 2 * (nu - 1))
+    denom = GradedSeries("u", [1], 0, 2 * (nu - 1), T) - nu * c_valence(nu) * (f0 ** (nu - 1)).xmul(1)
+    ratfns = [None]
+    for g in range(1, g_max + 1):
+        R = series_collection(expr, family, g - 1, 2 * g + 1)
+        f_g = integrate_w(-R) / denom
+        assert f_g.base2 == 2 - 4 * g
+        family.zs.append(Series("u", f_g.c))
+        base = Poly([nu, -(nu - 1)])
+        ratfns.append(series_to_ratfn(family.zs[g], z0, base, 3 * g, 5 * g - 1, "z0"))
+    return family, ratfns
+
+
+def test_ring_z_g_matches_the_series_reference():
+    for nu in (2, 3, 4, 5, 6):
+        g_max = 3
+        table = build_ztable(nu, g_max)
+        family, ratfns = series_reference_ztable(nu, g_max, table.T)
+        for g in range(1, g_max + 1):
+            entry, ref = table.entries[g], ratfns[g]
+            assert (entry.ratfn.num, entry.ratfn.den_base, entry.ratfn.den_pow) == (ref.num, ref.den_base, ref.den_pow)
+            # z_g/z0 in powers of D, read off the reference's numerator
+            z = DLaurent.z(nu)
+            num = DLaurent.const(nu, 0)
+            for a in reversed(ref.num.c):
+                num = num * z + a
+            D_pow = DLaurent(nu, -ref.den_pow, (Q(1 - nu) ** ref.den_pow,))
+            assert entry.over_z0 == (num * D_pow).div_z()
+            assert table.series(g) == family.series(g)
+
+
+def test_top_pole_is_the_painleve_coefficient():
+    for nu, g_max in ((2, 6), (3, 4), (4, 3), (5, 2), (6, 2)):
+        table = build_ztable(nu, g_max)
+        for g in range(1, g_max + 1):
+            assert table.top_coefficient(g) == -2 * Q(2 * nu) ** (3 * g - 1) * painleve_a(g)
+
+
+def test_corrupted_top_coefficient_fails_the_painleve_check(monkeypatch):
+    # moving the top pole of X = (D/z0) z_g and the order below it by
+    # opposite amounts keeps the pole order, the pole window and the
+    # (z0 - 1) factor (the sum at D = 1), so only Painleve I can see it
+    real = LogRational.theta_inverse
+
+    def corrupted(self, b):
+        x = real(self, b)
+        return x + LogRational(x.nu, DLaurent(x.nu, x.rat.lo, (1, -1)))
+
+    monkeypatch.setattr(LogRational, "theta_inverse", corrupted)
+    for nu in (2, 3):
+        with pytest.raises(VerificationFailure, match="Painleve I"):
+            build_ztable(nu, 1)

@@ -2,6 +2,7 @@ import pytest
 
 from mapgenus import continuum_odd
 from mapgenus.continuum_odd import (
+    GradedPowers,
     TriPoly,
     odd_coeff_polys,
     solve_leading_odd,
@@ -145,9 +146,10 @@ def test_shared_powers_evaluate_like_monomials():
 
 def test_verify_odd_work_bound(monkeypatch):
     """`verify odd --nu 4 --order 24` takes at most 1,000 graded products
-    (754 with growing truncation and shared powers) and runs the residual
-    suite once; full-truncation passes with a power per monomial and a
-    second residual run take 2,788."""
+    (82 once the fixed point is fixed order by order on integers, 754 with
+    a graded pass per order) and runs the residual suite once;
+    full-truncation passes with a power per monomial and a second residual
+    run take 2,788."""
     calls = []
     mul = GradedSeries.__mul__
 
@@ -171,14 +173,43 @@ def test_verify_odd_work_bound(monkeypatch):
 
 
 def test_hodograph_residual_checked_at_full_truncation(monkeypatch):
-    """Passes that read one order too few leave the top orders wrong, and
-    the hodograph residuals after the loop, at the full truncation, catch
-    it."""
-    widen = continuum_odd._widen
+    """Orders left wrong at the top of the pair are caught by the
+    hodograph residuals, checked at the full truncation."""
+    orders = continuum_odd._leading_orders
 
-    def short(g, T):
-        return widen(g.truncate(max(T - 2, 0)), T)
+    def short(nu, T, P):
+        h, f = orders(nu, T, P)
+        return h[:-2] + [0, 0], f[:-2] + [0, 0]
 
-    monkeypatch.setattr(continuum_odd, "_widen", short)
+    monkeypatch.setattr(continuum_odd, "_leading_orders", short)
     with pytest.raises(VerificationFailure, match="hodograph fixed point"):
         solve_leading_odd(2, 6)
+
+
+def pass_loop_fixed_point(nu, T):
+    """The pair by T passes of the hodograph map, pass p re-evaluating
+    every power of the previous pass's pair at truncation p."""
+    P = odd_coeff_polys(nu)
+    w = 2 * nu + 1
+    step2 = 2 * nu - 1
+
+    def widen(g, p):
+        return GradedSeries(g.var, list(g.c), g.base2, g.step2, p)
+
+    h = GradedSeries("s", [0], base2=1, step2=step2, trunc=0)
+    f = GradedSeries("s", [1], base2=2, step2=step2, trunc=0)
+    for p in range(1, T + 1):
+        powers = GradedPowers(widen(h, p), widen(f, p))
+        h = -w * P["B12"].eval_graded(powers).xmul(1)
+        f = GradedSeries("s", [1], 2, step2, p) - w * P["B11"].eval_graded(powers).xmul(1)
+    return h, f
+
+
+def test_fixed_point_orders_match_the_pass_loop():
+    for nu, T in ((1, 1), (1, 9), (2, 12), (3, 7), (4, 24), (5, 16)):
+        h, f = pass_loop_fixed_point(nu, T)
+        hs, fs = continuum_odd._leading_orders(nu, T, odd_coeff_polys(nu))
+        assert (list(h.c), list(f.c)) == (hs, fs), (nu, T)
+        assert all(type(x) is int for x in hs + fs)
+        pair = solve_leading_odd(nu, T)
+        assert (pair.h0, pair.f0) == (h, f)

@@ -116,7 +116,7 @@ def test_series_mixed_truncation_narrows():
 def test_ratfn_normalize_examples():
     z_minus_1 = Poly([-1, 1])
     one = RatFn(z_minus_1, z_minus_1, 1)
-    assert same_value(one, RatFn.from_poly(Poly([1])))
+    assert same_value(one, RatFn(Poly([1]), Poly.one(), 0))
     r = RatFn(Poly([2, 2]), Poly([4]), 1)
     assert r.den_pow == 0 and r.num == Poly([Q(1, 2), Q(1, 2)])
     r = RatFn(Poly([2, -3, 1]), Poly([-2, 1]), 1)  # (z-1)(z-2)/(z-2)
@@ -183,7 +183,7 @@ def test_dlaurent_ring_matches_evaluation():
             assert at(a * q, x) == at(a, x) * q and at(a + q, x) == at(a, x) + q
             assert at(a ** 3, x) == at(a, x) ** 3
             assert at(a.dz(), x) == ratfn_deriv_at(a.to_ratfn(), x)
-        assert DLaurent.from_ratfn(a.to_ratfn(), nu) == a
+        assert horner_from_ratfn(a.to_ratfn(), nu) == a
         assert a * b == b * a and (a + b) - b == a
         for k in (1, 2, 3):
             assert (a * DLaurent.z(nu) ** k).div_z(k) == a
@@ -206,6 +206,9 @@ def test_dlaurent_integer_ring_matches_a_fraction_reference():
         ca, cb = coeffs_at(a, lo, hi), coeffs_at(b, lo, hi)
         assert coeffs_at(a + b, lo, hi) == [x + y for x, y in zip(ca, cb)]
         assert coeffs_at(a - b, lo, hi) == [x - y for x, y in zip(ca, cb)]
+        qa, qb = rand_q(9), rand_q(9)
+        combined = DLaurent.combination(nu, [(qa, a), (qb, b), (0, b)])
+        assert coeffs_at(combined, lo, hi) == [qa * x + qb * y for x, y in zip(ca, cb)]
         assert coeffs_at(a * q, lo, hi) == [x * q for x in ca]
         n = len(ca)
         prod = [Q(0)] * (2 * n - 1)
@@ -245,16 +248,6 @@ def test_dlaurent_exact_quotients_and_pole_reads():
         DLaurent(2, 0, (1,)) + DLaurent(3, 0, (1,))
 
 
-def test_dlaurent_from_ratfn_rejects_foreign_denominators():
-    with pytest.raises(RejectedInput):
-        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([-5, 1]), 1), 2)
-    with pytest.raises(RejectedInput):
-        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([2, -1]), 2), 3)  # D at nu=2, not 3
-    # a power of D written as one denominator is still a power of D
-    square = RatFn(Poly([1]), Poly([4, -4, 1]), 1)  # 1/(2 - z)^2
-    assert DLaurent.from_ratfn(square, 2) == DLaurent(2, -2, (1,))
-
-
 def test_dlaurent_roundtrips_on_genus_tables():
     from mapgenus.continuum_even import build_ztable
     from mapgenus.genus_even import build_etable
@@ -263,11 +256,11 @@ def test_dlaurent_roundtrips_on_genus_tables():
         ztable = build_ztable(nu, g_max, T=5 * g_max + 12)
         etable = build_etable(nu, g_max, ztable=ztable)
         for g, entry in ztable.entries.items():
-            lz = DLaurent.from_ratfn(entry.ratfn, nu)
+            lz = horner_from_ratfn(entry.ratfn, nu)
             assert lz == DLaurent.z(nu) * entry.over_z0 and lz.div_z() == entry.over_z0
             assert ratfn_to_json(lz.to_ratfn()) == ratfn_to_json(entry.ratfn)
         for g, entry in etable.entries.items():
-            assert DLaurent.from_ratfn(entry.ratfn, nu) == entry.rat
+            assert horner_from_ratfn(entry.ratfn, nu) == entry.rat
             assert ratfn_to_json(entry.rat.to_ratfn()) == ratfn_to_json(entry.ratfn)
 
 
@@ -277,7 +270,7 @@ def test_ratfn_to_series_examples():
     zser = Series("s", [1, 1], 2)
     assert ratfn_to_series(r, zser) == Series("s", [1, 1, 1])
     # identity rational function returns Z itself
-    ident = RatFn.from_poly(Poly([0, 1]))
+    ident = RatFn(Poly([0, 1]), Poly.one(), 0)
     zser = Series("s", [1, 5, 7, 2], 3)
     assert ratfn_to_series(ident, zser) == zser
     with pytest.raises(PoleAtBasepoint):
@@ -326,7 +319,7 @@ def dense_ratfn(s, z, base, max_num_deg, max_pole_ord, var="z"):
     if T <= max_num_deg:
         raise InsufficientData("no surplus order")
     zt = z.truncate(T)
-    den_s = plain_expand(RatFn.from_poly(base), zt, T) ** max_pole_ord
+    den_s = plain_expand(RatFn(base, Poly.one(), 0), zt, T) ** max_pole_ord
     target = s.truncate(T) * den_s
     cols = [Series.one(z.var, T)]
     for _ in range(max_num_deg):
@@ -455,12 +448,8 @@ def test_graded_series_calculus():
     d = f.dw()
     # d/dw of w^(1+j) picks up exponent 1+j
     assert d.base2 == 0 and [d.coeff(j) for j in range(4)] == [1, 2, 3, 4]
-    assert d.integrate_w() == f
     assert f.xmul().coeff(1) == 1 and f.xmul().base2 == 0
     assert f.dx().coeff(0) == 1 and f.dx().base2 == 4
-    with pytest.raises(RejectedInput):
-        # w^(-1) blocks the termwise antiderivative
-        GradedSeries("u", [1], base2=-2, step2=2).integrate_w()
     # division round trip
     h = g / f
     assert h == f
@@ -756,11 +745,6 @@ def test_graded_arithmetic_matches_fraction_reference_randomized():
         if b[0]:
             quotient = ga / gc
             assert list(quotient.c) == plain_quotient(a, b, T) and quotient.base2 == base - gc.base2
-        exps = [base + j * step2 for j in range(n)]
-        if all(e != -2 or x == 0 for e, x in zip(exps, a)):
-            got = ga.integrate_w()
-            assert list(got.c) == [Q(0) if e == -2 else x / Q(e + 2, 2) for e, x in zip(exps, a)]
-            assert got.base2 == base + 2 and canonical(got.c)
         for q in scalars():
             scaled = q * ga
             assert list(scaled.c) == list((ga * q).c) == [x * q for x in a] and scaled.base2 == base
@@ -852,12 +836,11 @@ def test_dlaurent_crossing_matches_horner_forms_randomized():
             f = rand_dlaurent(nu)
             r = f.to_ratfn()
             assert ratfn_to_json(r) == ratfn_to_json(horner_to_ratfn(f))
-            assert DLaurent.from_ratfn(r, nu) == f == horner_from_ratfn(r, nu)
+            assert f == horner_from_ratfn(r, nu)
             # a reduced RatFn with a power of D below a random nonzero numerator
             num = Poly(rand_coeffs(rng.randint(0, 8), (COPRIME_DENOMS, SHARED_DENOMS)[nu % 2]) + [rand_q() or Q(1)])
             r = RatFn(num, mono, rng.randint(0, 6), "z0")
-            f = DLaurent.from_ratfn(r, nu)
-            assert f == horner_from_ratfn(r, nu)
+            f = horner_from_ratfn(r, nu)
             assert ratfn_to_json(f.to_ratfn()) == ratfn_to_json(r)
 
 
@@ -879,11 +862,3 @@ def test_to_ratfn_record_matches_the_normalising_constructor_randomized():
                     assert same_value(r, horner_to_ratfn(g))
     zero = DLaurent(2, -3, ()).to_ratfn()
     assert (zero.num.c, zero.den_base.c, zero.den_pow) == ((), (1,), 0)
-
-
-def test_dlaurent_from_ratfn_rejects_a_shifted_power():
-    # (z - 1)^2 at nu = 2 is a power of a linear base, but not of D
-    with pytest.raises(RejectedInput):
-        DLaurent.from_ratfn(RatFn(Poly([1, 1]), Poly([1, -2, 1]), 1), 2)
-    with pytest.raises(RejectedInput):
-        DLaurent.from_ratfn(RatFn(Poly([1]), Poly([-Q(3, 2), 1]), 3), 4)  # D at nu=3

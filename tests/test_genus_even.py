@@ -5,14 +5,13 @@ import pytest
 
 from mapgenus.checks import multiplicities, partitions_of
 from mapgenus.conservation import planar_lift_deriv_formula, q_c_tables, q_table
-from mapgenus.continuum_even import build_ztable, verify_continuum_toda
+from mapgenus.continuum_even import LogRational, build_ztable, verify_continuum_toda
 from mapgenus.errors import RejectedInput, ResonanceFailure
 from mapgenus.exact_kernel import DLaurent, Q
 from mapgenus.genus_even import (
     E_w_deriv,
     E_w_derivs,
     ETable,
-    LogRational,
     build_etable,
     c_constant,
     closed_e0_e1,
@@ -116,8 +115,8 @@ def test_genus1_recursion_identity(nu2):
 
 def test_log_term_generic_values(nu2):
     ztable, _ = nu2
-    z1_over_z0 = DLaurent.from_ratfn(ztable.entries[1].ratfn, 2).div_z()
-    z2_over_z0 = DLaurent.from_ratfn(ztable.entries[2].ratfn, 2).div_z()
+    z1_over_z0 = ztable.entries[1].over_z0
+    z2_over_z0 = ztable.entries[2].over_z0
     expected = z2_over_z0 - z1_over_z0 * z1_over_z0 * Q(1, 2)
     assert log_term_ratfn(2, ztable) == expected
 
@@ -201,7 +200,9 @@ def test_one_graded_chain_per_lift(monkeypatch, G):
     """Lift h enters the tau recursion at every genus above it, each time
     two orders deeper, so one stored chain per lift makes
     sum_h (2(G-h) + 2) = G^2 + 3G spatial steps over genera 2..G, where
-    rebuilding the chain for every genus made about G^3/3."""
+    rebuilding the chain for every genus made about G^3/3.  The z-table's
+    own jet chains are built before the count."""
+    ztable = build_ztable(2, G)
     calls = []
     grade_dw = LogRational.grade_dw
 
@@ -210,7 +211,7 @@ def test_one_graded_chain_per_lift(monkeypatch, G):
         return grade_dw(self, a)
 
     monkeypatch.setattr(LogRational, "grade_dw", counting)
-    etable = build_etable(2, G)
+    etable = build_etable(2, G, ztable=ztable)
     assert len(calls) == G * G + 3 * G
     assert sorted(etable.chains) == list(range(G))
     assert ETable(2, etable.ztable).chains == {}
@@ -230,6 +231,29 @@ def test_theta_inverse_undoes_theta_plus_b(nu):
                 moved = r + LogRational(nu, DLaurent(nu, -pole, (1,)))
                 with pytest.raises(ResonanceFailure, match="surplus"):
                     moved.theta_inverse(b)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_theta_inverse_reaches_positive_powers(nu):
+    # the z_g solve integrates (D/z0) z_g, which carries D^1; above the
+    # constant each power k is fixed from the top down with pivot b - k
+    rng = random.Random(10 + nu)
+    for b in (-9, -1, 3, 7):
+        for top, power in ((0, 1), (3, 1), (5, 2), (1, 2)):
+            if 0 <= b <= power:
+                continue
+            coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(top + power)] + [Q(1)]
+            x = LogRational(nu, DLaurent(nu, -top, coeffs))
+            r = x.grade_dw(b)
+            assert r.rat.lo + len(r.rat.num) - 1 == power
+            assert r.theta_inverse(b) == x
+            for pole in (1, 2):
+                moved = r + LogRational(nu, DLaurent(nu, -pole, (1,)))
+                with pytest.raises(ResonanceFailure, match="surplus"):
+                    moved.theta_inverse(b)
+    # a pivot b - k that vanishes leaves the D^k equation without a solution
+    with pytest.raises(RejectedInput, match="zero pivot at D\\^1"):
+        LogRational(nu, DLaurent(nu, 0, (1, 1))).theta_inverse(1)
 
 
 def test_solve_eg_quartic_genus2(nu2):

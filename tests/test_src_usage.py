@@ -17,6 +17,8 @@ KEPT_UNREFERENCED = {
     "eg_series_from_kappa": "map-count series that pins the calibration constant of e_g",
     "q_c_tables": "conservation-law transport tables and vanishing sums, not yet on the command line",
     "E_w_derivs": "derivative with its three conservation-law cross-checks, not yet on the command line",
+    "series_to_ratfn": "u-series reconstruction of z_g, the reference the D-ring solve is compared against;"
+    " a benchmark trace target until the tracer is retargeted",
 }
 
 
