@@ -193,10 +193,16 @@ def short_and_longer(capsys, argv, option, orders):
         assert {k: v for k, v in doc.items() if k != "series"} == {k: v for k, v in longer.items() if k != "series"}
 
 
-def test_zg_short_order_prints_the_longer_series_cut(capsys):
-    # z_g is solved in the D ring, so no order is read to fit it: orders
-    # below its 3g + 1 numerator unknowns print the same closed form
-    short_and_longer(capsys, ("zg", "--nu", "2", "--g", "2"), "--order", (1, 3, 6, 7))
+def test_zg_order_without_surplus_prints_the_longer_series_cut(capsys):
+    # z_g is solved in the D ring, so no order is read to fit it: 7 orders,
+    # no more than z_2's 3g + 1 numerator unknowns, print the same closed form
+    short_and_longer(capsys, ("zg", "--nu", "2", "--g", "2"), "--order", (6, 7))
+
+
+def test_zg_order_below_the_z_1_unknowns_prints_the_longer_series_cut(capsys):
+    # nor does z_g need the lower z_k fitted: orders below z_1's 4 numerator
+    # unknowns print the same closed form as well
+    short_and_longer(capsys, ("zg", "--nu", "2", "--g", "2"), "--order", (1, 3))
 
 
 def test_eg_short_order_prints_the_longer_series_cut(capsys):
