@@ -4,13 +4,19 @@ file cache.
 Primary output is a single canonical JSON document on stdout (sorted keys,
 no timestamps), so identical invocations are byte-identical; CSV and text
 are lossy convenience views.  Exit codes: 0 success, 1 a machine-checked
-identity failed, 2 usage error, 3 reconstruction or resonance failure.
+identity failed, 2 usage error, 3 reconstruction or resonance failure
+(reached only on an engine fault).
 
 Each command's payload builder lives beside the engine it drives, and
-``builder`` imports it only when a result is computed, so a command loads
-and compiles only what it runs and a cache hit loads no engine module.
-The cache digests with the BLAKE2b built into CPython, so no cached run
-loads ``hashlib`` and OpenSSL, and it imports ``tempfile`` only to store.
+``produce`` imports it, and the engine's error types, only when a result
+is computed, so a command loads and compiles only what it runs.  A cache
+entry holds exactly the bytes that a ``--format json`` run prints, behind
+a plain-text header of the full key and a BLAKE2b digest of those bytes,
+so a JSON cache hit checks the header and writes the stored document
+without decoding it: it loads neither ``json`` nor any engine module, and
+only CSV and text hits parse the document to render it.  The cache
+digests with the BLAKE2b built into CPython, so no cached run loads
+``hashlib`` and OpenSSL, and it imports ``tempfile`` only to store.
 One command table drives the argv parser, the help pages and the usage
 errors, which accept and print argparse's language and text for an
 80-column terminal without importing argparse and the ``gettext``,
@@ -25,13 +31,10 @@ trace or profile hook or an ``-i`` prompt needs the normal exit.
 """
 
 import functools
-import json
 import os
 import sys
-import time
 
 from . import __version__
-from .errors import EngineError
 
 CACHE_ENV = "MAPGENUS_CACHE_DIR"
 
@@ -64,49 +67,55 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
-def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=False):
-    """Serve the payload for a canonical key from the plain-file cache, or
-    compute and store it.
+def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=False) -> tuple:
+    """Serve the document for a canonical key from the plain-file cache, or
+    compute its payload and store the document.
+
+    Returns (payload, document).  The document is the text a ``--format
+    json`` run prints: on a hit it is the stored text, undecoded, and the
+    payload is None; a payload computed for the cache comes with the
+    document rendered to store it; without a cache the document is None.
 
     The stored key carries the engine version and the digest of the
     package sources, so an entry never outlives the code that computed it.
-    Entries are single JSON files named by a 128-bit BLAKE2b of the key;
-    writes go through a temp file and rename so readers never see partial
-    entries.  An entry that is not a JSON object holding this key and an
-    object payload is recomputed and overwritten with a warning; an
-    unwritable cache directory degrades to compute-only with a warning."""
+    An entry is one file named by a 128-bit BLAKE2b of the key: a line
+    holding the key, a line holding the BLAKE2b of the document, then the
+    document.  Writes go through a temp file and rename so readers never
+    see partial entries.  An entry that does not hold this key and the
+    digest of its document is recomputed and overwritten with a warning;
+    an unwritable cache directory degrades to compute-only with a warning.
+    A document whose ``status`` is ``fail`` is never stored, so it is
+    recomputed and exits 1 on every run."""
     if no_cache or not cache_dir:
-        return producer()
-    full_key = "%s | engine %s | source %s" % (key, __version__, source_digest())
-    name = _blake2b(16, full_key.encode()).hexdigest() + ".json"
+        return producer(), None
+    full_key = ("%s | engine %s | source %s" % (key, __version__, source_digest())).encode()
+    name = _blake2b(16, full_key).hexdigest() + ".entry"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
+            with open(path, "rb") as fh:
+                stored_key, digest, document = fh.read().split(b"\n", 2)
+            if stored_key == full_key and digest == _blake2b(16, document).hexdigest().encode():
+                return None, document.decode()
         except (ValueError, OSError):
-            entry = None
-        if isinstance(entry, dict) and entry.get("key") == full_key and isinstance(entry.get("payload"), dict):
-            return entry["payload"]
+            pass
         print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
     payload = producer()
-    entry = {
-        "key": full_key,
-        "engine_version": __version__,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "payload": payload,
-    }
+    document = render(payload, "json")
+    if payload.get("status") == "fail":
+        return payload, document
     import tempfile
 
+    data = document.encode()
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"%s\n%s\n%s" % (full_key, _blake2b(16, data).hexdigest().encode(), data))
         os.replace(tmp, path)
     except OSError as exc:
         print("cache not writable (%s); skipping store" % exc, file=sys.stderr)
-    return payload
+    return payload, document
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,8 @@ def _flatten(prefix, obj, rows):
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, sort_keys=True) + "\n"
     rows = []
     _flatten("", payload, rows)
@@ -236,6 +247,20 @@ def builder(name: str):
     else:
         from .checks import payload_report as run
     return run
+
+
+def produce(name: str, options: dict) -> dict:
+    """The payload of the builder called ``name`` on the options.  An engine
+    error prints no document and one stderr line, prefixed with its class
+    of failure, and raises SystemExit with its exit code."""
+    from .errors import EngineError
+
+    try:
+        return builder(name)(**options)
+    except EngineError as exc:
+        code, prefix = exc.cli_exit
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
+        raise SystemExit(code)
 
 
 def _fail(prog, cmd, message):
@@ -369,22 +394,26 @@ def parse_options(argv) -> dict:
 def dispatch(argv) -> int:
     try:
         options = parse_options(argv)
+        fmt, cache_dir, no_cache = options.pop("format"), options.pop("cache_dir"), options.pop("no_cache")
+        run, cached = options.pop("run"), options.pop("cached")
+        # the key names the command and every option it was given
+        command = [options.pop(k) for k in ("command", "what") if k in options]
+        key = " ".join(command + ["%s=%s" % kv for kv in sorted(options.items())])
+        payload, document = cache_lookup_or_compute(
+            cache_dir if cached else None, key, lambda: produce(run, options), no_cache
+        )
     except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    fmt, cache_dir, no_cache = options.pop("format"), options.pop("cache_dir"), options.pop("no_cache")
-    run, cached = options.pop("run"), options.pop("cached")
-    # the key names the command and every option it was given
-    command = [options.pop(k) for k in ("command", "what") if k in options]
-    key = " ".join(command + ["%s=%s" % kv for kv in sorted(options.items())])
-    try:
-        payload = cache_lookup_or_compute(cache_dir if cached else None, key, lambda: builder(run)(**options), no_cache)
-    except EngineError as exc:
-        code, prefix = exc.cli_exit
-        print("%s: %s" % (prefix, exc), file=sys.stderr)
-        return code
-    sys.stdout.write(render(payload, fmt))
+        return exc.code
+    if fmt != "json" or document is None:
+        if payload is None:
+            import json
+
+            payload = json.loads(document)
+        document = render(payload, fmt)
+    sys.stdout.write(document)
     # a document that reports a failed check still prints, then exits 1
-    return 1 if payload.get("status") == "fail" else 0
+    # (the cache stores none, so a hit always passed)
+    return 1 if payload is not None and payload.get("status") == "fail" else 0
 
 
 def main() -> int:

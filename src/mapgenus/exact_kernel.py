@@ -394,6 +394,9 @@ class Series:
             if other == 0:
                 raise RejectedInput("series division by zero scalar")
             return self * (Q(1) / other)
+        if isinstance(other, GradedSeries):
+            # the quotient would keep the dividend's weight
+            raise RejectedInput("graded series divide only by scalars")
         self._check(other, weighted=False)
         if not other.num[0]:
             raise RejectedInput("series division by a non-unit (zero constant term)")
@@ -862,7 +865,8 @@ class GradedSeries(Series):
     integer arithmetic.  Multiplication adds base2, spatial differentiation
     lowers it by 2, and every equation assembled from self-similar data stays
     inside the class.  Only the weight sets it apart from a ``Series``: sums
-    need one weight among their nonzero terms, and zero carries none.
+    need one weight among their nonzero terms, and zero carries none.  It
+    divides only by a scalar: nothing here divides two graded series.
     """
 
     __slots__ = ("base2", "step2")
@@ -907,12 +911,6 @@ class GradedSeries(Series):
 
     def __pow__(self, n: int):
         return super().__pow__(n) if n else self._like(1, [1] + [0] * self.trunc, 0)
-
-    def __truediv__(self, other):
-        out = super().__truediv__(other)
-        if isinstance(other, GradedSeries):
-            out.base2 -= other.base2
-        return out
 
     def xmul(self, k: int = 1):
         """Multiply by x^k (the time variable alone, no w attached)."""

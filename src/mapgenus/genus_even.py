@@ -418,14 +418,19 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
             },
             "series": series_to_json(etable.series(g)),
         }
-    etable = build_etable(nu, g, T=order)
+    # the read-back reaches every resonant order, m <= (2g - 1)/(nu - 1)
+    # where the face count is 0 or 1, whatever order is printed; a shorter
+    # printed series is cut after (nu = 1 is rejected by the build)
+    top = (2 * g - 1) // max(nu - 1, 1)
+    etable = build_etable(nu, g, T=None if order is None else max(order, top))
     entry = etable.entries[g]
     summary = verify_genus_structure(nu, g, etable.ztable, etable)
+    series = entry.series if order is None else entry.series.truncate(order)
     return {
         "nu": nu,
         "g": g,
         "ratfn": ratfn_to_json(entry.ratfn),
-        "series": series_to_json(entry.series),
+        "series": series_to_json(series),
         "laurent": [qstr(a) for a in entry.laurent],
         "r": entry.r_factor,
         "pole_order": entry.ratfn.den_pow,

@@ -207,9 +207,9 @@ def test_zg_order_below_the_z_1_unknowns_prints_the_longer_series_cut(capsys):
 
 def test_eg_short_order_prints_the_longer_series_cut(capsys):
     # e_2 and the z_g behind it are both solved in the D ring: a short
-    # order only cuts the printed series (and the resonant orders, 2 and 3
-    # here, are those it reaches)
-    short_and_longer(capsys, ("eg", "--nu", "2", "--g", "2"), "--series-order", (3, 6, 7))
+    # order only cuts the printed series, and the read-back still reaches
+    # both resonant orders, 2 and 3, so orders 1 and 2 list them too
+    short_and_longer(capsys, ("eg", "--nu", "2", "--g", "2"), "--series-order", (1, 2, 3, 6, 7))
 
 
 def test_eg_series_order_above_and_below_the_z_table_truncation(capsys):
@@ -383,16 +383,19 @@ def test_cache_roundtrip(tmp_path, capsys):
         calls.append(1)
         return {"value": 7}
 
+    document = '{"value": 7}\n'
     cache = str(tmp_path / "cache")
+    # a store returns the payload and the document it stored; a hit the
+    # stored document alone, undecoded
     a = cache_lookup_or_compute(cache, "k1", producer)
     b = cache_lookup_or_compute(cache, "k1", producer)
-    assert a == b == {"value": 7}
+    assert a == ({"value": 7}, document) and b == (None, document)
     assert len(calls) == 1
     # version-bumped key misses
     c = cache_lookup_or_compute(cache, "k2", producer)
-    assert len(calls) == 2 and c == {"value": 7}
-    # no-cache bypasses entirely
-    cache_lookup_or_compute(cache, "k1", producer, no_cache=True)
+    assert len(calls) == 2 and c == ({"value": 7}, document)
+    # no-cache bypasses entirely, and renders nothing
+    assert cache_lookup_or_compute(cache, "k1", producer, no_cache=True) == ({"value": 7}, None)
     assert len(calls) == 3
 
 
@@ -430,9 +433,19 @@ def test_cache_source_digest_in_key(tmp_path, monkeypatch):
     assert len(calls) == 2  # changed sources miss the old entry
 
 
-@pytest.mark.parametrize(
-    "corrupt", ["{ not json", "[]", "null", '"x"'], ids=["not_json", "list", "null", "string"]
-)
+# each corrupts the stored entry, given as (key line, digest line, document)
+CORRUPTIONS = {
+    "not_json": lambda key, digest, doc: b"{ not json",
+    "list": lambda key, digest, doc: b"[]",
+    "null": lambda key, digest, doc: b"null",
+    "string": lambda key, digest, doc: b'"x"',
+    "foreign_key": lambda key, digest, doc: b"\n".join((key + b"x", digest, doc)),
+    "altered_document": lambda key, digest, doc: b"\n".join((key, digest, doc.replace(b"1", b"2"))),
+    "no_document": lambda key, digest, doc: b"\n".join((key, digest)),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_cache_corrupt_entry_recovers(tmp_path, capsys, corrupt):
     cache = str(tmp_path)
     calls = []
@@ -442,14 +455,20 @@ def test_cache_corrupt_entry_recovers(tmp_path, capsys, corrupt):
         return {"value": 1}
 
     cache_lookup_or_compute(cache, "k", producer)
-    (entry,) = [p for p in os.listdir(cache) if p.endswith(".json")]
-    with open(os.path.join(cache, entry), "w") as fh:
-        fh.write(corrupt)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path, "rb") as fh:
+        stored = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(CORRUPTIONS[corrupt](*stored.split(b"\n", 2)))
     out = cache_lookup_or_compute(cache, "k", producer)
-    assert out == {"value": 1} and len(calls) == 2
+    assert out == ({"value": 1}, '{"value": 1}\n') and len(calls) == 2
+    assert capsys.readouterr().err == "corrupt cache entry %s; recomputing\n" % entry
     # and the entry was repaired
+    with open(path, "rb") as fh:
+        assert fh.read() == stored
     out = cache_lookup_or_compute(cache, "k", producer)
-    assert len(calls) == 2
+    assert out == (None, '{"value": 1}\n') and len(calls) == 2
 
 
 def test_cache_readonly_dir_warns_and_computes(tmp_path, capsys):
@@ -458,11 +477,34 @@ def test_cache_readonly_dir_warns_and_computes(tmp_path, capsys):
     os.chmod(cache, stat.S_IRUSR | stat.S_IXUSR)
     try:
         out = cache_lookup_or_compute(str(cache), "k", lambda: {"v": 2})
-        assert out == {"v": 2}
+        assert out == ({"v": 2}, '{"v": 2}\n')
         err = capsys.readouterr().err
         assert "cache not writable" in err or os.geteuid() == 0
     finally:
         os.chmod(cache, stat.S_IRWXU)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_warm_hit_prints_the_cold_bytes(tmp_path, capsys, fmt):
+    # a JSON hit writes the stored document; CSV and text hits parse it and
+    # render as a run that computes does
+    argv = ("--format", fmt, "eg", "--nu", "2", "--g", "2")
+    uncached = run(capsys, "--no-cache", *argv)
+    cold = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    warm = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert uncached == cold == warm and cold[0] == 0 and cold[2] == ""
+
+
+def test_failed_document_exits_1_on_every_cached_run(monkeypatch, tmp_path, capsys):
+    # a document that reports a failed check is printed, never stored, and
+    # so recomputed and failed again
+    import mapgenus.continuum_even as continuum_even
+
+    calls = []
+    monkeypatch.setattr(continuum_even, "payload_z0", lambda **options: calls.append(1) or {"status": "fail"})
+    for _ in range(2):
+        assert run(capsys, "--cache-dir", str(tmp_path), "z0", "--nu", "2") == (1, '{"status": "fail"}\n', "")
+    assert len(calls) == 2 and os.listdir(tmp_path) == []
 
 
 def mapgenus(*argv, head=("-m", "mapgenus")):
@@ -481,11 +523,13 @@ def test_cli_maps_entrypoint_identity(tmp_path):
     first = mapgenus(*argv)
     assert first.returncode == 0 and first.stderr == b""
     assert json.loads(first.stdout) == {"0": 36, "1": 60}
-    # the store finished before the process ended: one complete entry
+    # the store finished before the process ended: one complete entry,
+    # whose document is the bytes the run printed
     (entry,) = os.listdir(cache)
-    assert entry.endswith(".json")
-    with open(cache / entry) as fh:
-        assert json.load(fh)["payload"] == {"0": 36, "1": 60}
+    assert entry.endswith(".entry")
+    key, digest, document = (cache / entry).read_bytes().split(b"\n", 2)
+    assert key.startswith(b"maps genus=None valence=4 vertices=2 | engine ")
+    assert document == first.stdout and digest == hashlib.blake2b(document, digest_size=16).hexdigest().encode()
     stored = os.stat(cache / entry)
     second = mapgenus(*argv)
     assert second.returncode == 0 and second.stderr == b""
@@ -518,6 +562,36 @@ def test_process_exit_and_streams_match_dispatch(tmp_path, monkeypatch, capsys, 
     if case == "cache not writable":
         assert "cache not writable" in expected[2]
     proc = mapgenus(*argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+
+
+# Patches the eg payload builder to raise ResonanceFailure, then runs
+# ``cli.main`` on argv: no command line reaches exit code 3 except through
+# an engine fault, so one is injected.
+RESONANCE_FAULT = """
+import sys
+from mapgenus import cli, errors, genus_even
+
+def faulty(**options):
+    raise errors.ResonanceFailure("injected at m=2")
+
+genus_even.payload_eg = faulty
+sys.exit(cli.main())
+"""
+
+
+def test_engine_fault_exits_3_in_a_process(monkeypatch, capsys):
+    import mapgenus.genus_even as genus_even
+
+    argv = ["--no-cache", "eg", "--nu", "2", "--g", "2"]
+
+    def faulty(**options):
+        raise errors.ResonanceFailure("injected at m=2")
+
+    monkeypatch.setattr(genus_even, "payload_eg", faulty)
+    expected = run(capsys, *argv)
+    assert expected == (3, "", "reconstruction/resonance failure: injected at m=2\n")
+    proc = mapgenus(*argv, head=("-S", "-c", RESONANCE_FAULT))
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 
 
@@ -565,32 +639,33 @@ def test_console_script_runs_main():
     assert lines[lines.index("[project.scripts]") + 1] == 'mapgenus = "mapgenus.cli:main"'
 
 
-# Loads the cli in a fresh interpreter, dispatches the argv given as JSON
-# (if any), checks that it returns the exit code given after it, and prints
-# the modules that import and dispatch loaded.  The
-# interpreter starts without ``site``, whose .pth hooks may import modules
-# of their own before the script runs.
+# Loads the cli in a fresh interpreter, dispatches the argv given after the
+# expected exit code (if any), checks that it returns that code, and prints
+# the modules that import and dispatch loaded, one a line.  The script
+# itself imports no json, so a run that loads it shows.  The interpreter
+# starts without ``site``, whose .pth hooks may import modules of their
+# own before the script runs.
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from mapgenus import cli
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.dispatch(json.loads(sys.argv[1]))
-    assert code == int(sys.argv[2]), code
-print(json.dumps(sorted(set(sys.modules) - before)))
+        code = cli.dispatch(sys.argv[2:])
+    assert code == int(sys.argv[1]), code
+print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
-CLI_ONLY = {"mapgenus", "mapgenus.cli", "mapgenus.errors"}
+CLI_ONLY = {"mapgenus", "mapgenus.cli"}
 
 
 def loaded_by(*argv, code=0) -> set:
     """The modules that importing the cli, then dispatching argv (if any)
     with the exit code given, load in a fresh interpreter."""
-    args = [sys.executable, "-S", "-c", FOOTPRINT] + ([json.dumps(argv), str(code)] if argv else [])
+    args = [sys.executable, "-S", "-c", FOOTPRINT] + ([str(code), *argv] if argv else [])
     proc = subprocess.run(args, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(proc.stdout.split())
 
 
 def engine(modules: set) -> set:
@@ -715,34 +790,39 @@ def test_parse_table(monkeypatch, capsys, case):
     assert options == expected
     keys = []
     monkeypatch.setattr(
-        cli_mod, "cache_lookup_or_compute", lambda cache_dir, key, producer, no_cache=False: keys.append(key) or {}
+        cli_mod,
+        "cache_lookup_or_compute",
+        lambda cache_dir, key, producer, no_cache=False: (keys.append(key) or {}, None),
     )
     assert run(capsys, *case["argv"]) == (0, "{}\n" if expected["format"] == "json" else "", "")
     assert keys == [case["key"]]
 
 
 # what a run may load beyond the interpreter's start: the cache's BLAKE2b,
-# the math module errors.py uses, the three CLI modules, the help and usage
-# text (only for a help page or a usage error), and json
-STARTUP_ALLOWED = CLI_ONLY | {
-    "mapgenus.usage", "_blake2", "math", "json", "json.decoder", "json.encoder", "json.scanner", "_json"
-}
+# the two CLI modules and the help and usage text (only for a help page or
+# a usage error)
+STARTUP_ALLOWED = CLI_ONLY | {"mapgenus.usage", "_blake2"}
 
 
 def test_startup_loads_only_the_allowed_modules(tmp_path, capsys):
-    """Importing the cli, a warm cache hit, a help page and a usage error
-    load no argparse, gettext, locale or shutil."""
+    """Importing the cli, a warm JSON cache hit, a help page and a usage
+    error load no argparse, gettext, locale or shutil, and neither json
+    nor the engine's error types: a hit prints the stored bytes."""
     hit = ["--cache-dir", str(tmp_path), "zg", "--nu", "2", "--g", "1"]
     assert dispatch(hit) == 0
     capsys.readouterr()
     for argv, code in (((), 0), (hit, 0), (("--help",), 0), (("zg", "--nu", "x"), 2)):
         loaded = loaded_by(*argv, code=code)
+        assert not loaded & {"json", "mapgenus.errors"}, argv
         assert loaded <= STARTUP_ALLOWED, (argv, sorted(loaded - STARTUP_ALLOWED))
+    # a CSV hit parses the stored document to render it
+    assert "json" in loaded_by("--format", "csv", *hit)
 
 
 CACHE = object()  # stands for the test's cache directory in an argv
-CONTINUUM = {"mapgenus.combinatorics", "mapgenus.continuum_even", "mapgenus.exact_kernel"}
-ODD = {"mapgenus.combinatorics", "mapgenus.continuum_odd", "mapgenus.exact_kernel"}
+# the engine's error types load with every payload builder, and only there
+CONTINUUM = {"mapgenus.combinatorics", "mapgenus.continuum_even", "mapgenus.errors", "mapgenus.exact_kernel"}
+ODD = {"mapgenus.combinatorics", "mapgenus.continuum_odd", "mapgenus.errors", "mapgenus.exact_kernel"}
 # the argv of each run, its exit code, and the mapgenus modules it loads
 # beyond CLI_ONLY: each builder sits beside its engine, the conservation
 # laws load for no command, and the help text only for help and errors
@@ -755,11 +835,15 @@ FOOTPRINTS = {
         0,
         CONTINUUM | {"mapgenus.genus_even", "mapgenus.fatgraph_oracle"},
     ),
-    "maps": (("--no-cache", "maps", "--valence", "4", "--vertices", "2"), 0, {"mapgenus.fatgraph_oracle"}),
+    "maps": (
+        ("--no-cache", "maps", "--valence", "4", "--vertices", "2"),
+        0,
+        {"mapgenus.errors", "mapgenus.fatgraph_oracle"},
+    ),
     "verify lattice": (
         ("verify", "lattice", "--nu", "2", "--nmax", "4", "--torder", "2"),
         0,
-        {"mapgenus.lattice_oracle"},
+        {"mapgenus.errors", "mapgenus.lattice_oracle"},
     ),
     "verify continuum": (("verify", "continuum", "--nu", "2", "--g", "1"), 0, CONTINUUM | {"mapgenus.checks"}),
     "verify odd": (("verify", "odd", "--nu", "2", "--order", "4"), 0, ODD),

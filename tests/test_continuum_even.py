@@ -551,13 +551,15 @@ def series_reference_ztable(nu, g_max, T):
     family = SeriesFamily(nu, [z0])
     expr = lattice_equation_exprs(nu, "string")
     f0 = GradedSeries.from_series(z0, 2, 2 * (nu - 1))
-    denom = GradedSeries("u", [1], 0, 2 * (nu - 1), T) - nu * c_valence(nu) * (f0 ** (nu - 1)).xmul(1)
+    # the divisor has weight 0, so the quotient is that of the plain series
+    # of coefficients (two graded series never divide)
+    denom = 1 - nu * c_valence(nu) * Series("u", (f0 ** (nu - 1)).xmul(1).c)
     ratfns = [None]
     for g in range(1, g_max + 1):
         R = series_collection(expr, family, g - 1, 2 * g + 1)
-        f_g = integrate_w(-R) / denom
+        f_g = integrate_w(-R)
         assert f_g.base2 == 2 - 4 * g
-        family.zs.append(Series("u", f_g.c))
+        family.zs.append(Series("u", f_g.c) / denom)
         base = Poly([nu, -(nu - 1)])
         ratfns.append(series_to_ratfn(family.zs[g], z0, base, 3 * g, 5 * g - 1, "z0"))
     return family, ratfns

@@ -450,9 +450,11 @@ def test_graded_series_calculus():
     assert d.base2 == 0 and [d.coeff(j) for j in range(4)] == [1, 2, 3, 4]
     assert f.xmul().coeff(1) == 1 and f.xmul().base2 == 0
     assert f.dx().coeff(0) == 1 and f.dx().base2 == 4
-    # division round trip
-    h = g / f
-    assert h == f
+    # two graded series never divide; the plain quotient of the same
+    # coefficients round-trips
+    with pytest.raises(RejectedInput, match="graded series divide only by scalars"):
+        g / f
+    assert Series("u", g.c) / Series("u", f.c) == Series("u", f.c)
 
 
 def test_json_roundtrips():
@@ -656,20 +658,24 @@ def test_series_quotients_match_plain_recurrence_randomized():
             want = plain_quotient(a, b, T)
             q = Series("u", a) / Series("u", b)
             assert q.trunc == T and list(q.c) == want and canonical(q.c)
-            g = GradedSeries("u", a, base2=2, step2=2 * (nu - 1)) / GradedSeries(
-                "u", b, base2=-4, step2=2 * (nu - 1)
-            )
-            assert g.trunc == T and g.base2 == 6 and list(g.c) == want and canonical(g.c)
+            # a graded quotient would keep the dividend's weight: refused,
+            # and the plain quotient of the same coefficients stands for it
+            with pytest.raises(RejectedInput, match="graded series divide only by scalars"):
+                GradedSeries("u", a, base2=2, step2=2 * (nu - 1)) / GradedSeries("u", b, base2=-4, step2=2 * (nu - 1))
 
 
 def test_both_quotients_share_one_integer_kernel(monkeypatch):
+    # a series quotient and a rational function's read-back; two graded
+    # series never divide
     from mapgenus import exact_kernel
 
     calls = []
     kernel = exact_kernel._qdiv
     monkeypatch.setattr(exact_kernel, "_qdiv", lambda *args: calls.append(1) or kernel(*args))
     Series("u", [1, 2, 3]) / Series("u", [2, 1])
-    GradedSeries("u", [1, 2], 0, 2) / GradedSeries("u", [-1, 0, 4], 2, 2)
+    ratfn_to_series(RatFn(Poly([1]), Poly([2, -1]), 1), Series("s", [1, 1], 2))
+    with pytest.raises(RejectedInput):
+        GradedSeries("u", [1, 2], 0, 2) / GradedSeries("u", [-1, 0, 4], 2, 2)
     assert len(calls) == 2
 
 
@@ -677,7 +683,7 @@ def test_division_by_a_non_unit_still_raises():
     for zero in (Q(0), 0):
         with pytest.raises(RejectedInput):
             Series("u", [1, 2, 3]) / Series("u", [zero, 1, 1])
-        with pytest.raises(RejectedInput):
+        with pytest.raises(RejectedInput, match="graded series divide only by scalars"):
             GradedSeries("u", [1, 2], 0, 2) / GradedSeries("u", [zero, 5], 2, 2)
     with pytest.raises(RejectedInput):
         Series("u", [1, 2]) / 0
@@ -742,9 +748,12 @@ def test_graded_arithmetic_matches_fraction_reference_randomized():
         ):
             assert type(got) is GradedSeries and list(got.c) == want and canonical(got.c)
             assert (got.base2, got.step2) == (base2, step2)
+        # two graded series never divide; the plain quotient of their
+        # coefficients is checked in test_series_arithmetic_matches_fraction_reference_randomized
+        with pytest.raises(RejectedInput, match="graded series divide only by scalars"):
+            ga / gc
         if b[0]:
-            quotient = ga / gc
-            assert list(quotient.c) == plain_quotient(a, b, T) and quotient.base2 == base - gc.base2
+            assert list((Series("u", a) / Series("u", b)).c) == plain_quotient(a, b, T)
         for q in scalars():
             scaled = q * ga
             assert list(scaled.c) == list((ga * q).c) == [x * q for x in a] and scaled.base2 == base
