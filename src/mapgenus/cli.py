@@ -81,9 +81,11 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
     An entry is one file named by a 128-bit BLAKE2b of the key: a line
     holding the key, a line holding the BLAKE2b of the document, then the
     document.  Writes go through a temp file and rename so readers never
-    see partial entries.  An entry that does not hold this key and the
-    digest of its document is recomputed and overwritten with a warning;
-    an unwritable cache directory degrades to compute-only with a warning.
+    see partial entries; the entry gets mode 0o666 less the umask, as a
+    plain ``open`` would give it, and a failed write or rename removes its
+    temp file.  An entry that does not hold this key and the digest of its
+    document is recomputed and overwritten with a warning; an unwritable
+    cache directory degrades to compute-only with a warning.
     A document whose ``status`` is ``fail`` is never stored, so it is
     recomputed and exits 1 on every run."""
     if no_cache or not cache_dir:
@@ -110,9 +112,16 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"%s\n%s\n%s" % (full_key, _blake2b(16, data).hexdigest().encode(), data))
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(b"%s\n%s\n%s" % (full_key, _blake2b(16, data).hexdigest().encode(), data))
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
         print("cache not writable (%s); skipping store" % exc, file=sys.stderr)
     return payload, document

@@ -1,17 +1,25 @@
 """Ground-truth finite-n computations for even-valence deformed Gaussian
-weights: exact moments, the three-term recurrence coefficients through the
-moment-based (Chebyshev) algorithm, normalized Hankel-determinant tau
-functions, and machine verification of the lattice equations they satisfy.
+weights: the three-term recurrence coefficients, the normalized tau
+functions (Hankel determinants), and machine verification of the lattice
+equations they satisfy.
 
-Moments are normalized by the undeformed Gaussian mass, so every entry is a
-truncated series in the coupling t (bivariate in (t1, t) when the linear
-deformation is switched on) with rational coefficients.  The normalization
-drops out of every identity checked here, which are all ratio- or
-log-difference-based.
+The tables come from the modified Chebyshev algorithm on moments against
+the monic Hermite polynomials pi_l of the Gaussian of variance g_s, whose
+recurrence x pi_l = pi_(l+1) + l g_s pi_(l-1) and closed-form moments
+E[x^p pi_l] = g_s^((p+l)/2) p!/(p-l)!! keep every mixed moment small and
+sparse.  Moments are normalized by the undeformed Gaussian mass, so every
+entry is a truncated series in the coupling t (bivariate in (t1, t) when
+the linear deformation is switched on) with rational coefficients.  The
+normalization drops out of every identity checked here, which are all
+ratio- or log-difference-based.
 
-Each sum, product and table entry is one integer pass (``_fused``), and
-only ``asymptotic_match``'s fit imports the continuum derivation's kernel.
-The ``verify lattice`` command's payload builder closes the module.
+Each sum, product and table entry is one integer pass (``_fused``).  One
+walk of L^(2 nu) from each row serves the Toda check and, one step before
+its end, the string check.  ``asymptotic_match`` reads every site from one
+table at g_s = 1 through the exact scaling law
+[t^k] b2_n(g_s) = g_s^(1+(nu-1)k) [t^k] b2_n(1), and only its fit imports
+the continuum derivation's kernel.  The ``verify lattice`` command's
+payload builder closes the module.
 
 A sign/normalization note that the verifications pin down exactly: with the
 weight (1/g_s)(lambda^2/2 + t/(2 nu) lambda^(2 nu)), the coupling flow of
@@ -47,15 +55,16 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 def _fused(T: int, plains, products=()) -> "BiSeries":
-    """sum(sign * s for sign, s in plains) + sum(sign * u * v for sign, u, v
-    in products) to total degree T, each sign +1 or -1: the one place where
-    BiSeries numerators accumulate.  Every term is scaled to a common
-    denominator and added in one integer pass, products over the operands'
-    sorted terms (``BiSeries._ints``), and the result is reduced once."""
-    den = _int_lcm(*(s.den for _, s in plains), *(u.den * v.den for _, u, v in products))
+    """sum(c * s for c, s in plains) + sum(sign * u * v for sign, u, v in
+    products) to total degree T, each c an int or a Fraction made once by
+    the caller and each sign +1 or -1: the one place where BiSeries
+    numerators accumulate.  Every term is scaled to a common denominator
+    and added in one integer pass, products over the operands' sorted
+    terms (``BiSeries._ints``), and the result is reduced once."""
+    den = _int_lcm(*(s.den * c.denominator for c, s in plains), *(u.den * v.den for _, u, v in products))
     out: dict = {}
-    for sign, s in plains:
-        m = sign * (den // s.den)
+    for c, s in plains:
+        m = c.numerator * (den // (s.den * c.denominator))
         for key, x in s.num.items():
             if key[0] + key[1] <= T:
                 out[key] = out.get(key, 0) + x * m
@@ -260,41 +269,36 @@ class WeightSpec(namedtuple("WeightSpec", "nu g_s include_t1")):
         return super().__new__(cls, nu, g_s, include_t1)
 
 
-def deformed_moments(spec: WeightSpec, k_max: int, T: int) -> list[BiSeries]:
-    """Moments of the deformed weight, normalized by the Gaussian mass.
-
-    m_k(t) = sum_i (1/i!) (-t/(2 nu g_s))^i (k + 2 nu i - 1)!! g_s^((k+2nu i)/2)
-    for even weight order; the t1 mode adds the analogous sum over the linear
-    deformation, truncated by total degree.  The Gaussian moments
-    (p-1)!! g_s^(p/2) and the (r, i) prefactors come from running tables
-    built once per call, so each entry costs one product.
+def hermite_moments(spec: WeightSpec, l_max: int, T: int) -> list[BiSeries]:
+    """Modified moments mu_l = E[pi_l w] of the deformed weight w against
+    the Hermite polynomials pi_l, so mu_l(t=0) = delta_l0.  With the
+    Gaussian E[x^p pi_l] = g_s^((p+l)/2) p!/(p-l)!! for p >= l and p - l
+    even (0 otherwise), the coefficient of t1^r t^i, p = 2 nu i + r, is
+    (-1)^(i+r) p! / ((p-l)!! i! r! (2 nu)^i) g_s^s, s = (p+l)/2 - i - r:
+    an integer numerator over one denominator T! (2 nu)^T P^a Q^b
+    (g_s = P/Q, -a <= s <= b), read from tables built once per call.
     """
     if T < 0:
         raise RejectedInput("truncation order must be >= 0")
     two_nu = 2 * spec.nu
-    g_s = spec.g_s
     r_max = T if spec.include_t1 else 0
-    # gauss[q] = (2q-1)!! g_s^q, the Gaussian moment of order p = 2q, for
-    # every p = k + 2 nu i + r with r <= T - i, so p <= k_max + 2 nu T
-    gauss = [Fraction(1)]
-    for q in range(1, (k_max + two_nu * T) // 2 + 1):
-        gauss.append(gauss[-1] * (2 * q - 1) * g_s)
-    # (-1)^i / (i! (2 nu g_s)^i) and (-1)^r / (r! g_s^r)
-    ci = [Fraction(1)]
-    for i in range(1, T + 1):
-        ci.append(ci[-1] / (-i * two_nu * g_s))
-    cr = [Fraction(1)]
-    for r in range(1, r_max + 1):
-        cr.append(cr[-1] / (-r * g_s))
-    prefactor = [(r, i, ci[i] * cr[r]) for i in range(T + 1) for r in range(min(r_max, T - i) + 1)]
+    a, b = r_max // 2, (spec.nu - 1) * T + l_max // 2
+    fact, dfact = [1], [1, 1]  # m! and m!! for every p = 2 nu i + r <= 2 nu T
+    for m in range(1, two_nu * T + 1):
+        fact.append(fact[-1] * m)
+        dfact.append(dfact[-2] * (m + 1))
+    P, Q = spec.g_s.numerator, spec.g_s.denominator
+    gpow = [P ** (a + s) * Q ** (b - s) for s in range(-a, b + 1)]  # g_s^s times the denominator's share
+    prefactor = [(r, i, two_nu * i + r, (-1) ** (i + r) * fact[T] // (fact[i] * fact[r]) * two_nu ** (T - i))
+                 for i in range(T + 1) for r in range(min(r_max, T - i) + 1)]
+    den = fact[T] * two_nu ** T * P ** a * Q ** b
     out = []
-    for k in range(k_max + 1):
-        d = {}
-        for r, i, c in prefactor:
-            p = k + two_nu * i + r
-            if not p % 2:
-                d[(r, i)] = c * gauss[p // 2]
-        out.append(BiSeries(T, d))
+    for l in range(l_max + 1):
+        num = {}
+        for r, i, p, c in prefactor:
+            if p >= l and not (p - l) % 2:
+                num[(r, i)] = c * fact[p] // dfact[p - l] * gpow[a + (p + l) // 2 - i - r]
+        out.append(BiSeries._reduced(T, den, num))
     return out
 
 
@@ -307,69 +311,59 @@ RecurrenceTable = namedtuple("RecurrenceTable", "spec n_max T b2 a tau2")
 
 
 def recurrence_table(spec: WeightSpec, n_max: int, T: int) -> RecurrenceTable:
-    """Build the recurrence data from moments by the exact moment-recurrence
-    (Chebyshev) algorithm.
+    """Build the recurrence data by the modified Chebyshev algorithm (Sack
+    and Donovan 1972; Wheeler 1974; Gautschi 2004, section 2.1.7) on the
+    Hermite-modified moments (``hermite_moments``).
 
-    sigma[k][l] are the mixed moments of the monic orthogonal polynomials;
-    norms h_k = sigma[k][k] are units (positive at t = 0), every division
-    below is by a unit series, and det H_n = h_0 ... h_{n-1}.
+    sigma[k][l] = E[p_k pi_l w] mixes the monic orthogonal polynomials p_k
+    with the Hermite polynomials pi_l; they agree at t = 0, so sigma[k][l]
+    vanishes there for l > k.  The norms h_k = sigma[k][k] are units
+    (positive at t = 0), every division below is by a unit series, and
+    det H_n = h_0 ... h_{n-1}.
 
     The row k+1 is sigma[k+1][l] = sigma[k][l+1] - a_k sigma[k][l] -
-    b2_k sigma[k-1][l].  By orthogonality sigma[k+1][l] = 0 for l <= k, so
-    those entries are set to zero and never computed; each remaining entry
-    is one fused integer pass (``_fused``).
+    b2_k sigma[k-1][l] + l g_s sigma[k][l-1].  By orthogonality
+    sigma[k+1][l] = 0 for l <= k, so those entries are set to zero and
+    never computed; each remaining entry is one fused integer pass
+    (``_fused``).
     """
     if n_max < 2:
         raise RejectedInput("n_max must be >= 2")
     L = 2 * n_max + 1
-    moments = deformed_moments(spec, L, T)
     zero = BiSeries(T, {})
+    beta = [l * spec.g_s for l in range(L + 1)]
     sigma_prev = [zero] * (L + 2)  # row k-1, padded
-    sigma = list(moments) + [zero]
+    sigma = hermite_moments(spec, L, T) + [zero]
     a: dict[int, BiSeries] = {}
     b2: dict[int, BiSeries] = {n: zero for n in range(-2 * n_max, 1)}
-    norms: dict[int, BiSeries] = {}
-    prev_ratio = BiSeries.const(0, T)
+    # tau2[n] = det H_n(t) / det H_n(0), via det H_n = prod_{k<n} h_k
+    tau2: dict[int, BiSeries] = {0: BiSeries.const(1, T)}
+    det, prev_ratio = BiSeries.const(1, T), zero
     for k in range(n_max + 1):
         hk = sigma[k]
         if hk.constant() == 0:
             raise DegenerateTable("vanishing Hankel ratio at k=%d, t=0" % k)
         if hk.constant() < 0 and spec.g_s > 0:
             raise DegenerateTable("negative Hankel ratio at k=%d, t=0" % k)
-        norms[k] = hk
         ratio = sigma[k + 1] / hk if k + 1 < len(sigma) else zero
         a[k] = ratio - prev_ratio
         prev_ratio = ratio
         if k >= 1:
             b2[k] = hk / sigma_prev[k - 1]
-            c0 = b2[k].constant()
-            if c0 != k * spec.g_s:
-                raise DegenerateTable(
-                    "b2[%d](0) = %s, expected %s" % (k, c0, k * spec.g_s)
-                )
+            if b2[k].constant() != beta[k]:
+                raise DegenerateTable("b2[%d](0) = %s, expected %s" % (k, b2[k].constant(), beta[k]))
         if k == n_max:
             break
+        det = det * hk
+        tau2[k + 1] = det / det.constant()
         # next row of mixed moments, zero below the diagonal
         nxt = [zero] * (k + 1)
         for l in range(k + 1, L - k):
-            products = []
-            if not a[k].is_zero():
-                products.append((-1, a[k], sigma[l]))
-            if k >= 1:
-                products.append((-1, b2[k], sigma_prev[l]))
-            nxt.append(_fused(T, [(1, sigma[l + 1])], products))
-        sigma_prev = sigma
-        sigma = nxt + [zero]
-    # tau2[n] = det H_n(t) / det H_n(0), via det H_n = prod_{k<n} h_k
-    tau2: dict[int, BiSeries] = {0: BiSeries.const(1, T)}
-    det = BiSeries.const(1, T)
-    for n in range(1, n_max + 1):
-        det = det * norms[n - 1]
-        tau2[n] = det / det.constant()
-    if not spec.include_t1:
-        for n, s in a.items():
-            if not s.is_zero():
-                raise DegenerateTable("nonzero diagonal coefficient for an even weight")
+            products = [(-1, c, row[l]) for c, row in ((a[k], sigma), (b2[k], sigma_prev)) if c.num and row[l].num]
+            nxt.append(_fused(T, [(1, sigma[l + 1]), (beta[l], sigma[l - 1])], products))
+        sigma_prev, sigma = sigma, nxt + [zero]
+    if not spec.include_t1 and any(s.num for s in a.values()):
+        raise DegenerateTable("nonzero diagonal coefficient for an even weight")
     return RecurrenceTable(spec=spec, n_max=n_max, T=T, b2=b2, a=a, tau2=tau2)
 
 
@@ -388,8 +382,9 @@ def _first_nonzero(res: BiSeries):
     return key, res.d[key]
 
 
-def operator_power_row(table: RecurrenceTable, r: int, j: int) -> dict[int, BiSeries]:
-    """Entries (L^j)_{r,c} for c = r-2, r-1 of the recursion operator L,
+def operator_power_row(table: RecurrenceTable, r: int, j: int) -> tuple[BiSeries, dict[int, BiSeries]]:
+    """(L^(j-1))_{r,r-1}, read one step before the end, and the entries
+    (L^j)_{r,c} for c = r-2, r-1 (j >= 1) of the recursion operator L,
     x p_l = p_{l+1} + a_l p_l + b2_l p_{l-1}, by transfer: the row vector
     e_r is multiplied by L one step at a time,
 
@@ -406,31 +401,31 @@ def operator_power_row(table: RecurrenceTable, r: int, j: int) -> dict[int, BiSe
     zero = BiSeries(T, {})
     v = {r: BiSeries.const(1, T)}
     for left in range(j - 1, -1, -1):
-        nxt: dict[int, BiSeries] = {}
+        before, nxt = v, {}
         for m in range(r - 2 - left, r + left):
             plains = [(1, v[m - 1])] if m - 1 in v else []
-            products = []
-            if m in v and not table.a.get(m, zero).is_zero():
-                products.append((1, v[m], table.a[m]))
-            if m + 1 in v and not table.b2[m + 1].is_zero():
-                products.append((1, v[m + 1], table.b2[m + 1]))
+            products = [(1, v[i], w[i]) for i, w in ((m, table.a), (m + 1, table.b2)) if i in v and w.get(i, zero).num]
             if plains or products:
                 nxt[m] = _fused(T, plains, products)
         v = nxt
-    return {c: v.get(c, zero) for c in (r - 2, r - 1)}
+    return before.get(r - 1, zero), {c: v.get(c, zero) for c in (r - 2, r - 1)}
 
 
-def _power_rows(table: RecurrenceTable, sites: range, j: int) -> dict[int, dict[int, BiSeries]]:
-    """operator_power_row for the rows n and n+1 of every site n, each once."""
-    return {r: operator_power_row(table, r, j) for r in {*sites, *(n + 1 for n in sites)}}
+def _power_rows(table: RecurrenceTable) -> dict:
+    """operator_power_row at j = 2 nu for the rows n and n+1 of every site
+    n, each once: the string check reads (L^(2nu-1))_{r,r-1}, the Toda check
+    the row of L^(2nu)."""
+    sites = _site_range(table, table.spec.nu)
+    return {r: operator_power_row(table, r, 2 * table.spec.nu) for r in {*sites, *(n + 1 for n in sites)}}
 
 
-def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
+def verify_lattice_equations(table: RecurrenceTable, kind: str, rows=None) -> dict:
     """Check the difference-string / coupling-flow equations site by site.
 
     Residuals must vanish identically as truncated series; the first
     offending (site, order) is reported otherwise.  The operator-power
-    entries come from ``operator_power_row``: the rows n and n+1 are
+    entries come from ``_power_rows``, or from ``rows``, its result for this
+    table, shared by the string and Toda checks: the rows n and n+1 are
     stepped through L once each and shared by the sites that read them.
     The entries are the general (flat-step weighted) ones, which reduce to
     the even-weight form when the linear deformation is off, since a_l
@@ -450,10 +445,7 @@ def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
         # (L + t L^(2nu-1))_{n+1,n} - (L + t L^(2nu-1))_{n,n-1} = g_s,
         # with (L)_{r,r-1} = b2_r
         t_series = BiSeries.var_t(table.T)
-        top = {
-            r: table.b2[r] + t_series * row[r - 1]
-            for r, row in _power_rows(table, site_range, 2 * nu - 1).items()
-        }
+        top = {r: table.b2[r] + t_series * entry for r, (entry, _) in (rows or _power_rows(table)).items()}
         for n in site_range:
             res = top[n + 1] - top[n] - spec.g_s
             _record(sites, n, res, kind)
@@ -461,7 +453,7 @@ def verify_lattice_equations(table: RecurrenceTable, kind: str) -> dict:
         # 2 nu g_s db2_n/dt = (a_{n-1}-a_n)(L^2nu)_{n,n-1}
         #                     + (L^2nu)_{n,n-2} - (L^2nu)_{n+1,n-1}
         # 2 nu g_s da_n/dt  = (L^2nu)_{n,n-1} - (L^2nu)_{n+1,n}
-        rows = _power_rows(table, site_range, 2 * nu)
+        rows = {r: row for r, (_, row) in (rows or _power_rows(table)).items()}
         for n in site_range:
             mid = rows[n][n - 1]
             res = (
@@ -548,7 +540,8 @@ def verify_hirota(table: RecurrenceTable) -> dict:
 
 def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     """Compare b2_n, tabulated at g_s = 1/n, against the genus expansion
-    through genus G.
+    through genus G.  One table at g_s = 1 serves every site, through the
+    exact scaling law [t^k] b2_n(g_s) = g_s^(1+(nu-1)k) [t^k] b2_n(1).
 
     Each coupling order k of b2_n is a polynomial in x = 1/n^2 of degree
     (nu-1)k/2 rounded down, the top genus at k vertices, whose x^g
@@ -566,8 +559,8 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     if ztable is None:
         ztable = continuum_even.build_ztable(nu, G, max(T + 2, 8))
     n_range = list(n_range)
-    if len(n_range) < 2 or any(b <= a for a, b in zip(n_range, n_range[1:])):
-        raise RejectedInput("n_range must be strictly increasing with >= 2 entries")
+    if len(n_range) < 2 or n_range[0] < 1 or any(b <= a for a, b in zip(n_range, n_range[1:])):
+        raise RejectedInput("n_range must be positive, strictly increasing, with >= 2 entries")
     if len(n_range) <= (nu - 1) * T // 2 - G:
         raise RejectedInput(
             "n_range leaves no surplus site for the genus %d..%d fit at t-order %d"
@@ -579,12 +572,12 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     for g in range(G + 1):
         zs = ztable.series(g)
         zeta[g] = [zs.coeff(k) * scale ** k for k in range(T + 1)]
-    b2 = {n: recurrence_table(WeightSpec(nu, Fraction(1, n)), n, T).b2[n] for n in n_range}
+    b2 = recurrence_table(WeightSpec(nu, Fraction(1)), n_range[-1], T).b2
     xs = [Fraction(1, n * n) for n in n_range]
     orders = []
     for k in range(T + 1):
         rest = [
-            b2[n].coeff(0, k) - sum(x ** g * zeta[g][k] for g in range(G + 1))
+            b2[n].coeff(0, k) / n ** (1 + (nu - 1) * k) - sum(x ** g * zeta[g][k] for g in range(G + 1))
             for n, x in zip(n_range, xs)
         ]
         higher = range(G + 1, (nu - 1) * k // 2 + 1)
@@ -622,9 +615,10 @@ def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> di
         raise RejectedInput("--nmax must be >= 1")
     spec = WeightSpec(nu=nu, g_s=Fraction(1, nmax), include_t1=with_t1)
     table = recurrence_table(spec, n_max=nmax + nu + 1, T=torder)
+    rows = _power_rows(table)
     reports = [
-        verify_lattice_equations(table, "string"),
-        verify_lattice_equations(table, "toda"),
+        verify_lattice_equations(table, "string", rows),
+        verify_lattice_equations(table, "toda", rows),
         verify_hirota(table),
     ]
     if with_t1:

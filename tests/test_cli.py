@@ -484,6 +484,31 @@ def test_cache_readonly_dir_warns_and_computes(tmp_path, capsys):
         os.chmod(cache, stat.S_IRWXU)
 
 
+def test_cache_failed_rename_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = cache_lookup_or_compute(str(tmp_path), "k", lambda: {"v": 3})
+    assert out == ({"v": 3}, '{"v": 3}\n')
+    assert capsys.readouterr().err == "cache not writable (rename refused); skipping store\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_cache_entry_mode_follows_the_umask(tmp_path, umask):
+    # a shared cache directory serves every user the umask lets read, as a
+    # file written by a plain open would
+    old = os.umask(umask)
+    try:
+        cache_lookup_or_compute(str(tmp_path), "k", lambda: {"v": 4})
+    finally:
+        os.umask(old)
+    (entry,) = os.listdir(tmp_path)
+    assert entry.endswith(".entry")
+    assert stat.S_IMODE(os.stat(tmp_path / entry).st_mode) == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_warm_hit_prints_the_cold_bytes(tmp_path, capsys, fmt):
     # a JSON hit writes the stored document; CSV and text hits parse it and

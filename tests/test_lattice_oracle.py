@@ -10,12 +10,14 @@ from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import Q, Series
 from mapgenus.lattice_oracle import (
     BiSeries,
+    RecurrenceTable,
     WeightSpec,
     _fused,
     _record,
     asymptotic_match,
-    deformed_moments,
+    hermite_moments,
     operator_power_row,
+    payload_verify_lattice,
     recurrence_table,
     status_of,
     verify_hirota,
@@ -148,8 +150,11 @@ def test_transfer_rows_match_path_sums():
             for r in range(1, n_max - nu + 2):
                 for (j, dc), entry in entries.items():
                     expected = eval_path_polynomial(entry.shift(r - 1), table)
-                    got = operator_power_row(table, r, j)[r + dc]
+                    got = operator_power_row(table, r, j)[1][r + dc]
                     assert got == expected, (nu, with_t1, r, j, dc)
+                    if (j, dc) == (2 * nu - 1, -1):
+                        # the string entry, read from the Toda walk one step before its end
+                        assert operator_power_row(table, r, j + 1)[0] == expected, (nu, with_t1, r)
 
 
 def test_transfer_work_bound(monkeypatch):
@@ -238,7 +243,7 @@ def test_tables_are_pinned():
             table = recurrence_table(WeightSpec(nu=nu, g_s=Q(2, 7), include_t1=with_t1), n_max, 3)
             h.update(repr((table.b2, table.a, table.tau2)).encode())
             for r in (1, n_max - nu + 1):
-                h.update(repr(operator_power_row(table, r, 2 * nu)).encode())
+                h.update(repr(operator_power_row(table, r, 2 * nu)[1]).encode())
             h.update(repr(table.tau2[n_max].log()).encode())
     h.update(repr(asymptotic_match(3, 1, [4, 6, 8, 10], 3)).encode())
     assert h.hexdigest() == "9dbc1b5d674461855cbfc307001416b54a9679d19d86b7ec23d6fd4e1567de82"
@@ -419,12 +424,12 @@ def test_biseries_canonical_form():
 
 
 def naive_fused(T, plains, products):
-    """sum(sign * s) + sum(sign * u * v) to total degree T, one Fraction
+    """sum(c * s) + sum(sign * u * v) to total degree T, one Fraction
     operation per term and per pair of terms."""
     out = {}
-    for sign, s in plains:
+    for c, s in plains:
         for key, v in cut(s.d, T).items():
-            out[key] = out.get(key, Q(0)) + sign * v
+            out[key] = out.get(key, Q(0)) + c * v
     for sign, u, v in products:
         for key, w in naive_mul(u.d, v.d, T).items():
             out[key] = out.get(key, Q(0)) + sign * w
@@ -432,8 +437,9 @@ def naive_fused(T, plains, products):
 
 
 def test_fused_matches_naive():
-    """Signed sums of series and of products in one integer pass equal the
-    Fraction reference.  The operands have unequal truncations up to 8,
+    """Rational multiples of series and signed products, summed in one
+    integer pass, equal the Fraction reference.  The multipliers are ints
+    and Fractions, the operands have unequal truncations up to 8,
     derivatives among them, and each is read by several calls at several
     T, so its sorted terms are kept and read again, cut at each T."""
     pick, signs, denoms = rng.choice, (1, -1), (COPRIME_DENOMS, SHARED_DENOMS)
@@ -442,7 +448,7 @@ def test_fused_matches_naive():
         pool = [rand_biseries(rng.randint(2, 8), with_t1, denoms[i % 2]) for i in range(4)]
         pool += [s.diff("t") for s in pool[:2]] + ([pool[2].diff("t1")] if with_t1 else [])
         for _ in range(6):
-            plains = [(pick(signs), pick(pool)) for _ in range(rng.randint(0, 3))]
+            plains = [(pick(signs + (3, Q(-5, 6), Q(7, 16))), pick(pool)) for _ in range(rng.randint(0, 3))]
             products = [(pick(signs), pick(pool), pick(pool)) for _ in range(rng.randint(0, 3))]
             used = [s for _, s in plains] + [s for _, u, v in products for s in (u, v)]
             T = min((s.trunc for s in used), default=8) - rng.randint(0, 2)
@@ -473,8 +479,8 @@ def test_tables_and_checks_rescale_no_rationals(monkeypatch):
 
     spec = WeightSpec(nu=2, g_s=Q(1, 6), include_t1=True)
     n_max, T = 7, 4
-    moments = deformed_moments(spec, 2 * n_max + 1, T)
-    monkeypatch.setattr(lattice_oracle, "deformed_moments", lambda *args: moments)
+    moments = hermite_moments(spec, 2 * n_max + 1, T)
+    monkeypatch.setattr(lattice_oracle, "hermite_moments", lambda *args: moments)
     calls = []
     qscale = lattice_oracle._qscale
 
@@ -491,6 +497,115 @@ def test_tables_and_checks_rescale_no_rationals(monkeypatch):
     # the counter does see the constructor
     BiSeries(T, {(0, 1): Q(1, 3)})
     assert len(calls) == 1
+
+
+# -- the recurrence table against the plain Chebyshev algorithm --------------
+
+
+def deformed_moments(spec, k_max, T):
+    """Ordinary moments of the deformed weight, normalized by the Gaussian
+    mass: m_k(t) = sum_i (1/i!) (-t/(2 nu g_s))^i (k + 2 nu i - 1)!!
+    g_s^((k+2nu i)/2) for even weight order, and the analogous sum over the
+    linear deformation in the t1 mode, truncated by total degree.  The
+    Gaussian moments (p-1)!! g_s^(p/2) and the (r, i) prefactors come from
+    running tables, so each entry costs one product."""
+    two_nu = 2 * spec.nu
+    g_s = spec.g_s
+    r_max = T if spec.include_t1 else 0
+    # gauss[q] = (2q-1)!! g_s^q, the Gaussian moment of order p = 2q
+    gauss = [Q(1)]
+    for q in range(1, (k_max + two_nu * T) // 2 + 1):
+        gauss.append(gauss[-1] * (2 * q - 1) * g_s)
+    # (-1)^i / (i! (2 nu g_s)^i) and (-1)^r / (r! g_s^r)
+    ci = [Q(1)]
+    for i in range(1, T + 1):
+        ci.append(ci[-1] / (-i * two_nu * g_s))
+    cr = [Q(1)]
+    for r in range(1, r_max + 1):
+        cr.append(cr[-1] / (-r * g_s))
+    prefactor = [(r, i, ci[i] * cr[r]) for i in range(T + 1) for r in range(min(r_max, T - i) + 1)]
+    out = []
+    for k in range(k_max + 1):
+        d = {}
+        for r, i, c in prefactor:
+            p = k + two_nu * i + r
+            if not p % 2:
+                d[(r, i)] = c * gauss[p // 2]
+        out.append(BiSeries(T, d))
+    return out
+
+
+def plain_chebyshev(spec, n_max, T):
+    """b2, a and tau2 by the moment recurrence on the ordinary moments,
+    sigma[k][l] = E[p_k x^l w]: the row k+1 is sigma[k][l+1] - a_k sigma[k][l]
+    - b2_k sigma[k-1][l], the entries below the diagonal skipped."""
+    L = 2 * n_max + 1
+    zero = BiSeries(T, {})
+    sigma_prev, sigma = [zero] * (L + 2), deformed_moments(spec, L, T) + [zero]
+    a, b2, tau2 = {}, {}, {0: BiSeries.const(1, T)}
+    det = BiSeries.const(1, T)
+    for k in range(n_max + 1):
+        a[k] = sigma[k + 1] / sigma[k] - (sigma_prev[k] / sigma_prev[k - 1] if k else zero)
+        if k:
+            b2[k] = sigma[k] / sigma_prev[k - 1]
+        if k == n_max:
+            break
+        det = det * sigma[k]
+        tau2[k + 1] = det / det.constant()
+        nxt = [zero] * (k + 1)
+        for l in range(k + 1, L - k):
+            entry = sigma[l + 1] - a[k] * sigma[l]
+            if k:
+                entry = entry - b2[k] * sigma_prev[l]
+            nxt.append(entry)
+        sigma_prev, sigma = sigma, nxt + [zero]
+    return a, b2, tau2
+
+
+GRID_G_S = (Q(1), Q(1, 3), Q(2, 7), Q(1, 16))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_table_matches_plain_chebyshev_over_a_grid(nu):
+    """The modified recursion on Hermite moments gives exactly the b2, a and
+    tau2 of the plain recursion on ordinary moments, over string
+    coefficients, t1 on and off, table sizes and truncations."""
+    for g_s in GRID_G_S:
+        for with_t1 in (False, True):
+            spec = WeightSpec(nu=nu, g_s=g_s, include_t1=with_t1)
+            for n_max, T in ((2, 0), (nu + 2, 4), (8, 2), (3, 8 if with_t1 else 24)):
+                table = recurrence_table(spec, n_max, T)
+                a, b2, tau2 = plain_chebyshev(spec, n_max, T)
+                assert table.a == a, (g_s, with_t1, n_max, T)
+                assert {n: table.b2[n] for n in b2} == b2
+                assert table.tau2 == tau2
+                assert all(table.b2[n].is_zero() for n in table.b2 if n <= 0)
+
+
+def test_hermite_moments_transform_the_ordinary_moments():
+    """mu_l = sum_j c_lj m_j, where pi_l = sum_j c_lj x^j are the monic
+    Hermite polynomials of variance g_s, pi_(l+1) = x pi_l - l g_s pi_(l-1),
+    and mu_l(t = 0) = delta_l0."""
+    l_max, T = 11, 4
+    for nu in (1, 2, 3, 4):
+        for g_s in GRID_G_S:
+            for with_t1 in (False, True):
+                spec = WeightSpec(nu=nu, g_s=g_s, include_t1=with_t1)
+                plain = deformed_moments(spec, l_max, T)
+                got = hermite_moments(spec, l_max, T)
+                assert len(got) == l_max + 1
+                prev, pi = [], [Q(1)]
+                for l in range(l_max + 1):
+                    ref = {}
+                    for j, c in enumerate(pi):
+                        for key, v in plain[j].d.items():
+                            ref[key] = ref.get(key, Q(0)) + c * v
+                    assert got[l] == BiSeries(T, ref), (nu, g_s, with_t1, l)
+                    assert got[l].constant() == (l == 0)
+                    step = [Q(0)] + pi
+                    for j, c in enumerate(prev):
+                        step[j] -= l * g_s * c
+                    prev, pi = pi, step
 
 
 # -- the recurrence table against the full Chebyshev algorithm ---------------
@@ -653,3 +768,61 @@ def test_asymptotic_match_needs_a_surplus_site():
     assert asymptotic_match(3, 1, [4, 6, 8], 3, ztable=ztable)["status"] == "pass"
     with pytest.raises(RejectedInput, match="no surplus site"):
         asymptotic_match(3, 1, [4, 6], 3, ztable=ztable)
+    # the one table has no site 0 to read
+    with pytest.raises(RejectedInput, match="positive"):
+        asymptotic_match(3, 1, [0, 4, 6, 8], 3, ztable=ztable)
+
+
+@pytest.mark.parametrize("nu, G, T", [(2, 1, 6), (2, 2, 6), (3, 1, 4), (3, 1, 6), (4, 1, 3), (4, 1, 6)])
+def test_asymptotic_match_one_table_equals_per_site_tables(monkeypatch, nu, G, T):
+    """The fit reads every site from one table at g_s = 1 through the
+    scaling law; a table holding each site's own table at g_s = 1/n, read
+    back through the same law, gives the same report."""
+    from mapgenus import lattice_oracle
+    from mapgenus.continuum_even import build_ztable
+
+    ztable = build_ztable(nu, G, max(T + 2, 8))
+    sites = list(range(4, 4 + max(2, (nu - 1) * T // 2 - G + 1)))
+    build = lattice_oracle.recurrence_table
+    calls = []
+
+    def counted(spec, n_max, T):
+        calls.append((spec.g_s, n_max))
+        return build(spec, n_max, T)
+
+    monkeypatch.setattr(lattice_oracle, "recurrence_table", counted)
+    report = asymptotic_match(nu, G, sites, T, ztable=ztable)
+    assert report["status"] == "pass" and calls == [(1, sites[-1])]
+
+    def per_site(spec, n_max, T):
+        b2 = {}
+        for n in sites:
+            own = build(WeightSpec(nu=nu, g_s=Q(1, n)), n, T).b2[n]
+            b2[n] = BiSeries(T, {(0, k): own.coeff(0, k) * n ** (1 + (nu - 1) * k) for k in range(T + 1)})
+        return RecurrenceTable(spec, n_max, T, b2, {}, {})
+
+    monkeypatch.setattr(lattice_oracle, "recurrence_table", per_site)
+    assert asymptotic_match(nu, G, sites, T, ztable=ztable) == report
+
+
+@pytest.mark.parametrize("nu, with_t1", [(1, False), (2, True), (3, True), (4, False)])
+def test_verify_lattice_walks_each_row_once(monkeypatch, nu, with_t1):
+    """verify lattice walks L^(2nu) once from each row n and n+1 of every
+    site, and its string check reads (L^(2nu-1))_(r,r-1) from the same walk,
+    one step before its end: one walk per row, where a walk per check took
+    two."""
+    from mapgenus import lattice_oracle
+
+    walk = lattice_oracle.operator_power_row
+    walks = []
+
+    def counted(table, r, j):
+        walks.append((r, j))
+        return walk(table, r, j)
+
+    monkeypatch.setattr(lattice_oracle, "operator_power_row", counted)
+    nmax = 4
+    assert payload_verify_lattice(nu, nmax, 3, with_t1)["status"] == "pass"
+    # the table has n_max = nmax + nu + 1, so sites 1 .. nmax + 1
+    assert sorted(walks) == [(r, 2 * nu) for r in range(1, nmax + 3)]
+
