@@ -363,15 +363,16 @@ def payload_report(nu: int) -> dict:
     """One standard verification sweep: every identity tag with its status."""
     from . import fatgraph_oracle
     from .continuum_odd import payload_trivalent, payload_verify_odd
-    from .lattice_oracle import asymptotic_match, payload_verify_lattice
+    from .lattice_oracle import asymptotic_match, fit_sites, payload_verify_lattice
 
+    sites = fit_sites(nu, 1, [4, 6, 8, 10], 3)  # before the sweep: a valence may leave no surplus site
     out = []
     out.extend(payload_verify_lattice(nu, 6, 4, True)["identities"])
     out.extend(payload_verify_continuum(nu, 2, None)["identities"])
     out.extend(payload_verify_odd(max(nu - 1, 1), 8)["identities"])
     tri = payload_trivalent(4)
     out.append({"tag": tri["identity"], "status": tri["status"]})
-    match = asymptotic_match(nu, 1, [4, 6, 8, 10], 3)
+    match = asymptotic_match(nu, 1, sites, 3)
     out.append({"tag": match["equation"], "status": match["status"]})
     counts = fatgraph_oracle.kappa_counts(4, 2)
     out.append(

@@ -33,7 +33,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, prod
+from itertools import groupby
+from math import comb, factorial, prod
+from math import lcm as _int_lcm
 
 from .combinatorics import LatticePolynomial, c_valence, higher_catalan, lattice_equation_exprs, painleve_a
 from .errors import RejectedInput, ResonanceFailure, VerificationFailure
@@ -223,11 +225,16 @@ def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]
 # Substituting the two-scale expansion b2_{n+k} = sum_{h,j} n^(-2h-j)
 # (k^j / j!) dw^j f_h(u, w) into a lattice polynomial and collecting powers
 # of 1/n turns each lattice equation into a tower of exact identities, of
-# which only the top order N is ever read.  It is reached in two steps.
-# Collect: expand every term factor by factor over the jet symbols
-# (h, j) = dw^j f_h into a jet polynomial with exact coefficients; the
-# lattice difference cancels most monomials here, before any jet is
-# touched.  Evaluate: multiply out the surviving monomials at w = 1 in the
+# which only the top order N is ever read.  It is reached in three steps.
+# Sum over j: the weight k^j of a jet does not depend on its genus h, so
+# each term c prod_i b2_{n+kappa_i} expands over the derivative orders alone
+# into sorted j-tuples lambda, N - |lambda| even and >= 0, at c m_lambda(kappa);
+# terms that differ only in their last offset share the walk, and all terms
+# of one t-degree meet in one sum per lambda.  Label: each lambda with a
+# nonzero sum takes every choice of genus labels h <= gmax with sum 2h =
+# N - |lambda|, the r_j slots of one j a multiset of labels weighted r_j! /
+# prod_h a_(h,j)!, which gives the jet polynomial over the symbols
+# (h, j) = dw^j f_h.  Evaluate: multiply out its monomials at w = 1 in the
 # D ring, in Horner form.  Every jet is one Laurent polynomial in D (the
 # graded chain of its lift, ``ZTable.jet``); a shared prefix symbol is one
 # ring product with the level below, and a last symbol enters its level
@@ -235,28 +242,46 @@ def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]
 # less its order, so the weight check reads the collected keys alone.
 
 
-def _collect(factors, coeff, N: int, out: dict) -> None:
-    """Add the order-N part of coeff * prod(factors) to the jet polynomial
-    `out` (sorted symbol tuple -> coefficient).
+def _sum_over_j(node: dict, partial: dict, N: int, out: dict) -> None:
+    """Extend each sorted j-tuple of ``partial`` by one j per offset kappa of
+    the trie ``node``, weighted kappa^j, into ``out``.  A None entry holds
+    the summed weights of the last factors of the terms that end there; a
+    last factor reads only the j that leave N - |lambda| even and >= 0."""
+    for kappa, child in node.items():
+        last = kappa is None
+        weights, grown = (child, out) if last else ([kappa ** j for j in range(N + 1)], {})
+        for lam, c in partial.items():
+            room = N - sum(lam)
+            for j in range(room % 2, room + 1, 2) if last else range(room + 1):
+                key = tuple(sorted(lam + (j,)))
+                grown[key] = grown.get(key, 0) + c * weights[j]
+        if not last:
+            _sum_over_j(child, grown, N, out)
 
-    Each factor is a list of (order, symbol, weight) options in ascending
-    order; a monomial's order is the sum of its symbols' orders."""
-    partial = {(0, ()): coeff}
-    last = len(factors) - 1
-    for i, options in enumerate(factors):
-        grown: dict = {}
-        for (d, mono), c in partial.items():
-            for e, sym, weight in options:
-                if d + e > N:
-                    break
-                if i == last and d + e != N:
-                    continue
-                key = (d + e, tuple(sorted(mono + (sym,))))
-                grown[key] = grown.get(key, 0) + c * weight
-        partial = grown
-    for (d, mono), c in partial.items():
-        if d == N:
-            out[mono] = out.get(mono, 0) + c
+
+@cache
+def _labellings(r: int, s: int, hmax: int) -> tuple:
+    """The multisets of r genus labels 0 <= h <= hmax that sum to s, each as
+    (its labels in ascending order, its arrangements r! / prod_h a_h!)."""
+    if hmax == 0:
+        return (((0,) * r, 1),) if s == 0 else ()
+    return tuple((rest + (hmax,) * a, comb(r, a) * w) for a in range(min(r, s // hmax) + 1)
+                 for rest, w in _labellings(r - a, s - a * hmax, hmax - 1))
+
+
+def _label(lam: tuple, coeff, H: int, hmax: int, out: dict) -> None:
+    """Add coeff times every labelling of the sorted j-tuple ``lam`` by genera
+    h <= hmax that sum to H to the jet polynomial ``out`` (sorted symbol
+    tuple -> coefficient)."""
+    groups = [(j, len(list(run))) for j, run in groupby(lam)]
+    parts = [((), coeff, H)]
+    for i, (j, r) in enumerate(groups, 1 - len(groups)):  # i == 0: the last group takes what is left
+        parts = [(mono + tuple((h, j) for h in hs), c * w, left - s) for mono, c, left in parts
+                 for s in (range(min(left, r * hmax) + 1) if i else (left,)) for hs, w in _labellings(r, s, hmax)]
+    for mono, c, left in parts:
+        if not left:
+            key = tuple(sorted(mono))
+            out[key] = out.get(key, 0) + c
 
 
 def _ring_value(poly: dict, ztable: "ZTable") -> DLaurent:
@@ -287,6 +312,34 @@ def _trie_value(node: dict, ztable: "ZTable") -> DLaurent:
     return DLaurent.combination(ztable.nu, terms)
 
 
+def _jet_polynomials(expr: LatticePolynomial, nu: int, gmax: int, N: int) -> dict:
+    """The order-N (N >= 1) jet polynomial of each t-degree k of a lattice
+    polynomial over the genera 0 .. gmax, with its 1/prod j! and (-2 nu)^k
+    (t = -2 nu u) applied once per lambda: k -> (den, terms), the polynomial
+    being the integer terms over den."""
+    tries: dict[int, dict] = {}
+    for (t_deg, b_off, a_off), coeff in expr.terms.items():
+        if a_off:
+            raise RejectedInput("even-valence expansion does not carry a[] offsets")
+        node = tries.setdefault(t_deg, {})
+        for kappa in b_off[:-1]:
+            node = node.setdefault(kappa, {})
+        if b_off:  # a term without factors has order 0 alone
+            c = coeff.numerator if coeff.denominator == 1 else coeff
+            node[None] = [x + c * b_off[-1] ** j for j, x in enumerate(node.get(None, [0] * (N + 1)))]
+    live = {}
+    for t_deg, node in tries.items():
+        lams, terms, scale = {}, {}, (-2 * nu) ** t_deg
+        _sum_over_j(node, {(): 1}, N, lams)
+        qs = {lam: Q(s * scale, prod(map(factorial, lam))) for lam, s in lams.items() if s}
+        den = _int_lcm(*(q.denominator for q in qs.values()))
+        for lam, q in qs.items():
+            _label(lam, q.numerator * (den // q.denominator), (N - sum(lam)) // 2, min(N // 2, gmax), terms)
+        if terms:
+            live[t_deg] = den, terms
+    return live
+
+
 def expand_lattice_polynomial(expr: LatticePolynomial, ztable: "ZTable", gmax: int, N: int):
     """Order-N (in 1/n) collection of a lattice polynomial under the
     two-scale substitution over the genera 0 .. gmax of the table, at
@@ -298,35 +351,15 @@ def expand_lattice_polynomial(expr: LatticePolynomial, ztable: "ZTable", gmax: i
     lowers the weight by k (nu - 1), so the degrees are put over z0^(K nu),
     K the top degree, and divided by it exactly once."""
     nu = ztable.nu
-    sites: dict[int, list] = {}
-    groups: dict[int, dict] = {}
-    for (t_deg, b_off, a_off), coeff in expr.terms.items():
-        if a_off:
-            raise RejectedInput("even-valence expansion does not carry a[] offsets")
-        factors = []
-        for kappa in b_off:
-            if kappa not in sites:
-                sites[kappa] = sorted(
-                    (2 * h + j, (h, j), kappa ** j)
-                    for h in range(min(N // 2, gmax) + 1)
-                    for j in range(N - 2 * h + 1)
-                )
-            factors.append(sites[kappa])
-        c = coeff.numerator if coeff.denominator == 1 else coeff
-        _collect(factors, c, N, groups.setdefault(t_deg, {}))
-    live = {}
-    for t_deg, poly in groups.items():
-        scale = (-2 * nu) ** t_deg
-        terms = {mono: Q(c * scale, prod(factorial(j) for _h, j in mono)) for mono, c in poly.items() if c}
-        if terms:
-            live[t_deg] = terms
-    weights = {len(mono) - N - t_deg * (nu - 1) for t_deg, terms in live.items() for mono in terms}
+    live = _jet_polynomials(expr, nu, gmax, N)
+    weights = {len(mono) - N - t_deg * (nu - 1) for t_deg, (_, terms) in live.items() for mono in terms}
     if not weights:
         return None
     if len(weights) > 1:
         raise RejectedInput("weight mismatch in the order-%d collection: %s" % (N, sorted(weights)))
     K, z, c = max(live), DLaurent.z(nu), c_valence(nu)
-    parts = [(Q(1, c ** k), _ring_value(terms, ztable) * (z - 1) ** k * z ** ((K - k) * nu)) for k, terms in live.items()]
+    parts = [(Q(1, c ** k * den), _ring_value(terms, ztable) * (z - 1) ** k * z ** ((K - k) * nu))
+             for k, (den, terms) in live.items()]
     try:
         return weights.pop(), DLaurent.combination(nu, parts).div_z(K * nu)
     except RejectedInput:
@@ -473,19 +506,13 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     (``LogRational.du``) equals the collected jet terms.
 
     Jet symbol dw^j f expands to sum_h n^(-2h) dw^j f_h, and the genus-h
-    right-hand side enters at order 2h."""
-    N = 2 * g
+    right-hand side enters at order 2h: its jets fix each term's j-tuple,
+    which takes genus labels summing to g - h (``_label``)."""
     poly: dict = {}
     for h in range(g + 1):
-        M = N - 2 * h
-        symbols: dict[int, list] = {}
         for (fpow, jets), coeff in ztable.toda(h).terms.items():
-            factors = []
-            for j, r in ((0, fpow),) + jets:
-                if j not in symbols:
-                    symbols[j] = [(2 * k, (k, j), 1) for k in range(min(M // 2, g) + 1)]
-                factors += [symbols[j]] * r
-            _collect(factors, coeff, M, poly)
+            lam = (0,) * fpow + tuple(j for j, r in jets for _ in range(r))
+            _label(lam, coeff, g - h, g - h, poly)
     lhs = LogRational(nu, ztable.jet(g, 0)).du().rat
     if lhs != _ring_value(poly, ztable):
         raise VerificationFailure("continuum hierarchy fails at nu=%d, g=%d" % (nu, g))

@@ -501,7 +501,13 @@ def verify_hirota(table: RecurrenceTable) -> dict:
     """Check the tau-function product identity and (with t1) its
     log-derivative forms a_n = -g_s d/dt1 log(tau2_{n+1}/tau2_n) and
     b2_n = g_s^2 d^2/dt1^2 log tau2_n, plus the centered-second-difference
-    identity for log tau2."""
+    identity for log tau2.
+
+    The product and second-difference checks hold by the table's own
+    construction: tau2_{n+1} = prod_{k<=n} h_k / h_k(0), b2_k = h_k /
+    h_{k-1}, and b2_k(0) = k g_s is asserted at build.  So they test only
+    the BiSeries products, division and log; the t1 log-derivative forms
+    are the independent part."""
     spec = table.spec
     sites = []
     # log tau2[m] and its t1-derivative, each taken once per call from the
@@ -538,6 +544,22 @@ def verify_hirota(table: RecurrenceTable) -> dict:
 # matching the finite-n tables against the continuum coefficients
 # ---------------------------------------------------------------------------
 
+def fit_sites(nu: int, G: int, n_range, T: int) -> list[int]:
+    """The sites of ``asymptotic_match``'s fit, as a list, once they are
+    checked to be positive, strictly increasing and at least two, and one
+    more than the genera G+1 .. (nu-1)T/2 that the fit solves for.  It
+    builds nothing, so a caller can reject its sites before any table."""
+    n_range = list(n_range)
+    if len(n_range) < 2 or n_range[0] < 1 or any(b <= a for a, b in zip(n_range, n_range[1:])):
+        raise RejectedInput("n_range must be positive, strictly increasing, with >= 2 entries")
+    if len(n_range) <= (nu - 1) * T // 2 - G:
+        raise RejectedInput(
+            "n_range leaves no surplus site for the genus %d..%d fit at t-order %d"
+            % (G + 1, (nu - 1) * T // 2, T)
+        )
+    return n_range
+
+
 def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     """Compare b2_n, tabulated at g_s = 1/n, against the genus expansion
     through genus G.  One table at g_s = 1 serves every site, through the
@@ -556,16 +578,9 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
     from . import continuum_even
     from .exact_kernel import solve_linear
 
+    n_range = fit_sites(nu, G, n_range, T)
     if ztable is None:
         ztable = continuum_even.build_ztable(nu, G, max(T + 2, 8))
-    n_range = list(n_range)
-    if len(n_range) < 2 or n_range[0] < 1 or any(b <= a for a, b in zip(n_range, n_range[1:])):
-        raise RejectedInput("n_range must be positive, strictly increasing, with >= 2 entries")
-    if len(n_range) <= (nu - 1) * T // 2 - G:
-        raise RejectedInput(
-            "n_range leaves no surplus site for the genus %d..%d fit at t-order %d"
-            % (G + 1, (nu - 1) * T // 2, T)
-        )
     # genus-side targets: z_g(u) with u = -t / (2 nu)
     scale = Fraction(-1, 2 * nu)
     zeta = {}

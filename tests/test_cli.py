@@ -145,6 +145,39 @@ def test_report_failed_entry_fails_document(monkeypatch, capsys):
     assert {"tag": "matching_tally", "status": "fail"} in doc["identities"]
 
 
+def test_report_rejects_its_fit_sites_before_any_engine_work(monkeypatch, capsys):
+    # from nu = 5 on, the genus-1 match at t-order 3 has no surplus site
+    # among [4, 6, 8, 10]: that usage error comes before any table, z-table
+    # or matching is built, and nu = 0 and 1 keep their own first errors
+    from mapgenus import checks, continuum_even, fatgraph_oracle, lattice_oracle
+
+    def engine(*args, **kwargs):
+        raise AssertionError("engine work before the fit sites were checked")
+
+    for module, name in (
+        (lattice_oracle, "recurrence_table"),
+        (continuum_even, "build_ztable"),
+        (checks, "build_ztable"),
+        (fatgraph_oracle, "kappa_counts"),
+    ):
+        monkeypatch.setattr(module, name, engine)
+    for nu in ("5", "8"):
+        code, out, err = run(capsys, "--no-cache", "report", "--nu", nu)
+        assert (code, out) == (2, "")
+        assert err == "usage error: n_range leaves no surplus site for the genus 2..%d fit at t-order 3\n" % (
+            3 * (int(nu) - 1) // 2
+        )
+    with pytest.raises(errors.RejectedInput, match="no surplus site"):
+        lattice_oracle.asymptotic_match(3, 1, [4, 6], 3)
+    assert run(capsys, "--no-cache", "report", "--nu", "0") == (2, "", "usage error: valence parameter must be >= 1\n")
+    monkeypatch.undo()
+    assert run(capsys, "--no-cache", "report", "--nu", "1") == (
+        2,
+        "",
+        "usage error: closed forms need nu >= 2 (nu = 1 has no higher genus)\n",
+    )
+
+
 def test_verify_lattice_failed_identity_fails_document(monkeypatch, capsys):
     # a failed Hirota report must print a "fail" document and exit 1
     from mapgenus import lattice_oracle

@@ -14,7 +14,7 @@ from mapgenus.checks import (
 from mapgenus.combinatorics import LatticePolynomial, c_valence, lattice_equation_exprs, painleve_a
 from mapgenus.continuum_even import (
     LogRational,
-    _collect,
+    _jet_polynomials,
     build_ztable,
     catalan_data,
     expand_lattice_polynomial,
@@ -522,10 +522,34 @@ def integrate_w(g):
     return GradedSeries(g.var, out, g.base2 + 2, g.step2)
 
 
-def series_collection(expr, family, gmax, N):
-    """The order-N string collection of the engine's jet polynomial,
-    evaluated per power of t on graded-series jets in Horner form."""
-    nu = family.nu
+def _collect(factors, coeff, N, out):
+    """Add the order-N part of coeff * prod(factors) to the jet polynomial
+    `out` (sorted symbol tuple -> coefficient), one symbol at a time.
+
+    Each factor is a list of (order, symbol, weight) options in ascending
+    order; a monomial's order is the sum of its symbols' orders."""
+    partial = {(0, ()): coeff}
+    last = len(factors) - 1
+    for i, options in enumerate(factors):
+        grown = {}
+        for (d, mono), c in partial.items():
+            for e, sym, weight in options:
+                if d + e > N:
+                    break
+                if i == last and d + e != N:
+                    continue
+                key = (d + e, tuple(sorted(mono + (sym,))))
+                grown[key] = grown.get(key, 0) + c * weight
+        partial = grown
+    for (d, mono), c in partial.items():
+        if d == N:
+            out[mono] = out.get(mono, 0) + c
+
+
+def reference_jet_polynomials(expr, nu, gmax, N):
+    """The order-N jet polynomial of each t-degree, expanded over the jet
+    symbols (h, j) one at a time and scaled per monomial by
+    (-2 nu)^t / prod j!: t -> {monomial: Fraction}, zeros dropped."""
     groups = {}
     for (t_deg, b_off, _), coeff in expr.terms.items():
         factors = [
@@ -533,10 +557,40 @@ def series_collection(expr, family, gmax, N):
             for kappa in b_off
         ]
         _collect(factors, coeff, N, groups.setdefault(t_deg, {}))
-    total = None
+    out = {}
     for t_deg, poly in groups.items():
-        scaled = {mono: c * (-2 * nu) ** t_deg / prod(factorial(j) for _, j in mono) for mono, c in poly.items()}
-        part = series_evaluate(scaled, family)
+        terms = {mono: c * Q(-2 * nu) ** t_deg / prod(factorial(j) for _, j in mono) for mono, c in poly.items() if c}
+        if terms:
+            out[t_deg] = terms
+    return out
+
+
+def reference_toda_polynomial(table, g):
+    """The jet polynomial ``verify_continuum_toda`` evaluates, expanded one
+    symbol at a time: the genus-h jet at order 2g - 2h over the symbols
+    (k, j), k <= g."""
+    poly = {}
+    for h in range(g + 1):
+        M = 2 * (g - h)
+        for (fpow, jets), coeff in table.toda(h).terms.items():
+            factors = []
+            for j, r in ((0, fpow),) + jets:
+                factors += [[(2 * k, (k, j), 1) for k in range(min(M // 2, g) + 1)]] * r
+            _collect(factors, coeff, M, poly)
+    return {mono: c for mono, c in poly.items() if c}
+
+
+def as_fractions(live):
+    """``_jet_polynomials``' (den, integer terms) per t-degree as Fractions."""
+    return {t_deg: {mono: Q(c, den) for mono, c in terms.items()} for t_deg, (den, terms) in live.items()}
+
+
+def series_collection(expr, family, gmax, N):
+    """The order-N string collection of the reference jet polynomial,
+    evaluated per power of t on graded-series jets in Horner form."""
+    total = None
+    for t_deg, poly in reference_jet_polynomials(expr, family.nu, gmax, N).items():
+        part = series_evaluate(poly, family)
         if part is not None:
             part = part.xmul(t_deg)
             total = part if total is None else total + part
@@ -604,3 +658,81 @@ def test_corrupted_top_coefficient_fails_the_painleve_check(monkeypatch):
     for nu in (2, 3):
         with pytest.raises(VerificationFailure, match="Painleve I"):
             build_ztable(nu, 1)
+
+
+# -- the two-stage collection against the symbol-by-symbol reference -----------
+
+
+def random_lattice_polynomial(rng):
+    """A few random terms over offsets -3 .. 3, t-degrees 0 .. 2 and
+    rational coefficients, often taken as a lattice difference p - p.shift(1),
+    which cancels most of the expansion."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        offsets = tuple(sorted(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))))
+        terms.append(((rng.randint(0, 2), offsets, ()), Q(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 8)))))
+    p = LatticePolynomial(terms)
+    return p - p.shift(1) if rng.random() < 0.5 else p
+
+
+def test_two_stage_collect_matches_the_symbol_reference_randomized():
+    import random
+
+    rng = random.Random(31)
+    for _ in range(300):
+        expr = random_lattice_polynomial(rng)
+        nu, gmax, N = rng.randint(2, 4), rng.randint(0, 4), rng.randint(1, 9)
+        assert as_fractions(_jet_polynomials(expr, nu, gmax, N)) == reference_jet_polynomials(expr, nu, gmax, N)
+
+
+def test_two_stage_collect_matches_the_reference_on_every_string_expression():
+    for nu in (2, 3, 4):
+        expr = lattice_equation_exprs(nu, "string")
+        for g in range(1, 5):
+            got = as_fractions(_jet_polynomials(expr, nu, g - 1, 2 * g + 1))
+            assert got == reference_jet_polynomials(expr, nu, g - 1, 2 * g + 1), (nu, g)
+
+
+def test_hierarchy_collect_matches_the_reference(monkeypatch):
+    from mapgenus import continuum_even
+
+    seen = []
+    evaluate = continuum_even._ring_value
+    monkeypatch.setattr(continuum_even, "_ring_value", lambda poly, tab: seen.append(dict(poly)) or evaluate(poly, tab))
+    for nu, g_max in ((2, 4), (3, 3), (4, 3)):
+        table = build_ztable(nu, g_max)
+        for g in range(1, g_max + 1):
+            verify_continuum_toda(nu, g, table)
+            assert seen.pop() == reference_toda_polynomial(table, g), (nu, g)
+
+
+@pytest.mark.skipif(
+    "MAPGENUS_SLOW" not in __import__("os").environ,
+    reason="the symbol-by-symbol reference takes seconds at nu = 6, g = 6; set MAPGENUS_SLOW=1",
+)
+def test_two_stage_collect_matches_the_reference_at_nu6():
+    expr = lattice_equation_exprs(6, "string")
+    for g in range(1, 7):
+        assert as_fractions(_jet_polynomials(expr, 6, g - 1, 2 * g + 1)) == reference_jet_polynomials(expr, 6, g - 1, 2 * g + 1)
+
+
+def test_two_stage_collect_work_is_pinned(monkeypatch):
+    # the nu = 6, N = 13 collection of the string equation: its stage-1
+    # j-tuples, every sorted key it builds (one per stage-1 update and one
+    # per labelled monomial) and the monomials it yields; the symbol-by-
+    # symbol reference sorts 2,389,434 keys for the same 966 monomials
+    from mapgenus import continuum_even
+
+    tables, sorts = {}, []
+    walk = continuum_even._sum_over_j
+
+    def recording(node, partial, N, out):
+        tables[id(out)] = out
+        walk(node, partial, N, out)
+
+    monkeypatch.setattr(continuum_even, "_sum_over_j", recording)
+    monkeypatch.setattr(continuum_even, "sorted", lambda xs: sorts.append(1) or sorted(xs), raising=False)
+    live = _jet_polynomials(lattice_equation_exprs(6, "string"), 6, 5, 13)
+    assert sum(map(len, tables.values())) == 173
+    assert len(sorts) == 128_778
+    assert sum(len(terms) for _, terms in live.values()) == 966

@@ -159,20 +159,23 @@ def test_transfer_rows_match_path_sums():
 
 def test_transfer_work_bound(monkeypatch):
     """string + toda on the table of `verify lattice --nu 3 --nmax 8
-    --torder 5 --with-t1` take at most 1,500 series products (684 by
-    transfer); multiplying out every Motzkin walk takes 9,351."""
+    --torder 5 --with-t1`, reading the rows of one ``_power_rows`` walk as
+    the payload does, pass 407 series products to ``_fused``; a walk per
+    kind passes 795, so a second walk breaks the bound of 500."""
+    from mapgenus import lattice_oracle
+
     table = recurrence_table(WeightSpec(nu=3, g_s=Q(1, 8), include_t1=True), n_max=12, T=5)
-    calls = []
-    mul = BiSeries.__mul__
+    products = []
 
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counted(T, plains, prods=()):
+        products.append(len(prods))
+        return _fused(T, plains, prods)
 
-    monkeypatch.setattr(BiSeries, "__mul__", counted)
+    monkeypatch.setattr(lattice_oracle, "_fused", counted)
+    rows = lattice_oracle._power_rows(table)
     for kind in ("string", "toda"):
-        assert verify_lattice_equations(table, kind)["status"] == "pass"
-    assert len(calls) <= 1500
+        assert verify_lattice_equations(table, kind, rows)["status"] == "pass"
+    assert sum(products) <= 500
 
 
 def test_failure_reports_lowest_total_order():
