@@ -5,18 +5,28 @@ It holds the planar functional equation, the hodograph solution of the
 leading transport equation, the jet-form continuum hierarchy (whose
 genus-h jets ``continuum_even.verify_continuum_toda`` evaluates on the
 solved family) and the spatially exact antiderivative of the string-side
-jets, together with the partitions, boxed strict partitions and monomial
-symmetric values behind their staircase-box coefficients.  No other
-command runs them, so only these two commands compile them.
+jets, together with their staircase-box coefficients: the d_lambda of a
+box come from one stage-1 collection over its points (the collector that
+expands the lattice equations), with no list of partitions or
+permutations.  No other command runs them, so only these two commands
+compile them.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cache
 from math import factorial, prod
 
 from .combinatorics import Terms
-from .continuum_even import CatalanData, build_ztable, catalan_data, require_positive, verify_continuum_toda, ztable_order
+from .continuum_even import (
+    CatalanData,
+    build_ztable,
+    catalan_data,
+    monomial_sums,
+    require_higher_genus,
+    require_positive,
+    verify_continuum_toda,
+    ztable_order,
+)
 from .errors import RejectedInput, VerificationFailure, status_of
 from .exact_kernel import GradedSeries, Q
 
@@ -24,39 +34,8 @@ Partition = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# partitions and the staircase-box coefficients
+# the staircase boxes and their coefficients
 # ---------------------------------------------------------------------------
-
-
-def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
-    """All partitions of n (weakly decreasing tuples), descending-lex sorted.
-
-    n = 0 yields the empty partition; max_len bounds the number of parts.
-    """
-    if n < 0:
-        raise RejectedInput("cannot partition a negative integer")
-    out: list[Partition] = []
-
-    def rec(rest, largest, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        if max_len is not None and len(acc) == max_len:
-            return
-        for part in range(min(rest, largest), 0, -1):
-            acc.append(part)
-            rec(rest - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
-def multiplicities(lam: Partition) -> dict[int, int]:
-    r: dict[int, int] = {}
-    for part in lam:
-        r[part] = r.get(part, 0) + 1
-    return r
 
 
 def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partition]:
@@ -86,78 +65,37 @@ def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partiti
     return out
 
 
-@cache
-def _distinct_permutations(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Distinct permutations of a multiset of small length, built once each."""
-    items = tuple(sorted(items, reverse=True))
-    n = len(items)
-    out = []
-
-    def rec(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        seen = set()
-        for i, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            rec(remaining[:i] + remaining[i + 1 :], acc + [v])
-
-    rec(list(items), [])
-    return tuple(out)
-
-
-def monomial_sym_eval(lam: Partition, xs) -> Fraction:
-    """Value of the monomial symmetric polynomial m_lam at the point xs.
-
-    Zero by convention when lam has more parts than xs has entries; 0**0
-    counts as 1 when padded zero exponents meet zero entries.
-    """
-    if len(lam) > len(xs):
-        return Q(0)
-    exps = tuple(lam) + (0,) * (len(xs) - len(lam))
-    # integer points (as d_coeff passes) stay in int arithmetic throughout
-    total = 0
-    for perm in _distinct_permutations(exps):
-        term = 1
-        for x, e in zip(xs, perm):
-            if e:
-                term *= x ** e
-            # e == 0 contributes a factor 1 even when x == 0
-        total += term
-    return Q(total)
-
-
-def d_coeff(nu: int, lam: Partition, variant: str) -> Fraction:
-    """Hierarchy coefficient for one partition: a doubled sum of monomial
-    symmetric values over strict partitions in a staircase box.
+def box_points(nu: int, variant: str) -> list[tuple[int, ...]]:
+    """The points x = mu - eta of a staircase box, one per strict partition
+    mu in it.
 
     variant "toda": nu+1 slots, box (nu+1,...,1) .. (2nu,...,nu), reference
-    staircase (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
+    staircase eta = (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
     (nu,...,1) .. (2nu-1,...,nu), reference (2nu-1, 2nu-3, ..., 1).
     """
-    size = sum(lam)
-    if size % 2 == 0:
-        raise RejectedInput("partition size must be odd (2g+1)")
     if variant == "toda":
-        slots = nu + 1
-        eta = tuple(2 * nu - 2 * i for i in range(slots))
+        eta = range(2 * nu, -1, -2)
         lower = tuple(range(nu + 1, 0, -1))
         upper = tuple(range(2 * nu, nu - 1, -1))
     elif variant == "string":
-        slots = nu
-        eta = tuple(2 * nu - 1 - 2 * i for i in range(slots))
+        eta = range(2 * nu - 1, 0, -2)
         lower = tuple(range(nu, 0, -1))
         upper = tuple(range(2 * nu - 1, nu - 1, -1))
     else:
         raise RejectedInput("variant must be 'toda' or 'string'")
-    if len(lam) > slots:
-        raise RejectedInput("partition longer than the slot count %d" % slots)
-    total = Q(0)
-    for mu in strict_partitions_in_box(lower, upper):
-        total += 2 * monomial_sym_eval(lam, [mu[i] - eta[i] for i in range(slots)])
-    return total
+    return [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+
+
+def box_coefficients(nu: int, size: int, variant: str) -> dict[tuple[int, ...], int]:
+    """The hierarchy coefficients d_lambda = 2 sum_x m_lambda(x) over the box
+    points x of the variant, for every partition lambda of the odd ``size``
+    whose sum is nonzero, from one stage-1 collection over the points
+    (``monomial_sums``).  Each key is lambda in ascending order, padded with
+    zeros to the slot count; m_lambda counts 0**0 as 1."""
+    if size % 2 == 0:
+        raise RejectedInput("partition size must be odd (2g+1)")
+    sums = monomial_sums(((x, 1) for x in box_points(nu, variant)), size)
+    return {lam: 2 * s for lam, s in sums.items() if s and sum(lam) == size}
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +183,12 @@ def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
     """Sum over the partitions lambda of 2g+1 with at most `slots` parts
     (nu+1 for "toda", nu for "string") of the jet monomial f^(slots-len)
     prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
-    of the variant and no repeated-part division."""
-    slots = nu + 1 if variant == "toda" else nu
+    of the variant and no repeated-part division.  The padded keys of
+    ``box_coefficients`` give lambda, and their zeros the bare f factors."""
     parts = []
-    for lam in partitions_of(2 * g + 1, max_len=slots):
-        mult = multiplicities(lam)
-        denom = prod(factorial(j) ** r for j, r in mult.items())
-        parts.append(JetExpression.monomial(d_coeff(nu, lam, variant) / denom, slots - len(lam), mult))
+    for lam, d in box_coefficients(nu, 2 * g + 1, variant).items():
+        jets = Counter(lam)
+        parts.append(JetExpression.monomial(Q(d, prod(map(factorial, lam))), jets.pop(0, 0), jets))
     return JetExpression.sum(parts)
 
 
@@ -259,7 +196,7 @@ def toda_jet(nu: int, g: int) -> JetExpression:
     """Genus-g right-hand side of the continuum coupling-flow hierarchy: the
     partition sum of 2g+1 over nu+1 slots.
 
-    The box sum uses classical monomial symmetric values, and the
+    The box sums are classical monomial symmetric values, and the
     finite-size oracle pins this pairing exactly (a repeated-part division
     would fail it at every nu >= 3)."""
     if g < 0:
@@ -296,10 +233,7 @@ def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], t
     if g < 1:
         raise RejectedInput("string jets start at genus 1")
     F = _partition_jet(nu, g, "string")
-    eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
-    lower = tuple(range(nu, 0, -1))
-    upper = tuple(range(2 * nu - 1, nu - 1, -1))
-    points = [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+    points = box_points(nu, "string")
     antiderivative = {}
     for comp in _compositions(2 * g, nu):
         sums = [0] * nu
@@ -323,7 +257,7 @@ def verify_string_antiderivative(nu: int, g: int) -> dict:
     for comp, sums in antiderivative.items():
         for i, w in enumerate(sums):
             if w:
-                jets = multiplicities(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
+                jets = Counter(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
                 # order 0 counts the bare f factors
                 pairs.append((JetExpression.key(jets.pop(0, 0), jets), w))
     if JetExpression(pairs) != F:
@@ -361,6 +295,8 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
 
 def payload_report(nu: int) -> dict:
     """One standard verification sweep: every identity tag with its status."""
+    if nu >= 1:  # before the sweep; a valence below 1 keeps the lattice table's error
+        require_higher_genus(nu)
     from . import fatgraph_oracle
     from .continuum_odd import payload_trivalent, payload_verify_odd
     from .lattice_oracle import asymptotic_match, fit_sites, payload_verify_lattice

@@ -67,6 +67,25 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
+def _drop_stale_entries(cache_dir: str, source: bytes) -> None:
+    """Remove each ``.entry`` file of the cache directory whose key line
+    names a source digest other than ``source``; a file that cannot be
+    read, or whose first line names no source, stays."""
+    try:
+        names = [name for name in os.listdir(cache_dir) if name.endswith(".entry")]
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(cache_dir, name)
+        try:
+            with open(path, "rb") as fh:
+                _, sep, digest = fh.readline().rstrip(b"\n").rpartition(b" | source ")
+            if sep and digest != source:
+                os.unlink(path)
+        except OSError:
+            pass
+
+
 def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=False) -> tuple:
     """Serve the document for a canonical key from the plain-file cache, or
     compute its payload and store the document.
@@ -87,10 +106,13 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
     document is recomputed and overwritten with a warning; an unwritable
     cache directory degrades to compute-only with a warning.
     A document whose ``status`` is ``fail`` is never stored, so it is
-    recomputed and exits 1 on every run."""
+    recomputed and exits 1 on every run.  A successful store removes every
+    entry whose key names another source digest, since no run of this code
+    can hit it again; files it cannot read or parse stay."""
     if no_cache or not cache_dir:
         return producer(), None
-    full_key = ("%s | engine %s | source %s" % (key, __version__, source_digest())).encode()
+    source = source_digest()
+    full_key = ("%s | engine %s | source %s" % (key, __version__, source)).encode()
     name = _blake2b(16, full_key).hexdigest() + ".entry"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
@@ -99,9 +121,11 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
                 stored_key, digest, document = fh.read().split(b"\n", 2)
             if stored_key == full_key and digest == _blake2b(16, document).hexdigest().encode():
                 return None, document.decode()
-        except (ValueError, OSError):
+            print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
+        except FileNotFoundError:  # a store under other sources removed it since
             pass
-        print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
+        except (ValueError, OSError):
+            print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
     payload = producer()
     document = render(payload, "json")
     if payload.get("status") == "fail":
@@ -124,6 +148,8 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
                 os.unlink(tmp)
     except OSError as exc:
         print("cache not writable (%s); skipping store" % exc, file=sys.stderr)
+    else:
+        _drop_stale_entries(cache_dir, source.encode())
     return payload, document
 
 

@@ -230,10 +230,11 @@ def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]
 # each term c prod_i b2_{n+kappa_i} expands over the derivative orders alone
 # into sorted j-tuples lambda, N - |lambda| even and >= 0, at c m_lambda(kappa);
 # terms that differ only in their last offset share the walk, and all terms
-# of one t-degree meet in one sum per lambda.  Label: each lambda with a
-# nonzero sum takes every choice of genus labels h <= gmax with sum 2h =
-# N - |lambda|, the r_j slots of one j a multiset of labels weighted r_j! /
-# prod_h a_(h,j)!, which gives the jet polynomial over the symbols
+# of one t-degree meet in one sum per lambda (``monomial_sums``, which also
+# gives ``checks`` the hierarchy's box coefficients).  Label: each lambda
+# with a nonzero sum takes every choice of genus labels h <= gmax with sum
+# 2h = N - |lambda|, the r_j slots of one j a multiset of labels weighted
+# r_j! / prod_h a_(h,j)!, which gives the jet polynomial over the symbols
 # (h, j) = dw^j f_h.  Evaluate: multiply out its monomials at w = 1 in the
 # D ring, in Horner form.  Every jet is one Laurent polynomial in D (the
 # graded chain of its lift, ``ZTable.jet``); a shared prefix symbol is one
@@ -257,6 +258,23 @@ def _sum_over_j(node: dict, partial: dict, N: int, out: dict) -> None:
                 grown[key] = grown.get(key, 0) + c * weights[j]
         if not last:
             _sum_over_j(child, grown, N, out)
+
+
+def monomial_sums(terms, N: int) -> dict:
+    """Stage 1 over the (offsets, c) pairs ``terms``, each with at least one
+    offset: the sum S_lambda of c m_lambda(offsets) for every sorted j-tuple
+    lambda with one j per offset (zeros included) and N - |lambda| even and
+    >= 0, 0**0 counting as 1.  The offsets but the last go into a trie, and
+    each leaf sums c kappa^j, j = 0..N, over the last offsets that end there."""
+    trie: dict = {}
+    for offsets, c in terms:
+        node = trie
+        for kappa in offsets[:-1]:
+            node = node.setdefault(kappa, {})
+        node[None] = [x + c * offsets[-1] ** j for j, x in enumerate(node.get(None, [0] * (N + 1)))]
+    sums: dict = {}
+    _sum_over_j(trie, {(): 1}, N, sums)
+    return sums
 
 
 @cache
@@ -317,21 +335,16 @@ def _jet_polynomials(expr: LatticePolynomial, nu: int, gmax: int, N: int) -> dic
     polynomial over the genera 0 .. gmax, with its 1/prod j! and (-2 nu)^k
     (t = -2 nu u) applied once per lambda: k -> (den, terms), the polynomial
     being the integer terms over den."""
-    tries: dict[int, dict] = {}
+    by_degree: dict[int, list] = {}
     for (t_deg, b_off, a_off), coeff in expr.terms.items():
         if a_off:
             raise RejectedInput("even-valence expansion does not carry a[] offsets")
-        node = tries.setdefault(t_deg, {})
-        for kappa in b_off[:-1]:
-            node = node.setdefault(kappa, {})
         if b_off:  # a term without factors has order 0 alone
-            c = coeff.numerator if coeff.denominator == 1 else coeff
-            node[None] = [x + c * b_off[-1] ** j for j, x in enumerate(node.get(None, [0] * (N + 1)))]
+            by_degree.setdefault(t_deg, []).append((b_off, coeff.numerator if coeff.denominator == 1 else coeff))
     live = {}
-    for t_deg, node in tries.items():
-        lams, terms, scale = {}, {}, (-2 * nu) ** t_deg
-        _sum_over_j(node, {(): 1}, N, lams)
-        qs = {lam: Q(s * scale, prod(map(factorial, lam))) for lam, s in lams.items() if s}
+    for t_deg, factors in by_degree.items():
+        terms, scale = {}, (-2 * nu) ** t_deg
+        qs = {lam: Q(s * scale, prod(map(factorial, lam))) for lam, s in monomial_sums(factors, N).items() if s}
         den = _int_lcm(*(q.denominator for q in qs.values()))
         for lam, q in qs.items():
             _label(lam, q.numerator * (den // q.denominator), (N - sum(lam)) // 2, min(N // 2, gmax), terms)
@@ -451,8 +464,7 @@ def solve_zg(nu: int, g: int, ztable: ZTable) -> ZEntry:
     """
     if g < 1:
         raise RejectedInput("solve_zg starts at genus 1")
-    if nu < 2:
-        raise RejectedInput("closed forms need nu >= 2 (nu = 1 has no higher genus)")
+    require_higher_genus(nu)
     for k in range(1, g):
         if k not in ztable.entries:
             raise RejectedInput("lower-genus entries missing; build sequentially")
@@ -529,6 +541,13 @@ def require_positive(option: str, value: int | None) -> None:
     option left at its default) passes."""
     if value is not None and value < 1:
         raise RejectedInput("%s must be >= 1" % option)
+
+
+def require_higher_genus(nu: int) -> None:
+    """Reject a valence below 2, which has no closed form z_g: nu = 1 has
+    no higher genus."""
+    if nu < 2:
+        raise RejectedInput("closed forms need nu >= 2 (nu = 1 has no higher genus)")
 
 
 def payload_z0(nu: int, order: int) -> dict:

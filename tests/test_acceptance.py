@@ -7,7 +7,7 @@ module-scoped fixtures so the suite runs in minutes end to end.
 
 import pytest
 
-from mapgenus.checks import d_coeff, verify_string_antiderivative
+from mapgenus.checks import box_coefficients, verify_string_antiderivative
 from mapgenus.combinatorics import c_valence
 from mapgenus.conservation import planar_lift_deriv_formula, q_c_tables, q_table
 from mapgenus.continuum_even import (
@@ -68,7 +68,7 @@ def test_criterion_01_higher_catalan():
 
 def test_criterion_02_hierarchy_coefficients():
     for nu in range(1, 9):
-        assert d_coeff(nu, (1,), "toda") == c_valence(nu)
+        assert box_coefficients(nu, 1, "toda")[(0,) * nu + (1,)] == c_valence(nu)
     for nu, g in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         assert verify_string_antiderivative(nu, g)["status"] == "pass"
     print("ACCEPTANCE 2 (hierarchy coefficients and spatial exactness): PASS")

@@ -36,6 +36,7 @@ CLOSED_FORM_DIGESTS = {
     "z0 --nu 5 --order 30": "18c54679add0ecb05a9afa0bd978e4a4882bb53c0872665046c4c7ef80cd84d5",
     "eg --nu 5 --g 3": "758d81ad14a2bcb9cbc3b99003cd940c757c94ce841dec26f7a2d1546c8cbbed",
     "verify continuum --nu 5 --g 2": "228075d766879d4560447a319df91cf3e764709399c2f162b82a35f67d7cab0f",
+    "verify continuum --nu 6 --g 2": "4b45176eee8925cda0739ddad0ebaaa3803684da631c4cb18366f4caff4bda9b",
 }
 
 
@@ -148,7 +149,8 @@ def test_report_failed_entry_fails_document(monkeypatch, capsys):
 def test_report_rejects_its_fit_sites_before_any_engine_work(monkeypatch, capsys):
     # from nu = 5 on, the genus-1 match at t-order 3 has no surplus site
     # among [4, 6, 8, 10]: that usage error comes before any table, z-table
-    # or matching is built, and nu = 0 and 1 keep their own first errors
+    # or matching is built; nu = 1, which has no higher genus, is rejected
+    # just as early, and nu = 0 keeps the lattice table's first error
     from mapgenus import checks, continuum_even, fatgraph_oracle, lattice_oracle
 
     def engine(*args, **kwargs):
@@ -170,7 +172,6 @@ def test_report_rejects_its_fit_sites_before_any_engine_work(monkeypatch, capsys
     with pytest.raises(errors.RejectedInput, match="no surplus site"):
         lattice_oracle.asymptotic_match(3, 1, [4, 6], 3)
     assert run(capsys, "--no-cache", "report", "--nu", "0") == (2, "", "usage error: valence parameter must be >= 1\n")
-    monkeypatch.undo()
     assert run(capsys, "--no-cache", "report", "--nu", "1") == (
         2,
         "",
@@ -464,6 +465,37 @@ def test_cache_source_digest_in_key(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "source_digest", lambda: "0" * 64)
     cache_lookup_or_compute(cache, "k", producer)
     assert len(calls) == 2  # changed sources miss the old entry
+
+
+def test_cache_store_drops_entries_of_other_sources(tmp_path, monkeypatch):
+    import mapgenus.cli as cli_mod
+
+    cache = str(tmp_path)
+    (tmp_path / "notes.txt").write_bytes(b"k | engine 0 | source %s\n" % (b"1" * 64))
+    (tmp_path / "unparsed.entry").write_bytes(b"no key line here")
+    monkeypatch.setattr(cli_mod, "source_digest", lambda: "1" * 64)
+    cache_lookup_or_compute(cache, "k", lambda: {"v": 1})
+    cache_lookup_or_compute(cache, "other", lambda: {"v": 2})
+    first = {name for name in os.listdir(cache) if name.endswith(".entry")} - {"unparsed.entry"}
+    assert len(first) == 2  # a store keeps the entries of its own sources
+    monkeypatch.setattr(cli_mod, "source_digest", lambda: "2" * 64)
+    cache_lookup_or_compute(cache, "k", lambda: {"v": 1})
+    left = sorted(os.listdir(cache))
+    assert len(left) == 3 and "notes.txt" in left and "unparsed.entry" in left
+    (second,) = set(left) - {"notes.txt", "unparsed.entry"}
+    assert second not in first
+    with open(os.path.join(cache, second), "rb") as fh:
+        assert fh.readline().endswith(b" | source %s\n" % (b"2" * 64))
+
+
+def test_cache_entry_removed_before_its_read_is_a_plain_miss(tmp_path, monkeypatch, capsys):
+    # a store under other sources may remove an entry between the lookup's
+    # existence test and its open: that is a miss, not a corrupt entry
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda p: p.endswith(".entry") or exists(p))
+    assert cache_lookup_or_compute(str(tmp_path), "k", lambda: {"v": 1})[0] == {"v": 1}
+    assert capsys.readouterr().err == ""
+    assert len(os.listdir(tmp_path)) == 1
 
 
 # each corrupts the stored entry, given as (key line, digest line, document)

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from mapgenus.checks import d_coeff, monomial_sym_eval, multiplicities, partitions_of, strict_partitions_in_box
+from _box_reference import d_coeff, monomial_sym_eval, partitions_of
+from mapgenus.checks import box_coefficients, strict_partitions_in_box
 from mapgenus.combinatorics import (
     LatticePolynomial,
     c_valence,
@@ -41,7 +43,7 @@ def test_partitions_examples():
 def test_partition_weight_identity():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert sum(j * r for j, r in multiplicities(lam).items()) == n
+            assert sum(j * r for j, r in Counter(lam).items()) == n
 
 
 def test_strict_partitions_in_box():
@@ -62,9 +64,19 @@ def test_monomial_sym_eval():
 
 
 def test_d_coeff_examples():
-    assert d_coeff(2, (1,), "toda") == 12
-    assert d_coeff(1, (1,), "toda") == 2
-    assert d_coeff(1, (3,), "toda") == 2
+    # keys are the partitions in ascending order, padded with zeros to the slots
+    assert box_coefficients(2, 1, "toda") == {(0, 0, 1): 12}
+    assert box_coefficients(1, 1, "toda") == {(0, 1): 2}
+    assert box_coefficients(1, 3, "toda")[(0, 3)] == 2
+    with pytest.raises(RejectedInput):
+        box_coefficients(2, 2, "toda")
+    # a partition longer than the nu + 1 = 2 slots has no key
+    assert all(len(lam) == 2 for lam in box_coefficients(1, 3, "toda"))
+    assert (1, 1, 1) not in box_coefficients(1, 3, "toda")
+    with pytest.raises(RejectedInput):
+        box_coefficients(2, 3, "staircase")
+    # the reference's values and rejections, one partition at a time
+    assert (d_coeff(2, (1,), "toda"), d_coeff(1, (1,), "toda"), d_coeff(1, (3,), "toda")) == (12, 2, 2)
     with pytest.raises(RejectedInput):
         d_coeff(2, (2,), "toda")
     with pytest.raises(RejectedInput):
@@ -73,7 +85,26 @@ def test_d_coeff_examples():
 
 def test_d_coeff_matches_leading_transport():
     for nu in range(1, 9):
-        assert d_coeff(nu, (1,), "toda") == c_valence(nu)
+        assert box_coefficients(nu, 1, "toda")[(0,) * nu + (1,)] == c_valence(nu)
+
+
+@pytest.mark.parametrize("nu", range(1, 7))
+@pytest.mark.parametrize("variant", ["toda", "string"])
+def test_box_coefficients_match_the_permutation_sum(nu, variant):
+    """The one-pass collection equals the per-partition sum over distinct
+    permutations for every partition of each odd size up to 5 (7 for
+    nu <= 4) with at most `slots` parts; a partition missing from the
+    collection sums to zero, and every key is such a partition."""
+    slots = nu + 1 if variant == "toda" else nu
+    for size in range(1, 8 if nu <= 4 else 6, 2):
+        table = box_coefficients(nu, size, variant)
+        padded = {}
+        for lam in partitions_of(size, max_len=slots):
+            key = (0,) * (slots - len(lam)) + lam[::-1]
+            padded[key] = d_coeff(nu, lam, variant)
+            assert table.get(key, 0) == padded[key], (lam, size)
+        assert set(table) <= set(padded)
+        assert all(table.values())
 
 
 def test_higher_catalan_values():

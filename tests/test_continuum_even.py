@@ -134,10 +134,13 @@ def test_string_box_coefficients_vanish_by_antisymmetry():
     pairwise and every string-variant box coefficient is exactly zero.
     (The antiderivative identity is still a real constraint on the slot
     construction, whose terms are individually nonzero.)"""
-    from mapgenus.checks import d_coeff, partitions_of, strict_partitions_in_box
+    from _box_reference import d_coeff, partitions_of
+    from mapgenus.checks import box_coefficients, strict_partitions_in_box
 
     for nu in (2, 3, 4):
         for g in (1, 2):
+            # the collection keeps only nonzero sums, so it is empty
+            assert box_coefficients(nu, 2 * g + 1, "string") == {}
             for lam in partitions_of(2 * g + 1, max_len=nu):
                 assert d_coeff(nu, lam, "string") == 0
         # the involution explanation: the box is closed under the dual map
@@ -147,7 +150,7 @@ def test_string_box_coefficients_vanish_by_antisymmetry():
         duals = {tuple(2 * nu - m for m in reversed(mu)) for mu in box}
         assert duals == set(box)
     # the toda-side staircase is not self-dual and its coefficients survive
-    assert d_coeff(2, (3,), "toda") != 0
+    assert box_coefficients(2, 3, "toda")[(0, 0, 3)] == d_coeff(2, (3,), "toda") != 0
 
 
 def test_planar_coefficients_strictly_positive():
@@ -158,11 +161,11 @@ def test_planar_coefficients_strictly_positive():
 
 
 def test_burgers_coefficient_counts_paths():
-    from mapgenus.checks import d_coeff
+    from mapgenus.checks import box_coefficients
     from mapgenus.combinatorics import lattice_paths
 
     for nu in (1, 2, 3):
-        assert d_coeff(nu, (1,), "toda") == (nu + 1) * len(lattice_paths(2 * nu, 2, 0))
+        assert box_coefficients(nu, 1, "toda")[(0,) * nu + (1,)] == (nu + 1) * len(lattice_paths(2 * nu, 2, 0))
 
 
 # -- schoolbook reference for the lattice expansion ---------------------------

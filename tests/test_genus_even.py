@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
 
-from mapgenus.checks import multiplicities, partitions_of
+from _box_reference import partitions_of
 from mapgenus.conservation import planar_lift_deriv_formula, q_c_tables, q_table
 from mapgenus.continuum_even import LogRational, build_ztable, verify_continuum_toda
 from mapgenus.errors import RejectedInput, ResonanceFailure
@@ -127,7 +128,7 @@ def partition_log_term(g, ztable):
     prod (z_j/z0)^(r_j) over partitions with l parts, r_j of size j."""
     total = DLaurent.const(ztable.nu, 0)
     for lam in partitions_of(g):
-        mult = multiplicities(lam)
+        mult = Counter(lam)
         ell = sum(mult.values())
         coeff = Q((-1) ** (ell + 1)) * factorial(ell - 1)
         for r in mult.values():
