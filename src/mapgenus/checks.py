@@ -8,15 +8,17 @@ solved family) and the spatially exact antiderivative of the string-side
 jets, together with their staircase-box coefficients: the d_lambda of a
 box come from one stage-1 collection over its points (the collector that
 expands the lattice equations), with no list of partitions or
-permutations.  No other command runs them, so only these two commands
-compile them.
+permutations, and every hierarchy jet is keyed by that collector's sorted
+tuple lambda of derivative orders.  The antiderivative identity is
+algebraic: on the box it compares the per-composition slot sums with the
+collector's string-side jets, and both are zero by the box's antisymmetry.
+No other command runs them, so only these two commands compile them.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, prod
 
-from .combinatorics import Terms
 from .continuum_even import (
     CatalanData,
     build_ztable,
@@ -146,53 +148,22 @@ def verify_burgers(nu: int, T: int, planar: CatalanData | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# jet expressions (differential polynomials in f, f_w, f_ww, ...)
+# the hierarchy jets, keyed by their derivative orders
 # ---------------------------------------------------------------------------
 
 
-class JetExpression(Terms):
-    """Polynomial in the jet symbols f, f_w, f_ww, ... of a single unknown.
-
-    Terms map (f_power, ((order, multiplicity), ...)) -> coefficient; all
-    factorial normalizations are absorbed into the coefficients at build
-    time.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def key(fpow: int, jets: dict[int, int]) -> tuple:
-        return fpow, tuple(sorted((j, r) for j, r in jets.items() if r))
-
-    @staticmethod
-    def monomial(coeff, fpow: int, jets: dict[int, int]) -> "JetExpression":
-        return JetExpression({JetExpression.key(fpow, jets): coeff})
-
-    def __repr__(self):
-        bits = []
-        for (fpow, jets), coeff in sorted(self.terms.items()):
-            factors = []
-            if fpow:
-                factors.append("f^%d" % fpow)
-            factors += ["f_w(%d)^%d" % (j, r) for j, r in jets]
-            bits.append("%s %s" % (coeff, "*".join(factors) or "1"))
-        return "JetExpression(%s)" % " + ".join(bits) if bits else "JetExpression(0)"
+def _partition_jet(nu: int, g: int, variant: str) -> dict[Partition, Fraction]:
+    """The jet polynomial sum_lambda d_lambda prod_j dw^(lambda_j) f /
+    lambda_j! over the partitions lambda of 2g+1 with at most `slots` parts
+    (nu+1 for "toda", nu for "string"), with the staircase-box coefficient
+    d_lambda of the variant and no repeated-part division: lambda -> its
+    coefficient, keyed as ``box_coefficients`` keys d_lambda (ascending,
+    padded with zeros to the slot count, a zero being a bare f factor)."""
+    coefficients = box_coefficients(nu, 2 * g + 1, variant)
+    return {lam: Q(d, prod(map(factorial, lam))) for lam, d in coefficients.items()}
 
 
-def _partition_jet(nu: int, g: int, variant: str) -> JetExpression:
-    """Sum over the partitions lambda of 2g+1 with at most `slots` parts
-    (nu+1 for "toda", nu for "string") of the jet monomial f^(slots-len)
-    prod_j (dw^j f / j!)^(r_j), with the staircase-box coefficient d_lambda
-    of the variant and no repeated-part division.  The padded keys of
-    ``box_coefficients`` give lambda, and their zeros the bare f factors."""
-    parts = []
-    for lam, d in box_coefficients(nu, 2 * g + 1, variant).items():
-        jets = Counter(lam)
-        parts.append(JetExpression.monomial(Q(d, prod(map(factorial, lam))), jets.pop(0, 0), jets))
-    return JetExpression.sum(parts)
-
-
-def toda_jet(nu: int, g: int) -> JetExpression:
+def toda_jet(nu: int, g: int) -> dict[Partition, Fraction]:
     """Genus-g right-hand side of the continuum coupling-flow hierarchy: the
     partition sum of 2g+1 over nu+1 slots.
 
@@ -216,19 +187,20 @@ def _compositions(total: int, slots: int):
             yield (head,) + rest
 
 
-def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], tuple[Fraction, ...]]]:
-    """The genus-g string-side jet polynomial F and its spatial
-    antiderivative, summed over the staircase box.
+def string_jets(nu: int, g: int) -> tuple[dict[Partition, Fraction], dict[Partition, tuple[Fraction, ...]]]:
+    """The genus-g string-side jet polynomial F (``_partition_jet``) and its
+    spatial antiderivative, both summed over the staircase box.
 
     The antiderivative has one entry per composition c of 2g into nu slots
     (slot i carries derivative order c_i): the tuple of slot sums
 
         W_i(c) = 2 sum_mu x_i prod_j x_j^c_j / ((2g+1) prod_j c_j!)
 
-    over the box points x = mu - eta, with 0**0 = 1.  Every string box
-    coefficient vanishes, so F is the zero jet polynomial, and
-    verify_string_antiderivative checks that the slot derivative of the
-    antiderivative cancels.
+    over the box points x = mu - eta, with 0**0 = 1.  That the slot
+    derivative of the antiderivative is F is algebraic, true for any point
+    set: the W_i(c) landing on the orders lambda sum to 2 sum_x m_lambda(x)
+    / prod_j lambda_j!.  On the box, every string box coefficient and each
+    of those sums vanish by the box's antisymmetry, so F is empty.
     """
     if g < 1:
         raise RejectedInput("string jets start at genus 1")
@@ -248,19 +220,19 @@ def string_jets(nu: int, g: int) -> tuple[JetExpression, dict[tuple[int, ...], t
 
 def verify_string_antiderivative(nu: int, g: int) -> dict:
     """The slot derivative of the string antiderivative equals the
-    string-side jet polynomial F; since every string box coefficient
-    vanishes, this checks that the derivative cancels.  Slot i of the entry
-    of composition c raises that slot's order: W_i(c) lands on the jet
-    monomial of the orders c + e_i."""
+    string-side jet polynomial F: slot i of the entry of composition c
+    raises that slot's order, so W_i(c) lands on the orders
+    sorted(c + e_i).  The identity is algebraic (``string_jets``); on the
+    box it compares the per-composition slot sums with the stage-1
+    collector's F, and both are zero by the box's antisymmetry."""
     F, antiderivative = string_jets(nu, g)
-    pairs = []
+    slot_sums: dict = {}
     for comp, sums in antiderivative.items():
         for i, w in enumerate(sums):
             if w:
-                jets = Counter(comp[:i] + (comp[i] + 1,) + comp[i + 1 :])
-                # order 0 counts the bare f factors
-                pairs.append((JetExpression.key(jets.pop(0, 0), jets), w))
-    if JetExpression(pairs) != F:
+                lam = tuple(sorted(comp[:i] + (comp[i] + 1,) + comp[i + 1 :]))
+                slot_sums[lam] = slot_sums.get(lam, 0) + w
+    if {lam: w for lam, w in slot_sums.items() if w} != F:
         raise VerificationFailure(
             "string antiderivative fails at nu=%d, g=%d" % (nu, g)
         )

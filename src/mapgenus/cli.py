@@ -115,17 +115,16 @@ def cache_lookup_or_compute(cache_dir: str | None, key: str, producer, no_cache=
     full_key = ("%s | engine %s | source %s" % (key, __version__, source)).encode()
     name = _blake2b(16, full_key).hexdigest() + ".entry"
     path = os.path.join(cache_dir, name)
-    if os.path.exists(path):
-        try:
-            with open(path, "rb") as fh:
-                stored_key, digest, document = fh.read().split(b"\n", 2)
-            if stored_key == full_key and digest == _blake2b(16, document).hexdigest().encode():
-                return None, document.decode()
-            print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
-        except FileNotFoundError:  # a store under other sources removed it since
-            pass
-        except (ValueError, OSError):
-            print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
+    try:
+        with open(path, "rb") as fh:
+            stored_key, digest, document = fh.read().split(b"\n", 2)
+        if stored_key == full_key and digest == _blake2b(16, document).hexdigest().encode():
+            return None, document.decode()
+        print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
+    except (FileNotFoundError, NotADirectoryError):  # the miss: no such entry, or no such directory
+        pass
+    except (ValueError, OSError):
+        print("corrupt cache entry %s; recomputing" % name, file=sys.stderr)
     payload = producer()
     document = render(payload, "json")
     if payload.get("status") == "fail":

@@ -518,12 +518,11 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
     (``LogRational.du``) equals the collected jet terms.
 
     Jet symbol dw^j f expands to sum_h n^(-2h) dw^j f_h, and the genus-h
-    right-hand side enters at order 2h: its jets fix each term's j-tuple,
-    which takes genus labels summing to g - h (``_label``)."""
+    right-hand side enters at order 2h: each of its keys is a term's sorted
+    j-tuple lambda, which takes genus labels summing to g - h (``_label``)."""
     poly: dict = {}
     for h in range(g + 1):
-        for (fpow, jets), coeff in ztable.toda(h).terms.items():
-            lam = (0,) * fpow + tuple(j for j, r in jets for _ in range(r))
+        for lam, coeff in ztable.toda(h).items():
             _label(lam, coeff, g - h, g - h, poly)
     lhs = LogRational(nu, ztable.jet(g, 0)).du().rat
     if lhs != _ring_value(poly, ztable):

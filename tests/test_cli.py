@@ -489,8 +489,9 @@ def test_cache_store_drops_entries_of_other_sources(tmp_path, monkeypatch):
 
 
 def test_cache_entry_removed_before_its_read_is_a_plain_miss(tmp_path, monkeypatch, capsys):
-    # a store under other sources may remove an entry between the lookup's
-    # existence test and its open: that is a miss, not a corrupt entry
+    # a store under other sources may remove an entry after an existence
+    # test would have seen it: the open's FileNotFoundError is a miss, not
+    # a corrupt entry
     exists = os.path.exists
     monkeypatch.setattr(os.path, "exists", lambda p: p.endswith(".entry") or exists(p))
     assert cache_lookup_or_compute(str(tmp_path), "k", lambda: {"v": 1})[0] == {"v": 1}
@@ -649,8 +650,8 @@ def test_process_exit_and_streams_match_dispatch(tmp_path, monkeypatch, capsys, 
     monkeypatch.delenv(CACHE_ENV, raising=False)
     expected = run(capsys, *argv)
     assert expected[0] == code
-    if case == "cache not writable":
-        assert "cache not writable" in expected[2]
+    if case == "cache not writable":  # a cache path that is a file holds no entry: a miss, not a corrupt one
+        assert "cache not writable" in expected[2] and "corrupt" not in expected[2]
     proc = mapgenus(*argv)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
 

@@ -3,7 +3,6 @@ from math import comb, factorial, prod
 import pytest
 
 from mapgenus.checks import (
-    JetExpression,
     hodograph_solution,
     string_jets,
     toda_jet,
@@ -57,11 +56,23 @@ def test_burgers_and_hodograph():
 
 
 def test_toda_jet_leading_terms():
-    assert toda_jet(2, 0) == JetExpression.monomial(12, 2, {1: 1})
-    assert toda_jet(1, 0) == JetExpression.monomial(2, 1, {1: 1})
+    # keyed by the ascending orders, padded with a 0 per bare f
+    assert toda_jet(2, 0) == {(0, 0, 1): 12}
+    assert toda_jet(1, 0) == {(0, 1): 2}
     # nu=1, g=1: only the single-part partition of 3 survives the length cap,
     # and the two-part partition has vanishing box coefficient
-    assert toda_jet(1, 1) == JetExpression.monomial(Q(1, 3), 1, {3: 1})
+    assert toda_jet(1, 1) == {(0, 3): Q(1, 3)}
+    # against the brute-force box sums: divided by prod lambda_j! and by no
+    # repeated-part count, and no lambda with a zero sum is kept
+    from _box_reference import d_coeff, partitions_of
+
+    for nu in (1, 2, 3, 4):
+        for g in (0, 1, 2):
+            reference = {}
+            for lam in partitions_of(2 * g + 1, max_len=nu + 1):
+                key = tuple(sorted(lam + (0,) * (nu + 1 - len(lam))))
+                reference[key] = d_coeff(nu, lam, "toda") / prod(map(factorial, lam))
+            assert toda_jet(nu, g) == {lam: q for lam, q in reference.items() if q}, (nu, g)
 
 
 def test_string_antiderivative_identity():
@@ -69,12 +80,27 @@ def test_string_antiderivative_identity():
         assert verify_string_antiderivative(nu, g)["status"] == "pass"
 
 
-def test_string_jets_partition_filter():
+@pytest.fixture
+def skewed_string_box(monkeypatch):
+    """The string box less its first point: no longer antisymmetric, so its
+    string-side jets F do not vanish, while the antiderivative identity,
+    being algebraic, still holds on it."""
+    from mapgenus import checks
+
+    real = checks.box_points
+
+    def skewed(nu, variant):
+        points = real(nu, variant)
+        return points[1:] if variant == "string" else points
+
+    monkeypatch.setattr(checks, "box_points", skewed)
+
+
+def test_string_jets_partition_filter(skewed_string_box):
     F, _ = string_jets(2, 1)
-    # partitions of 3 with at most 2 parts: (3) and (2,1)
-    assert all(sum(j * r for j, r in jets) == 3 for (_, jets), _c in
-               [(k, v) for k, v in F.terms.items()])
-    assert all(fpow + sum(r for _, r in jets) == 2 for (fpow, jets) in F.terms)
+    # partitions of 3 with at most 2 parts, (3) and (2,1), padded to 2 slots
+    assert F and set(F) <= {(0, 3), (1, 2)}
+    assert all(sum(lam) == 3 and len(lam) == 2 for lam in F)
 
 
 def test_solve_z1_closed_form():
@@ -371,7 +397,7 @@ def test_fully_cancelled_hierarchy_fails_verification(monkeypatch, capsys):
     from mapgenus.cli import dispatch
 
     table = build_ztable(2, 1, T=10)
-    monkeypatch.setattr(checks, "toda_jet", lambda nu, g: JetExpression())
+    monkeypatch.setattr(checks, "toda_jet", lambda nu, g: {})
     with pytest.raises(VerificationFailure):
         verify_continuum_toda(2, 1, table)
     assert dispatch(["--no-cache", "verify", "continuum", "--nu", "2", "--g", "1"]) == 1
@@ -406,11 +432,20 @@ def test_corrupted_antiderivative_fails_verification(monkeypatch):
 
 
 def test_string_antiderivative_has_one_entry_per_composition():
-    # summed over the staircase box: at most one entry per composition of 2g
+    # summed over the staircase box: one entry per composition of 2g
     # into nu slots, C(2g+nu-1, nu-1) = 126 at (6, 2)
     nu, g = 6, 2
     _, antiderivative = string_jets(nu, g)
-    assert len(antiderivative) <= comb(2 * g + nu - 1, nu - 1) == 126
+    assert len(antiderivative) == comb(2 * g + nu - 1, nu - 1) == 126
+
+
+def test_string_antiderivative_raises_one_order_off_the_box(skewed_string_box):
+    # on the box both sides cancel by antisymmetry, whatever order the slot
+    # derivation raises to; off it F is nonempty, so only the right order
+    # map matches it
+    for nu, g in [(2, 1), (3, 2), (4, 2)]:
+        assert string_jets(nu, g)[0], (nu, g)
+        assert verify_string_antiderivative(nu, g)["status"] == "pass"
 
 
 def test_one_string_expression_and_one_hierarchy_jet_per_table(monkeypatch):
@@ -575,10 +610,8 @@ def reference_toda_polynomial(table, g):
     poly = {}
     for h in range(g + 1):
         M = 2 * (g - h)
-        for (fpow, jets), coeff in table.toda(h).terms.items():
-            factors = []
-            for j, r in ((0, fpow),) + jets:
-                factors += [[(2 * k, (k, j), 1) for k in range(min(M // 2, g) + 1)]] * r
+        for lam, coeff in table.toda(h).items():
+            factors = [[(2 * k, (k, j), 1) for k in range(min(M // 2, g) + 1)] for j in lam]
             _collect(factors, coeff, M, poly)
     return {mono: c for mono, c in poly.items() if c}
 
