@@ -5,18 +5,19 @@ It holds the planar functional equation, the hodograph solution of the
 leading transport equation, the jet-form continuum hierarchy (whose
 genus-h jets ``continuum_even.verify_continuum_toda`` evaluates on the
 solved family) and the spatially exact antiderivative of the string-side
-jets, together with their staircase-box coefficients: the d_lambda of a
-box come from one stage-1 collection over its points (the collector that
-expands the lattice equations), with no list of partitions or
-permutations, and every hierarchy jet is keyed by that collector's sorted
-tuple lambda of derivative orders.  The antiderivative identity is
-algebraic: on the box it compares the per-composition slot sums with the
-collector's string-side jets, and both are zero by the box's antisymmetry.
-No other command runs them, so only these two commands compile them.
+jets, together with their staircase-box coefficients.  Each box is the
+k-subsets of {1, ..., top}, its d_lambda come from one stage-1 collection
+over its points (the collector that expands the lattice equations), and
+every hierarchy jet is keyed by that collector's sorted tuple lambda of
+derivative orders.  The antiderivative identity is algebraic: on the box
+it compares the per-composition slot sums with the collector's
+string-side jets, and both are zero by the box's antisymmetry.  No other
+command runs them, so only these two commands compile them.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 
 from .continuum_even import (
@@ -40,52 +41,24 @@ Partition = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def strict_partitions_in_box(lower: Partition, upper: Partition) -> list[Partition]:
-    """All strictly decreasing mu with lower <= mu <= upper componentwise."""
-    if len(lower) != len(upper):
-        raise RejectedInput("box bounds must have equal length")
-    if any(a > b for a, b in zip(lower, upper)):
-        raise RejectedInput("empty box: lower bound exceeds upper bound")
-    if any(lower[i] <= lower[i + 1] for i in range(len(lower) - 1)) or any(
-        upper[i] <= upper[i + 1] for i in range(len(upper) - 1)
-    ):
-        raise RejectedInput("box bounds must themselves be strictly decreasing")
-    k = len(lower)
-    out: list[Partition] = []
-
-    def rec(i, prev, acc):
-        if i == k:
-            out.append(tuple(acc))
-            return
-        hi = min(upper[i], prev - 1)
-        for v in range(hi, lower[i] - 1, -1):
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-
-    rec(0, upper[0] + 1, [])
-    return out
-
-
 def box_points(nu: int, variant: str) -> list[tuple[int, ...]]:
-    """The points x = mu - eta of a staircase box, one per strict partition
-    mu in it.
+    """The points x = mu - eta of a staircase box, one per strictly
+    decreasing mu in it, in descending lexicographic order of mu.
 
-    variant "toda": nu+1 slots, box (nu+1,...,1) .. (2nu,...,nu), reference
-    staircase eta = (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
-    (nu,...,1) .. (2nu-1,...,nu), reference (2nu-1, 2nu-3, ..., 1).
+    variant "toda": k = nu+1 slots and top = 2nu; "string": k = nu slots and
+    top = 2nu-1; eta = (top, top-2, ...) for both.  The box runs from
+    (k, ..., 1) to (top, ..., top-k+1), so it is the k-subsets of 1..top: a
+    strictly decreasing mu_1 > ... > mu_k inside 1..top has i-1 distinct
+    parts above mu_i and k-i below, so k-i+1 <= mu_i <= top-i+1.
     """
     if variant == "toda":
-        eta = range(2 * nu, -1, -2)
-        lower = tuple(range(nu + 1, 0, -1))
-        upper = tuple(range(2 * nu, nu - 1, -1))
+        k, top = nu + 1, 2 * nu
     elif variant == "string":
-        eta = range(2 * nu - 1, 0, -2)
-        lower = tuple(range(nu, 0, -1))
-        upper = tuple(range(2 * nu - 1, nu - 1, -1))
+        k, top = nu, 2 * nu - 1
     else:
         raise RejectedInput("variant must be 'toda' or 'string'")
-    return [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+    eta = range(top, -1, -2)
+    return [tuple(m - e for m, e in zip(mu, eta)) for mu in combinations(range(top, 0, -1), k)]
 
 
 def box_coefficients(nu: int, size: int, variant: str) -> dict[tuple[int, ...], int]:
@@ -106,17 +79,15 @@ def box_coefficients(nu: int, size: int, variant: str) -> dict[tuple[int, ...], 
 # ---------------------------------------------------------------------------
 
 
-def planar_data(nu: int, T: int, planar: CatalanData | None = None) -> CatalanData:
-    """catalan_data(nu, T), or its cut from ``planar``: planar data that
-    catalan_data built for nu to order T or beyond, and so checked."""
-    if planar is None:
-        return catalan_data(nu, T)
+def planar_data(T: int, planar: CatalanData) -> CatalanData:
+    """The cut to order T of ``planar``: planar data that catalan_data
+    built to order T or beyond, and so checked."""
     return CatalanData(planar.c, planar.zetas[:T], planar.z0.truncate(T))
 
 
-def verify_string_functional(nu: int, T: int, planar: CatalanData | None = None) -> dict:
-    """catalan_data asserts the functional equation to order T."""
-    planar_data(nu, T, planar)
+def verify_string_functional(nu: int, T: int, planar: CatalanData) -> dict:
+    """catalan_data asserted the functional equation when it built ``planar``."""
+    planar_data(T, planar)
     return {"identity": "planar_functional_equation", "nu": nu, "order": T, "status": "pass"}
 
 
@@ -124,8 +95,8 @@ def verify_string_functional(nu: int, T: int, planar: CatalanData | None = None)
 HodographSolution = namedtuple("HodographSolution", "c f0")
 
 
-def hodograph_solution(nu: int, T: int, planar: CatalanData | None = None) -> HodographSolution:
-    data = planar_data(nu, T, planar)
+def hodograph_solution(nu: int, T: int, planar: CatalanData) -> HodographSolution:
+    data = planar_data(T, planar)
     f0 = GradedSeries.from_series(data.z0, base2=2, step2=2 * (nu - 1))
     w = GradedSeries.const("u", 1, base2=2, step2=2 * (nu - 1), trunc=T)
     res = f0 - data.c * (f0 ** nu).xmul(1) - w
@@ -134,7 +105,7 @@ def hodograph_solution(nu: int, T: int, planar: CatalanData | None = None) -> Ho
     return HodographSolution(c=data.c, f0=f0)
 
 
-def verify_burgers(nu: int, T: int, planar: CatalanData | None = None) -> dict:
+def verify_burgers(nu: int, T: int, planar: CatalanData) -> dict:
     """The hodograph solution satisfies df0/du = (c/(nu+1)) dw(f0^(nu+1))."""
     sol = hodograph_solution(nu, T, planar)
     res = sol.f0.dx() - Q(sol.c, nu + 1) * (sol.f0 ** (nu + 1)).dw().truncate(T - 1)
@@ -206,13 +177,17 @@ def string_jets(nu: int, g: int) -> tuple[dict[Partition, Fraction], dict[Partit
         raise RejectedInput("string jets start at genus 1")
     F = _partition_jet(nu, g, "string")
     points = box_points(nu, "string")
+    # x_i^0 .. x_i^(2g) per point, built once; a slot of order 0 gives 1
+    powers = [[[x ** e for e in range(2 * g + 1)] for x in xs] for xs in points]
     antiderivative = {}
     for comp in _compositions(2 * g, nu):
+        support = [(i, ci) for i, ci in enumerate(comp) if ci]
         sums = [0] * nu
-        for xs in points:
-            weight = prod(x ** ci for x, ci in zip(xs, comp))
-            for i, x in enumerate(xs):
-                sums[i] += x * weight
+        for xs, pw in zip(points, powers):
+            weight = prod(pw[i][ci] for i, ci in support)
+            if weight:
+                for i, x in enumerate(xs):
+                    sums[i] += x * weight
         den = (2 * g + 1) * prod(map(factorial, comp))
         antiderivative[comp] = tuple(Q(2 * s, den) for s in sums)
     return F, antiderivative

@@ -196,7 +196,7 @@ class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)
     def series(self, ctx) -> Series:
         """The expansion over the planar series of ``ctx`` (a
         ``genus_even.SeriesContext``), log species included."""
-        out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0, ctx.z0.trunc)
+        out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0)
         if self.c0:
             out = out + self.c0 * ctx.log_z0
         if self.c1:

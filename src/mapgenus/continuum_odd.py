@@ -269,10 +269,8 @@ def solve_leading_odd(nu: int, T: int) -> OddLeadingPair:
     return pair._replace(residuals=verify_leading_residuals(pair, P))
 
 
-def verify_leading_residuals(pair: OddLeadingPair, P=None) -> dict:
+def verify_leading_residuals(pair: OddLeadingPair, P) -> dict:
     nu = pair.nu
-    if P is None:
-        P = odd_coeff_polys(nu)
     w = 2 * nu + 1
     h, f, powers = pair.h0, pair.f0, pair.powers
     B11 = P["B11"].eval_graded(powers)

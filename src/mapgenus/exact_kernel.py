@@ -831,17 +831,14 @@ def series_to_ratfn(
     return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord, var)
 
 
-def ratfn_to_series(r: RatFn, z: Series, T: int | None = None) -> Series:
-    """Expand r(z(x)) as a series in x, exactly, to order T (default: z.trunc).
+def ratfn_to_series(r: RatFn, z: Series) -> Series:
+    """Expand r(z(x)) as a series in x, exactly, to the order z.trunc.
 
     In powers of y = z - z(0), r is the shifted numerator over the shifted
     base^p, one integer series quotient; the cached columns y^i take it
     back to x."""
-    if T is None:
-        T = z.trunc
-    if z.trunc < T:
-        raise RejectedInput("substitution series too short for requested order")
-    basis = _basis(z.den, tuple(z.num[: T + 1]))
+    T = z.trunc
+    basis = _basis(z.den, tuple(z.num))
     if r.den_base.eval(basis.z0) ** r.den_pow == 0:
         raise PoleAtBasepoint("denominator vanishes at the expansion basepoint")
     num = _qscale(_taylor_shift(r.num.c, basis.z0)[: T + 1])

@@ -1,17 +1,46 @@
-"""Brute-force reference for the staircase-box coefficients: partitions
-listed one by one, and each monomial symmetric value m_lambda summed over
-the distinct permutations of lambda's exponents at every box point.
+"""Brute-force reference for the staircase boxes and their coefficients:
+the strict partitions of a box enumerated between its two bounds,
+partitions listed one by one, and each monomial symmetric value m_lambda
+summed over the distinct permutations of lambda's exponents at every box
+point.
 
-``mapgenus.checks.box_coefficients`` collects every d_lambda of one size in
-a single stage-1 pass over the box points; the tests compare it with
-``d_coeff`` here, one partition at a time.
+``mapgenus.checks.box_points`` lists each box as the k-subsets of
+{1, ..., top}, and ``mapgenus.checks.box_coefficients`` collects every
+d_lambda of one size in a single stage-1 pass over the box points; the
+tests compare them with ``strict_partitions_in_box`` and ``d_coeff`` here.
 """
 
 from functools import cache
 
-from mapgenus.checks import strict_partitions_in_box
 from mapgenus.errors import RejectedInput
 from mapgenus.exact_kernel import Q
+
+
+def strict_partitions_in_box(lower, upper):
+    """All strictly decreasing mu with lower <= mu <= upper componentwise."""
+    if len(lower) != len(upper):
+        raise RejectedInput("box bounds must have equal length")
+    if any(a > b for a, b in zip(lower, upper)):
+        raise RejectedInput("empty box: lower bound exceeds upper bound")
+    if any(lower[i] <= lower[i + 1] for i in range(len(lower) - 1)) or any(
+        upper[i] <= upper[i + 1] for i in range(len(upper) - 1)
+    ):
+        raise RejectedInput("box bounds must themselves be strictly decreasing")
+    k = len(lower)
+    out = []
+
+    def rec(i, prev, acc):
+        if i == k:
+            out.append(tuple(acc))
+            return
+        hi = min(upper[i], prev - 1)
+        for v in range(hi, lower[i] - 1, -1):
+            acc.append(v)
+            rec(i + 1, v, acc)
+            acc.pop()
+
+    rec(0, upper[0] + 1, [])
+    return out
 
 
 def partitions_of(n, max_len=None):
@@ -79,31 +108,38 @@ def monomial_sym_eval(lam, xs):
     return Q(total)
 
 
-def d_coeff(nu, lam, variant):
-    """Hierarchy coefficient for one partition: a doubled sum of monomial
-    symmetric values over strict partitions in a staircase box.
+def reference_box_points(nu, variant):
+    """The points mu - eta of a staircase box, mu running over the strict
+    partitions between the box's bounds in the enumeration's order.
 
     variant "toda": nu+1 slots, box (nu+1,...,1) .. (2nu,...,nu), reference
     staircase (2nu, 2nu-2, ..., 0).  variant "string": nu slots, box
     (nu,...,1) .. (2nu-1,...,nu), reference (2nu-1, 2nu-3, ..., 1).
     """
-    if sum(lam) % 2 == 0:
-        raise RejectedInput("partition size must be odd (2g+1)")
     if variant == "toda":
-        slots = nu + 1
-        eta = tuple(2 * nu - 2 * i for i in range(slots))
+        eta = tuple(2 * nu - 2 * i for i in range(nu + 1))
         lower = tuple(range(nu + 1, 0, -1))
         upper = tuple(range(2 * nu, nu - 1, -1))
     elif variant == "string":
-        slots = nu
-        eta = tuple(2 * nu - 1 - 2 * i for i in range(slots))
+        eta = tuple(2 * nu - 1 - 2 * i for i in range(nu))
         lower = tuple(range(nu, 0, -1))
         upper = tuple(range(2 * nu - 1, nu - 1, -1))
     else:
         raise RejectedInput("variant must be 'toda' or 'string'")
+    return [tuple(m - e for m, e in zip(mu, eta)) for mu in strict_partitions_in_box(lower, upper)]
+
+
+def d_coeff(nu, lam, variant):
+    """Hierarchy coefficient for one partition: a doubled sum of monomial
+    symmetric values over the points of a staircase box
+    (``reference_box_points``)."""
+    if sum(lam) % 2 == 0:
+        raise RejectedInput("partition size must be odd (2g+1)")
+    points = reference_box_points(nu, variant)
+    slots = len(points[0])
     if len(lam) > slots:
         raise RejectedInput("partition longer than the slot count %d" % slots)
     total = Q(0)
-    for mu in strict_partitions_in_box(lower, upper):
-        total += 2 * monomial_sym_eval(lam, [mu[i] - eta[i] for i in range(slots)])
+    for x in points:
+        total += 2 * monomial_sym_eval(lam, x)
     return total

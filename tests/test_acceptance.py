@@ -197,7 +197,8 @@ def test_criterion_10_odd_valence():
         assert continuum_odd.verify_odd_identities(nu)["status"] == "pass"
     for nu in (1, 2, 3):
         pair = continuum_odd.solve_leading_odd(nu, 10)
-        assert continuum_odd.verify_leading_residuals(pair)["status"] == "pass"
+        P = continuum_odd.odd_coeff_polys(pair.nu)
+        assert continuum_odd.verify_leading_residuals(pair, P)["status"] == "pass"
     report = continuum_odd.trivalent_checks(T=4, m_max=4)
     pairs = {(c["g"], c["m"]) for c in report["comparisons"]}
     assert {(0, 2), (0, 4), (1, 2), (1, 4), (2, 4)} <= pairs

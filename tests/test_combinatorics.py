@@ -5,8 +5,14 @@ from math import comb
 
 import pytest
 
-from _box_reference import d_coeff, monomial_sym_eval, partitions_of
-from mapgenus.checks import box_coefficients, strict_partitions_in_box
+from _box_reference import (
+    d_coeff,
+    monomial_sym_eval,
+    partitions_of,
+    reference_box_points,
+    strict_partitions_in_box,
+)
+from mapgenus.checks import box_coefficients, box_points
 from mapgenus.combinatorics import (
     LatticePolynomial,
     c_valence,
@@ -52,6 +58,18 @@ def test_strict_partitions_in_box():
     assert sorted(box) == [(3, 2, 1), (4, 2, 1), (4, 3, 1), (4, 3, 2)]
     with pytest.raises(RejectedInput):
         strict_partitions_in_box((3, 2), (2, 1))
+
+
+def test_box_points_are_the_reference_box():
+    """Each staircase box is the k-subsets of {1, ..., top}: box_points lists
+    the reference enumeration between the paper's bounds, the same points
+    in the same order, and so C(2nu, nu-1) (toda) and C(2nu-1, nu) (string)
+    of them."""
+    for nu in range(1, 9):
+        for variant, count in (("toda", comb(2 * nu, nu - 1)), ("string", comb(2 * nu - 1, nu))):
+            points = box_points(nu, variant)
+            assert points == reference_box_points(nu, variant)
+            assert len(points) == count
 
 
 def test_monomial_sym_eval():

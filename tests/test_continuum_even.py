@@ -38,8 +38,8 @@ def test_catalan_data_examples():
 
 
 def test_string_functional_residual_and_negative_control():
-    assert verify_string_functional(2, 20)["status"] == "pass"
-    assert verify_string_functional(5, 10)["status"] == "pass"
+    assert verify_string_functional(2, 20, catalan_data(2, 20))["status"] == "pass"
+    assert verify_string_functional(5, 10, catalan_data(5, 10))["status"] == "pass"
     data = catalan_data(2, 6)
     bad = list(data.z0.c)
     bad[3] += 1
@@ -49,8 +49,8 @@ def test_string_functional_residual_and_negative_control():
 
 def test_burgers_and_hodograph():
     for nu in (1, 2, 3):
-        assert verify_burgers(nu, 10)["status"] == "pass"
-    sol = hodograph_solution(2, 8)
+        assert verify_burgers(nu, 10, catalan_data(nu, 10))["status"] == "pass"
+    sol = hodograph_solution(2, 8, catalan_data(2, 8))
     # f0 = w z0(u w) carries weight w^(1+j) at order u^j
     assert sol.f0.base2 == 2 and sol.f0.step2 == 2
 
@@ -160,8 +160,8 @@ def test_string_box_coefficients_vanish_by_antisymmetry():
     pairwise and every string-variant box coefficient is exactly zero.
     (The antiderivative identity is still a real constraint on the slot
     construction, whose terms are individually nonzero.)"""
-    from _box_reference import d_coeff, partitions_of
-    from mapgenus.checks import box_coefficients, strict_partitions_in_box
+    from _box_reference import d_coeff, partitions_of, strict_partitions_in_box
+    from mapgenus.checks import box_coefficients
 
     for nu in (2, 3, 4):
         for g in (1, 2):

@@ -56,7 +56,7 @@ def test_solve_leading_trivalent_first_order():
 def test_leading_residuals_to_order_ten():
     for nu in (1, 2):
         pair = solve_leading_odd(nu, 10)
-        assert verify_leading_residuals(pair)["status"] == "pass"
+        assert verify_leading_residuals(pair, odd_coeff_polys(pair.nu))["status"] == "pass"
 
 
 def test_trivalent_z0_series():
