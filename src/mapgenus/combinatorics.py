@@ -166,11 +166,6 @@ class LatticePolynomial(Terms):
     def _key_mul(k1, k2):
         return k1[0] + k2[0], tuple(sorted(k1[1] + k2[1])), tuple(sorted(k1[2] + k2[2]))
 
-    @staticmethod
-    def monomial(coeff=1, b_offsets=(), a_offsets=(), t_deg=0) -> "LatticePolynomial":
-        key = (t_deg, tuple(sorted(b_offsets)), tuple(sorted(a_offsets)))
-        return LatticePolynomial({key: coeff})
-
     def times_t(self) -> "LatticePolynomial":
         return LatticePolynomial({(t + 1, b, a): v for (t, b, a), v in self.terms.items()})
 
@@ -182,19 +177,6 @@ class LatticePolynomial(Terms):
                 for (t, b, a), v in self.terms.items()
             }
         )
-
-    def __repr__(self):
-        if not self.terms:
-            return "LatticePolynomial(0)"
-        bits = []
-        for (t_deg, b_off, a_off), coeff in sorted(self.terms.items()):
-            factors = []
-            if t_deg:
-                factors.append("t" + ("^%d" % t_deg if t_deg > 1 else ""))
-            factors += ["b2[%d]" % k for k in b_off]
-            factors += ["a[%d]" % k for k in a_off]
-            bits.append("%s %s" % (coeff, "*".join(factors) or "1"))
-        return "LatticePolynomial(%s)" % " + ".join(bits)
 
 
 def operator_power_entry(

@@ -94,7 +94,7 @@ def c_table(
     if k >= 2:
         if not e_k.is_rational():
             raise RejectedInput("genus >= 2 coefficients must be rational")
-        laur = e_k.laurent()
+        laur = e_k.rat.pole_coeffs()
         for ell in range(ell_max + 1):
             pole = 2 * k - 2 + ell
             base_coeff = laur[pole] if 0 < pole < len(laur) else Q(0)
@@ -159,7 +159,7 @@ def q_c_tables(nu: int, k: int, p_max: int, j_max: int, e_k: LogRational) -> dic
     for p in range(1, p_max + 1):
         totals = {}  # order -> the sum that must vanish there
         if k >= 2:
-            laur = e_k.laurent()
+            laur = e_k.rat.pole_coeffs()
             for ell in range(p):
                 # wrapped combination: z0 sum_m V_m / D^(2k+m-1) rewritten in
                 # plain pole orders; V_m from the j >= 1 rows

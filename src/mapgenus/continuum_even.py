@@ -193,20 +193,15 @@ class LogRational(namedtuple("LogRational", "nu rat c0 c1", defaults=(Q(0), Q(0)
             f *= b - k
         return LogRational(nu, DLaurent.of_ints(nu, -M, den * p * q, out))
 
-    def series(self, ctx) -> Series:
-        """The expansion over the planar series of ``ctx`` (a
-        ``genus_even.SeriesContext``), log species included."""
-        out = ratfn_to_series(self.rat.to_ratfn(), ctx.z0)
+    def series(self, etable) -> Series:
+        """The expansion over the planar series of ``etable`` (a
+        ``genus_even.ETable``), log species included."""
+        out = ratfn_to_series(self.rat.to_ratfn(), etable.z0)
         if self.c0:
-            out = out + self.c0 * ctx.log_z0
+            out = out + self.c0 * etable.log_z0
         if self.c1:
-            out = out + self.c1 * ctx.log_base
+            out = out + self.c1 * etable.log_base
         return out
-
-    def laurent(self) -> tuple[Fraction, ...]:
-        if not self.is_rational():
-            raise RejectedInput("log terms have no Laurent data at the base")
-        return self.rat.pole_coeffs()
 
 
 def _graded_chain(chain: list[LogRational], a: int, p: int) -> list[LogRational]:
@@ -413,7 +408,7 @@ class ZTable:
         self.nu = nu
         self.T = T
         self.z0 = catalan_data(nu, T).z0 if z0 is None else z0.truncate(T)
-        self.entries = {0: ZEntry(RatFn(Poly([0, 1]), Poly.one(), 0, "z0"), DLaurent.const(nu, 1))}
+        self.entries = {0: ZEntry(RatFn(Poly([0, 1]), Poly.one(), 0), DLaurent.const(nu, 1))}
         self.log_terms: list[DLaurent | None] = [None]
         self.chains: dict[int, list[LogRational]] = {}
         self.todas: dict = {}

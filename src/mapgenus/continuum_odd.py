@@ -72,15 +72,6 @@ class TriPoly(Terms):
             total = GradedSeries.const(h.var, 0, 0, h.step2, h.trunc)
         return total
 
-    def __repr__(self):
-        bits = []
-        for (s, h, f), v in sorted(self.terms.items()):
-            mono = "".join(
-                ["s^%d" % s if s else "", "h^%d" % h if h else "", "f^%d" % f if f else ""]
-            )
-            bits.append("%s %s" % (v, mono or "1"))
-        return "TriPoly(%s)" % " + ".join(bits) if bits else "TriPoly(0)"
-
 
 class GradedPowers:
     """The products h^a f^b of two graded series fields, each multiplied
@@ -390,6 +381,8 @@ def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
 
 
 def payload_verify_odd(nu: int, order: int) -> dict:
+    if order < 1:
+        raise RejectedInput("--order must be >= 1")
     coefficients = verify_odd_identities(nu)
     pair = solve_leading_odd(nu, order)
     identities = [
@@ -400,4 +393,6 @@ def payload_verify_odd(nu: int, order: int) -> dict:
 
 
 def payload_trivalent(mmax: int) -> dict:
+    if mmax % 2 or mmax < 2:
+        raise RejectedInput("--mmax must be even and >= 2")
     return trivalent_checks(T=max(4, mmax // 2 + 2), m_max=mmax)

@@ -146,10 +146,6 @@ class Poly:
     def one() -> "Poly":
         return Poly((1,))
 
-    @staticmethod
-    def const(q: QLike) -> "Poly":
-        return Poly((q,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -222,24 +218,15 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            other = Poly((other,))
         return isinstance(other, Poly) and self.c == other.c
-
-    def __repr__(self):
-        if not self.c:
-            return "Poly(0)"
-        parts = []
-        for i, a in enumerate(self.c):
-            if a:
-                parts.append("%s*z^%d" % (qstr(a), i))
-        return "Poly(%s)" % " + ".join(parts)
 
 
 def _as_poly(p) -> Poly:
     if isinstance(p, Poly):
         return p
     if isinstance(p, (int, Fraction)):
-        return Poly.const(p)
+        return Poly((p,))
     raise RejectedInput("cannot coerce %r to Poly" % (p,))
 
 
@@ -290,10 +277,6 @@ class Series:
         return self._of(self.var, den, num)
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(var: str, trunc: int) -> "Series":
-        return Series(var, (), trunc)
 
     @staticmethod
     def one(var: str, trunc: int) -> "Series":
@@ -427,7 +410,7 @@ def series_log(s: Series) -> Series:
     if s.coeff(0) != 1:
         raise RejectedInput("series_log requires constant term exactly 1")
     if s.trunc == 0:
-        return Series.zero(s.var, 0)
+        return Series(s.var, (), 0)
     return (s.derivative() / s.truncate(s.trunc - 1)).integrate().truncate(s.trunc)
 
 
@@ -444,9 +427,9 @@ class RatFn:
     reconstruction produces and keeps pole-order queries O(1).
     """
 
-    __slots__ = ("num", "den_base", "den_pow", "var")
+    __slots__ = ("num", "den_base", "den_pow")
 
-    def __init__(self, num: Poly, den_base: Poly, den_pow: int = 1, var: str = "z"):
+    def __init__(self, num: Poly, den_base: Poly, den_pow: int = 1):
         if den_base.is_zero():
             raise RejectedInput("zero denominator")
         if den_pow < 0:
@@ -479,19 +462,13 @@ class RatFn:
         self.num = num
         self.den_base = den_base
         self.den_pow = den_pow
-        self.var = var
 
     @staticmethod
-    def _of(num: Poly, den_base: Poly, den_pow: int, var: str) -> "RatFn":
+    def _of(num: Poly, den_base: Poly, den_pow: int) -> "RatFn":
         """A record whose parts are already in the reduced form above."""
         out = object.__new__(RatFn)
-        out.num, out.den_base, out.den_pow, out.var = num, den_base, den_pow, var
+        out.num, out.den_base, out.den_pow = num, den_base, den_pow
         return out
-
-    def __repr__(self):
-        if self.den_pow == 0:
-            return "RatFn(%r)" % (self.num,)
-        return "RatFn((%r) / (%r)^%d)" % (self.num, self.den_base, self.den_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +485,8 @@ class DLaurent:
     ``den``, reduced so that gcd(den, *num) == 1, with both ends of ``num``
     nonzero; zero is the empty tuple at lo = 0 over 1, so every value has
     one representation.  Sums scale to the lcm of the denominators, products
-    are one integer convolution (``_iconv``), d/dz and the quotient by z run
-    on the integers, and ``c`` is the Fraction read.
+    are one integer convolution (``_iconv``), and d/dz and the quotient by
+    z run on the integers; ``coeff`` and ``pole_coeffs`` read Fractions.
     """
 
     __slots__ = ("nu", "lo", "den", "num")
@@ -560,21 +537,14 @@ class DLaurent:
         P = max(0, -self.lo)
         scale = Q(1, self.den * (-q) ** P)
         num = _taylor_shift([0] * (self.lo + P) + list(self.num), Q(self.nu), -q, scale)
-        return RatFn._of(Poly(num), Poly([Q(-self.nu, q), 1]) if P else Poly.one(), P, "z0")
+        return RatFn._of(Poly(num), Poly([Q(-self.nu, q), 1]) if P else Poly.one(), P)
 
     # -- structure -------------------------------------------------------------
-
-    @property
-    def c(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of D^k."""
         i = k - self.lo
         return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Q(0)
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def pole_nums(self) -> list[int]:
         """Numerators over ``den`` of D^0, D^-1, ..., D^-P by pole order 0..P."""
@@ -670,10 +640,6 @@ class DLaurent:
         if not isinstance(other, DLaurent):
             return NotImplemented
         return (self.nu, self.lo, self.den, self.num) == (other.nu, other.lo, other.den, other.num)
-
-    def __repr__(self):
-        terms = ["%s*D^%d" % (qstr(a), self.lo + i) for i, a in enumerate(self.c) if a]
-        return "DLaurent[nu=%d](%s)" % (self.nu, " + ".join(terms) or "0")
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +764,6 @@ def series_to_ratfn(
     base: Poly,
     max_num_deg: int,
     max_pole_ord: int,
-    var: str = "z",
 ) -> RatFn:
     """Reconstruct R = num / base**p with p <= max_pole_ord such that
     R(z(x)) agrees with s at every order.
@@ -828,7 +793,7 @@ def series_to_ratfn(
     num = _qconv(basis.to_y(s.truncate(T)), den_y, T)
     if any(num[n + 1 :]):
         raise ReconstructionFailed("a surplus order of the reconstruction does not vanish")
-    return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord, var)
+    return RatFn(Poly(_taylor_shift(num[: n + 1], -basis.z0)), base, max_pole_ord)
 
 
 def ratfn_to_series(r: RatFn, z: Series) -> Series:
@@ -935,14 +900,6 @@ class GradedSeries(Series):
         if self.is_zero() and other.is_zero():
             return self.var == other.var and self.step2 == other.step2
         return self.base2 == other.base2 and self.step2 == other.step2 and super().__eq__(other)
-
-    def __repr__(self):
-        return "GradedSeries[%s;base2=%d,step2=%d](%s)" % (
-            self.var,
-            self.base2,
-            self.step2,
-            list(self.c),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,10 @@ def eg_series_from_kappa(j: int, g: int, m_max: int, cap: int = HALF_EDGE_CAP) -
 def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
     if genus is not None and genus < 0:
         raise RejectedInput("--genus must be >= 0")
+    if valence < 1:
+        raise RejectedInput("--valence must be >= 1")
+    if vertices < 1:
+        raise RejectedInput("--vertices must be >= 1")
     counts = kappa_counts(valence, vertices)
     if genus is not None:
         return {str(genus): counts.get(genus, 0)}

@@ -28,7 +28,7 @@ from functools import cache, cached_property
 from math import factorial
 
 from .combinatorics import c_valence
-from .continuum_even import LogRational, ZTable, _graded_chain, build_ztable, catalan_data, require_positive, ztable_order
+from .continuum_even import LogRational, ZTable, _graded_chain, build_ztable, require_positive
 from .errors import RejectedInput, ResonanceFailure, VerificationFailure
 from .exact_kernel import (
     DLaurent,
@@ -67,24 +67,6 @@ def face_count(nu: int, g: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class SeriesContext:
-    """Shared expansion data: z0(u), and log z0(u), log D(z0(u)) on first
-    use; only the genus-0 and genus-1 closed forms carry log terms."""
-
-    def __init__(self, nu: int, z0: Series):
-        self.nu = nu
-        self.z0 = z0
-
-    @cached_property
-    def log_z0(self) -> Series:
-        return series_log(self.z0)
-
-    @cached_property
-    def log_base(self) -> Series:
-        base_series = self.nu - (self.nu - 1) * self.z0
-        return series_log(base_series / base_series.coeff(0))
-
-
 def closed_e0_e1(nu: int) -> tuple[LogRational, LogRational]:
     """Genus-0 and genus-1 free-energy coefficients as functions of z0.
 
@@ -105,25 +87,20 @@ def closed_e0_e1(nu: int) -> tuple[LogRational, LogRational]:
 # ---------------------------------------------------------------------------
 
 
-def E_w_deriv(e_h: LogRational, h: int, p: int) -> LogRational:
-    """p-th spatial derivative of E_h at w = 1 by the direct graded chain."""
-    if p < 0:
-        raise RejectedInput("derivative order must be >= 0")
-    return _graded_chain([e_h], 2 - 2 * h, p)[p]
-
-
 def E_w_derivs(etable: "ETable", h: int, p: int) -> LogRational:
     """p-th spatial derivative of the genus-h lift at w = 1.
 
-    Computed by the direct graded chain (``E_w_deriv``) and cross-checked
-    against the scaled-time resummation through the Q table (all h), against
-    the coefficient-table rebuild (h >= 1), and against the independent
-    planar-jet formula (h = 0, p >= 3).
+    Read from the lift's stored graded chain (``ETable.w_deriv``) and
+    cross-checked against the scaled-time resummation through the Q table
+    (all h), against the coefficient-table rebuild (h >= 1), and against the
+    independent planar-jet formula (h = 0, p >= 3).
     """
     from .conservation import planar_lift_deriv_formula, q_table, resummed_via_tables
 
+    if p < 0:
+        raise RejectedInput("derivative order must be >= 0")
     e_h = etable.logrational(h)
-    direct = E_w_deriv(e_h, h, p)
+    direct = etable.w_deriv(h, p)
     if p >= 1:
         nu = etable.nu
         Qt = q_table(nu, max(h, 0), p)
@@ -214,19 +191,30 @@ class EEntry(namedtuple("EEntry", "ratfn series rat r_factor resonant_orders")):
 
 class ETable:
     """Free-energy coefficients for one valence: closed forms at genus 0
-    and 1, solved rational forms beyond, expanded over the planar series z0
-    (by default the z-table's own).  ``chains`` holds, per lift h, the
-    graded chain of its spatial derivatives, which each genus of the tau
-    recursion extends by two orders instead of rebuilding."""
+    and 1, solved rational forms beyond, expanded over the z-table's planar
+    series ``z0``; log z0(u) and log D(z0(u)) are built on first use, since
+    only the genus-0 and genus-1 closed forms carry log terms.  ``chains``
+    holds, per lift h, the graded chain of its spatial derivatives, which
+    each genus of the tau recursion extends by two orders instead of
+    rebuilding."""
 
-    def __init__(self, nu: int, ztable: ZTable, z0: Series | None = None):
+    def __init__(self, nu: int, ztable: ZTable):
         self.nu = nu
         self.ztable = ztable
-        self.ctx = SeriesContext(nu, ztable.series(0) if z0 is None else z0)
+        self.z0 = ztable.z0
         e0, e1 = closed_e0_e1(nu)
         self.closed = {0: e0, 1: e1}
         self.entries: dict[int, EEntry] = {}
         self.chains: dict[int, list[LogRational]] = {}
+
+    @cached_property
+    def log_z0(self) -> Series:
+        return series_log(self.z0)
+
+    @cached_property
+    def log_base(self) -> Series:
+        base_series = self.nu - (self.nu - 1) * self.z0
+        return series_log(base_series / base_series.coeff(0))
 
     def logrational(self, g: int) -> LogRational:
         if g in self.closed:
@@ -241,7 +229,7 @@ class ETable:
 
     def series(self, g: int) -> Series:
         if g in self.closed:
-            return self.closed[g].series(self.ctx)
+            return self.closed[g].series(self)
         return self.entries[g].series
 
 
@@ -291,8 +279,8 @@ def solve_eg(nu: int, g: int, ztable: ZTable, etable: ETable) -> EEntry:
         raise VerificationFailure(
             "pole order %d at genus %d, expected %d" % (ratfn.den_pow, g, 5 * g - 5)
         )
-    series = ratfn_to_series(ratfn, etable.ctx.z0)
-    rhs_series = rhs.series(etable.ctx)
+    series = ratfn_to_series(ratfn, etable.z0)
+    rhs_series = rhs.series(etable)
     resonant = []
     for m in range(series.trunc + 1):
         lam = resonance_lambda(nu, g, m)
@@ -376,19 +364,15 @@ def verify_genus_structure(nu: int, g: int, ztable: ZTable, etable: ETable) -> d
 
 def build_etable(nu: int, g_max: int, ztable: ZTable | None = None, T: int | None = None) -> ETable:
     """e_2 .. e_g_max, expanded to order T (default 5 g_max + 12, at least
-    16).  e_g reads only the planar series and each z_g in the D ring, so
-    the z-table keeps the order of its own default print,
-    min(T, max(3 g_max + 12, 16)), over a cut of the same planar series.
-    A given z-table is used as it is, and its planar series sets the order,
-    so it cannot be given together with T."""
-    z0 = None
+    16) over the planar series of a z-table built to that order; e_g reads
+    only the planar series and each z_g in the D ring, so no z_g is
+    expanded.  A given z-table is used as it is, and its planar series sets
+    the order, so it cannot be given together with T."""
     if ztable is not None and T is not None:
         raise RejectedInput("give a z-table or an order T, not both: the z-table's planar series sets the order")
     if ztable is None:
-        T = max(5 * g_max + 12, 16) if T is None else T
-        z0 = catalan_data(nu, T).z0
-        ztable = build_ztable(nu, g_max, min(T, ztable_order(g_max)), z0)
-    etable = ETable(nu, ztable, z0)
+        ztable = build_ztable(nu, g_max, max(5 * g_max + 12, 16) if T is None else T)
+    etable = ETable(nu, ztable)
     for g in range(2, g_max + 1):
         solve_eg(nu, g, ztable, etable)
     return etable

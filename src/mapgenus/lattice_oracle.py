@@ -162,12 +162,6 @@ class BiSeries:
     def __sub__(self, other):
         return self._bin(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return BiSeries._reduced(self.trunc, self.den, {key: -x for key, x in self.num.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -628,6 +622,8 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
 def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
     if nmax < 1:
         raise RejectedInput("--nmax must be >= 1")
+    if torder < 0:
+        raise RejectedInput("--torder must be >= 0")
     spec = WeightSpec(nu=nu, g_s=Fraction(1, nmax), include_t1=with_t1)
     table = recurrence_table(spec, n_max=nmax + nu + 1, T=torder)
     rows = _power_rows(table)

@@ -303,6 +303,11 @@ def test_invalid_input_is_usage_error(capsys, argv):
         (("verify", "continuum", "--nu", "0"), "--nu must be >= 1"),
         (("verify", "continuum", "--nu", "2", "--order", "0"), "--order must be >= 1"),
         (("verify", "continuum", "--nu", "2", "--order", "-3"), "--order must be >= 1"),
+        (("verify", "lattice", "--nu", "2", "--torder", "-1"), "--torder must be >= 0"),
+        (("verify", "odd", "--nu", "1", "--order", "0"), "--order must be >= 1"),
+        (("trivalent", "--mmax", "3"), "--mmax must be even and >= 2"),
+        (("maps", "--valence", "0", "--vertices", "2"), "--valence must be >= 1"),
+        (("maps", "--valence", "4", "--vertices", "0"), "--vertices must be >= 1"),
     ],
 )
 def test_usage_errors_name_the_option(capsys, argv, message):

@@ -106,7 +106,7 @@ def test_string_jets_partition_filter(skewed_string_box):
 def test_solve_z1_closed_form():
     table = build_ztable(2, 1)
     entry = table.entries[1]
-    expected = RatFn(Q(2, 3) * Poly([0, 1]) * Poly([-1, 1]) ** 2, Poly([2, -1]), 4, "z0")
+    expected = RatFn(Q(2, 3) * Poly([0, 1]) * Poly([-1, 1]) ** 2, Poly([2, -1]), 4)
     got = entry.ratfn  # equal in value: num times the other's denominator
     assert got.num * expected.den_base ** expected.den_pow == expected.num * got.den_base ** got.den_pow
     assert [table.series(1).coeff(k) for k in range(4)] == [0, 0, 96, 10368]
@@ -126,7 +126,7 @@ def test_solve_zg_structure_nu2_g2():
     series = table.series(2)
     assert series.coeff(0) == 0 and series.trunc == table.T
     # round trip: the series reconstructs to the rational form it came from
-    back = series_to_ratfn(series, table.series(0), Poly([2, -1]), 6, 9, "z0")
+    back = series_to_ratfn(series, table.series(0), Poly([2, -1]), 6, 9)
     assert (back.num, back.den_base, back.den_pow) == (entry.ratfn.num, entry.ratfn.den_base, entry.ratfn.den_pow)
 
 
@@ -284,7 +284,7 @@ def test_lattice_expansion_sees_every_term():
         bumped = LatticePolynomial(dict(expr.terms))
         bumped.terms[key] += 1
         got_weight, got = expand_lattice_polynomial(bumped, table, g - 1, N)
-        single = LatticePolynomial.monomial(1, b_off, t_deg=t_deg)
+        single = LatticePolynomial({(t_deg, b_off, ()): 1})
         delta = _reference_expansion(single, z_list(table, g - 1), nu, N)
         assert not delta.is_zero()
         assert got != base and got_weight == weight
@@ -651,7 +651,7 @@ def series_reference_ztable(nu, g_max, T):
         assert f_g.base2 == 2 - 4 * g
         family.zs.append(Series("u", f_g.c) / denom)
         base = Poly([nu, -(nu - 1)])
-        ratfns.append(series_to_ratfn(family.zs[g], z0, base, 3 * g, 5 * g - 1, "z0"))
+        ratfns.append(series_to_ratfn(family.zs[g], z0, base, 3 * g, 5 * g - 1))
     return family, ratfns
 
 
@@ -742,10 +742,8 @@ def test_hierarchy_collect_matches_the_reference(monkeypatch):
             assert seen.pop() == reference_toda_polynomial(table, g), (nu, g)
 
 
-@pytest.mark.skipif(
-    "MAPGENUS_SLOW" not in __import__("os").environ,
-    reason="the symbol-by-symbol reference takes seconds at nu = 6, g = 6; set MAPGENUS_SLOW=1",
-)
+# the symbol-by-symbol reference takes seconds at nu = 6, g = 6
+@pytest.mark.slow
 def test_two_stage_collect_matches_the_reference_at_nu6():
     expr = lattice_equation_exprs(6, "string")
     for g in range(1, 7):
