@@ -25,12 +25,10 @@ from .continuum_even import (
     build_ztable,
     catalan_data,
     monomial_sums,
-    require_higher_genus,
-    require_positive,
     verify_continuum_toda,
     ztable_order,
 )
-from .errors import RejectedInput, VerificationFailure, status_of
+from .errors import RejectedInput, VerificationFailure, require_higher_genus, require_positive, status_of
 from .exact_kernel import GradedSeries, Q
 
 Partition = tuple[int, ...]
@@ -242,13 +240,19 @@ def payload_verify_continuum(nu: int, g: int, order: int | None) -> dict:
 
 def payload_report(nu: int) -> dict:
     """One standard verification sweep: every identity tag with its status."""
-    if nu >= 1:  # before the sweep; a valence below 1 keeps the lattice table's error
-        require_higher_genus(nu)
+    require_positive("--nu", nu)
+    require_higher_genus(nu)
     from . import fatgraph_oracle
     from .continuum_odd import payload_trivalent, payload_verify_odd
     from .lattice_oracle import asymptotic_match, fit_sites, payload_verify_lattice
 
-    sites = fit_sites(nu, 1, [4, 6, 8, 10], 3)  # before the sweep: a valence may leave no surplus site
+    try:  # before the sweep: a valence may leave the fixed fit no surplus site
+        sites = fit_sites(nu, 1, [4, 6, 8, 10], 3)
+    except RejectedInput:
+        raise RejectedInput(
+            "report takes --nu 2..4: its genus-1 fit over sites 4, 6, 8, 10 at t-order 3"
+            " leaves no surplus site at --nu %d" % nu
+        ) from None
     out = []
     out.extend(payload_verify_lattice(nu, 6, 4, True)["identities"])
     out.extend(payload_verify_continuum(nu, 2, None)["identities"])

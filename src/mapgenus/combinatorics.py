@@ -1,11 +1,11 @@
-"""The leading transport coefficient and the higher Catalan numbers,
-lattice-path enumeration, the sparse polynomial algebra shared by every
-symbolic equation, and symbolic entries of powers of the three-term
-recursion operator.
+"""The leading transport coefficient and the higher Catalan numbers, the
+sparse polynomial algebra shared by every symbolic equation, and symbolic
+entries of powers of the three-term recursion operator, walked one step at
+a time.
 
-Offset variables b2[k] / a[k] are indexed by position relative to a
-generic lattice site n, never by absolute position, so every generated
-equation is manifestly shift-invariant.
+Offset variables b2[k] are indexed by position relative to a generic
+lattice site n, never by absolute position, so every generated equation is
+manifestly shift-invariant.
 """
 
 from __future__ import annotations
@@ -55,42 +55,6 @@ def painleve_a(g: int) -> Fraction:
         e = Fraction(1, 2) - Fraction(5 * (k - 1), 2)
         a.append((e * (e - 1) / 6 * a[k - 1] - sum(a[h] * a[k - h] for h in range(1, k))) / 2)
     return a[g]
-
-
-# ---------------------------------------------------------------------------
-# lattice paths
-# ---------------------------------------------------------------------------
-
-def lattice_paths(j: int, m1: int, m2: int, kind: str = "dyck") -> list[tuple[int, ...]]:
-    """Exhaustive enumeration of the step tuples of length-j walks from m1
-    to m2; steps are +1/-1 (and 0 for Motzkin).
-
-    Parity mismatch yields the empty list, not an error.  Enumeration is
-    deliberately step-by-step so per-path weights stay available.
-    """
-    if j < 0:
-        raise RejectedInput("path length must be >= 0")
-    if kind == "dyck":
-        alphabet = (1, -1)
-    elif kind == "motzkin":
-        alphabet = (1, 0, -1)
-    else:
-        raise RejectedInput("kind must be 'dyck' or 'motzkin'")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining, level, acc):
-        if abs(m2 - level) > remaining:
-            return
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for s in alphabet:
-            acc.append(s)
-            rec(remaining - 1, level + s, acc)
-            acc.pop()
-
-    rec(j, m1, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,56 +117,50 @@ class Terms:
 
 
 class LatticePolynomial(Terms):
-    """Polynomial in offset variables b2[k], a[k] and the coupling t.
+    """Polynomial in offset variables b2[k] and the coupling t.
 
-    Terms map (t_degree, sorted b2 offsets, sorted a offsets) -> Fraction.
-    Offsets are relative to a generic site, so shifting all offsets by a
-    constant is an exact symmetry of every generated equation.
+    Terms map (t_degree, sorted b2 offsets) -> Fraction.  Offsets are
+    relative to a generic site, so shifting all offsets by a constant is an
+    exact symmetry of every generated equation.
     """
 
     __slots__ = ()
 
     @staticmethod
     def _key_mul(k1, k2):
-        return k1[0] + k2[0], tuple(sorted(k1[1] + k2[1])), tuple(sorted(k1[2] + k2[2]))
+        return k1[0] + k2[0], tuple(sorted(k1[1] + k2[1]))
 
     def times_t(self) -> "LatticePolynomial":
-        return LatticePolynomial({(t + 1, b, a): v for (t, b, a), v in self.terms.items()})
+        return LatticePolynomial({(t + 1, b): v for (t, b), v in self.terms.items()})
 
     def shift(self, k: int) -> "LatticePolynomial":
-        """b2[i] -> b2[i+k], a[i] -> a[i+k]."""
-        return LatticePolynomial(
-            {
-                (t, tuple(x + k for x in b), tuple(x + k for x in a)): v
-                for (t, b, a), v in self.terms.items()
-            }
-        )
+        """b2[i] -> b2[i+k]."""
+        return LatticePolynomial({(t, tuple(x + k for x in b)): v for (t, b), v in self.terms.items()})
 
 
-def operator_power_entry(
-    j: int, row_offset: int, col_offset: int, even_potential: bool = True
-) -> LatticePolynomial:
+def operator_power_entry(j: int, row_offset: int, col_offset: int) -> LatticePolynomial:
     """Entry (n+row_offset, n+col_offset) of the j-th power of the recursion
-    operator, as a lattice polynomial.
+    operator of an even potential, as a lattice polynomial.
 
     Each walk contributes the product of its step weights: an upstep weighs
-    1, a downstep from relative level k weighs b2[k], and (odd potentials
-    only) a flat step at level k weighs a[k].
+    1 and a downstep from relative level k weighs b2[k].  The walks are
+    counted, not listed: a state is a level with the sorted offsets of the
+    downsteps taken so far, equal states merge after every step, and a
+    state that can no longer reach col_offset is dropped.  Stepping up
+    before down from each state in turn keeps every state, and so every
+    term, at the place of the first walk (upsteps first) that reaches it.
     """
-    kind = "dyck" if even_potential else "motzkin"
-    walks = []
-    for steps in lattice_paths(j, row_offset, col_offset, kind):
-        b_off = []
-        a_off = []
-        lvl = row_offset
-        for s in steps:
-            if s == -1:
-                b_off.append(lvl)  # weight of the step leaving level lvl downward
-            elif s == 0:
-                a_off.append(lvl)
-            lvl += s
-        walks.append(((0, tuple(sorted(b_off)), tuple(sorted(a_off))), 1))
-    return LatticePolynomial(walks)
+    if j < 0:
+        raise RejectedInput("path length must be >= 0")
+    states = {(row_offset, ()): 1}
+    for remaining in range(j - 1, -1, -1):
+        after: dict = {}
+        for (lvl, b_off), count in states.items():
+            for state in ((lvl + 1, b_off), (lvl - 1, tuple(sorted(b_off + (lvl,))))):
+                if abs(col_offset - state[0]) <= remaining:
+                    after[state] = after.get(state, 0) + count
+        states = after
+    return LatticePolynomial({(0, b_off): count for (lvl, b_off), count in states.items() if lvl == col_offset})
 
 
 def lattice_equation_exprs(nu: int, kind: str) -> LatticePolynomial:

@@ -38,7 +38,7 @@ from math import comb, factorial, prod
 from math import lcm as _int_lcm
 
 from .combinatorics import LatticePolynomial, c_valence, higher_catalan, lattice_equation_exprs, painleve_a
-from .errors import RejectedInput, ResonanceFailure, VerificationFailure
+from .errors import RejectedInput, ResonanceFailure, VerificationFailure, require_higher_genus, require_positive
 from .exact_kernel import DLaurent, Poly, Q, RatFn, Series, qstr, ratfn_to_json, ratfn_to_series, series_to_json
 
 # ---------------------------------------------------------------------------
@@ -331,9 +331,7 @@ def _jet_polynomials(expr: LatticePolynomial, nu: int, gmax: int, N: int) -> dic
     (t = -2 nu u) applied once per lambda: k -> (den, terms), the polynomial
     being the integer terms over den."""
     by_degree: dict[int, list] = {}
-    for (t_deg, b_off, a_off), coeff in expr.terms.items():
-        if a_off:
-            raise RejectedInput("even-valence expansion does not carry a[] offsets")
+    for (t_deg, b_off), coeff in expr.terms.items():
         if b_off:  # a term without factors has order 0 alone
             by_degree.setdefault(t_deg, []).append((b_off, coeff.numerator if coeff.denominator == 1 else coeff))
     live = {}
@@ -528,20 +526,6 @@ def verify_continuum_toda(nu: int, g: int, ztable: ZTable) -> dict:
 # ---------------------------------------------------------------------------
 # the z0 and zg commands
 # ---------------------------------------------------------------------------
-
-
-def require_positive(option: str, value: int | None) -> None:
-    """Reject a command-line count below 1, naming its option; None (the
-    option left at its default) passes."""
-    if value is not None and value < 1:
-        raise RejectedInput("%s must be >= 1" % option)
-
-
-def require_higher_genus(nu: int) -> None:
-    """Reject a valence below 2, which has no closed form z_g: nu = 1 has
-    no higher genus."""
-    if nu < 2:
-        raise RejectedInput("closed forms need nu >= 2 (nu = 1 has no higher genus)")
 
 
 def payload_z0(nu: int, order: int) -> dict:

@@ -17,7 +17,7 @@ from math import factorial
 from operator import mul
 
 from .combinatorics import Terms
-from .errors import RejectedInput, VerificationFailure, status_of
+from .errors import RejectedInput, SizeLimit, VerificationFailure, require_positive, status_of
 from .exact_kernel import GradedSeries, Q, Series, series_log
 
 
@@ -381,8 +381,8 @@ def trivalent_checks(T: int = 6, m_max: int = 4) -> dict:
 
 
 def payload_verify_odd(nu: int, order: int) -> dict:
-    if order < 1:
-        raise RejectedInput("--order must be >= 1")
+    require_positive("--nu", nu)
+    require_positive("--order", order)
     coefficients = verify_odd_identities(nu)
     pair = solve_leading_odd(nu, order)
     identities = [
@@ -395,4 +395,9 @@ def payload_verify_odd(nu: int, order: int) -> dict:
 def payload_trivalent(mmax: int) -> dict:
     if mmax % 2 or mmax < 2:
         raise RejectedInput("--mmax must be even and >= 2")
+    from .fatgraph_oracle import HALF_EDGE_CAP
+
+    top = HALF_EDGE_CAP // 6 * 2  # the largest even count of trivalent vertices within the cap
+    if mmax > top:
+        raise SizeLimit("--mmax must be <= %d: the map counts stop at %d half-edges" % (top, HALF_EDGE_CAP))
     return trivalent_checks(T=max(4, mmax // 2 + 2), m_max=mmax)

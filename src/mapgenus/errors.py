@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all engine modules, with the command line's
-exit code and stderr prefix of each error, the pass/fail verdict of a list
-of checks, and the scaling of rationals to integers over one
-denominator that both exact-arithmetic modules use."""
+exit code and stderr prefix of each error, the option checks that the
+command builders share, the pass/fail verdict of a list of checks, and the
+scaling of rationals to integers over one denominator that both
+exact-arithmetic modules use."""
 
 from math import lcm
 
@@ -70,6 +71,20 @@ class SizeLimit(EngineError):
     """An exhaustive enumeration exceeds the configured desk-scale cap."""
 
     cli_exit = USAGE
+
+
+def require_positive(option: str, value: int | None) -> None:
+    """Reject a command-line count below 1, naming its option; None (the
+    option left at its default) passes."""
+    if value is not None and value < 1:
+        raise RejectedInput("%s must be >= 1" % option)
+
+
+def require_higher_genus(nu: int) -> None:
+    """Reject a valence below 2, which has no closed form z_g: nu = 1 has
+    no higher genus."""
+    if nu < 2:
+        raise RejectedInput("--nu must be >= 2 (nu = 1 has no higher genus)")
 
 
 def status_of(entries: list) -> str:

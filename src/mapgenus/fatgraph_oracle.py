@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import NoMatchingExists, RejectedInput, SizeLimit, VerificationFailure
+from .errors import NoMatchingExists, RejectedInput, SizeLimit, VerificationFailure, require_positive
 
 KERNEL_KIND = "pure"
 
@@ -136,11 +136,15 @@ def eg_series_from_kappa(j: int, g: int, m_max: int, cap: int = HALF_EDGE_CAP) -
 def payload_maps(valence: int, vertices: int, genus: int | None) -> dict:
     if genus is not None and genus < 0:
         raise RejectedInput("--genus must be >= 0")
-    if valence < 1:
-        raise RejectedInput("--valence must be >= 1")
-    if vertices < 1:
-        raise RejectedInput("--vertices must be >= 1")
-    counts = kappa_counts(valence, vertices)
+    require_positive("--valence", valence)
+    require_positive("--vertices", vertices)
+    try:
+        counts = kappa_counts(valence, vertices)
+    except SizeLimit:
+        raise SizeLimit(
+            "--valence %d with --vertices %d gives %d half-edges, past the cap of %d"
+            % (valence, vertices, valence * vertices, HALF_EDGE_CAP)
+        ) from None
     if genus is not None:
         return {str(genus): counts.get(genus, 0)}
     return {str(g): c for g, c in sorted(counts.items())}

@@ -28,8 +28,8 @@ from functools import cache, cached_property
 from math import factorial
 
 from .combinatorics import c_valence
-from .continuum_even import LogRational, ZTable, _graded_chain, build_ztable, require_positive
-from .errors import RejectedInput, ResonanceFailure, VerificationFailure
+from .continuum_even import LogRational, ZTable, _graded_chain, build_ztable
+from .errors import RejectedInput, ResonanceFailure, VerificationFailure, require_higher_genus, require_positive
 from .exact_kernel import (
     DLaurent,
     Q,
@@ -387,6 +387,7 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
     if g < 0:
         raise RejectedInput("genus must be >= 0")
     require_positive("--nu", nu)
+    require_higher_genus(nu)
     require_positive("--series-order", order)
     if g < 2:
         T = order if order is not None else 16
@@ -404,8 +405,8 @@ def payload_eg(nu: int, g: int, order: int | None) -> dict:
         }
     # the read-back reaches every resonant order, m <= (2g - 1)/(nu - 1)
     # where the face count is 0 or 1, whatever order is printed; a shorter
-    # printed series is cut after (nu = 1 is rejected by the build)
-    top = (2 * g - 1) // max(nu - 1, 1)
+    # printed series is cut after
+    top = (2 * g - 1) // (nu - 1)
     etable = build_etable(nu, g, T=None if order is None else max(order, top))
     entry = etable.entries[g]
     summary = verify_genus_structure(nu, g, etable.ztable, etable)

@@ -46,6 +46,7 @@ from .errors import (
     RejectedInput,
     VerificationFailure,
     _qscale,
+    require_positive,
     status_of,
 )
 
@@ -620,8 +621,8 @@ def asymptotic_match(nu: int, G: int, n_range, T: int, ztable=None) -> dict:
 # ---------------------------------------------------------------------------
 
 def payload_verify_lattice(nu: int, nmax: int, torder: int, with_t1: bool) -> dict:
-    if nmax < 1:
-        raise RejectedInput("--nmax must be >= 1")
+    require_positive("--nu", nu)
+    require_positive("--nmax", nmax)
     if torder < 0:
         raise RejectedInput("--torder must be >= 0")
     spec = WeightSpec(nu=nu, g_s=Fraction(1, nmax), include_t1=with_t1)

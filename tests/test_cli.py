@@ -37,6 +37,8 @@ CLOSED_FORM_DIGESTS = {
     "eg --nu 5 --g 3": "758d81ad14a2bcb9cbc3b99003cd940c757c94ce841dec26f7a2d1546c8cbbed",
     "verify continuum --nu 5 --g 2": "228075d766879d4560447a319df91cf3e764709399c2f162b82a35f67d7cab0f",
     "verify continuum --nu 6 --g 2": "4b45176eee8925cda0739ddad0ebaaa3803684da631c4cb18366f4caff4bda9b",
+    "eg --nu 8 --g 3": "61fe4bd047bade2548538784e8238d6085c2da9df16043bafb556c1110b12fe6",
+    "zg --nu 8 --g 3": "61330f6047dace6549896912080e3d07314e0b77e1ecc4687f43aa8d032cfacc",
 }
 
 
@@ -148,9 +150,9 @@ def test_report_failed_entry_fails_document(monkeypatch, capsys):
 
 def test_report_rejects_its_fit_sites_before_any_engine_work(monkeypatch, capsys):
     # from nu = 5 on, the genus-1 match at t-order 3 has no surplus site
-    # among [4, 6, 8, 10]: that usage error comes before any table, z-table
-    # or matching is built; nu = 1, which has no higher genus, is rejected
-    # just as early, and nu = 0 keeps the lattice table's first error
+    # among [4, 6, 8, 10]: that usage error, which names the valences report
+    # takes, comes before any table, z-table or matching is built; nu = 1,
+    # which has no higher genus, and nu = 0 are rejected just as early
     from mapgenus import checks, continuum_even, fatgraph_oracle, lattice_oracle
 
     def engine(*args, **kwargs):
@@ -166,16 +168,17 @@ def test_report_rejects_its_fit_sites_before_any_engine_work(monkeypatch, capsys
     for nu in ("5", "8"):
         code, out, err = run(capsys, "--no-cache", "report", "--nu", nu)
         assert (code, out) == (2, "")
-        assert err == "usage error: n_range leaves no surplus site for the genus 2..%d fit at t-order 3\n" % (
-            3 * (int(nu) - 1) // 2
+        assert err == (
+            "usage error: report takes --nu 2..4: its genus-1 fit over sites 4, 6, 8, 10 at t-order 3"
+            " leaves no surplus site at --nu %s\n" % nu
         )
     with pytest.raises(errors.RejectedInput, match="no surplus site"):
         lattice_oracle.asymptotic_match(3, 1, [4, 6], 3)
-    assert run(capsys, "--no-cache", "report", "--nu", "0") == (2, "", "usage error: valence parameter must be >= 1\n")
+    assert run(capsys, "--no-cache", "report", "--nu", "0") == (2, "", "usage error: --nu must be >= 1\n")
     assert run(capsys, "--no-cache", "report", "--nu", "1") == (
         2,
         "",
-        "usage error: closed forms need nu >= 2 (nu = 1 has no higher genus)\n",
+        "usage error: --nu must be >= 2 (nu = 1 has no higher genus)\n",
     )
 
 
@@ -308,6 +311,15 @@ def test_invalid_input_is_usage_error(capsys, argv):
         (("trivalent", "--mmax", "3"), "--mmax must be even and >= 2"),
         (("maps", "--valence", "0", "--vertices", "2"), "--valence must be >= 1"),
         (("maps", "--valence", "4", "--vertices", "0"), "--vertices must be >= 1"),
+        (("verify", "odd", "--nu", "0", "--order", "3"), "--nu must be >= 1"),
+        (("verify", "lattice", "--nu", "0"), "--nu must be >= 1"),
+        (("eg", "--nu", "1", "--g", "0"), "--nu must be >= 2 (nu = 1 has no higher genus)"),
+        (("eg", "--nu", "1", "--g", "3"), "--nu must be >= 2 (nu = 1 has no higher genus)"),
+        (("trivalent", "--mmax", "22"), "--mmax must be <= 6: the map counts stop at 20 half-edges"),
+        (
+            ("maps", "--valence", "4", "--vertices", "6"),
+            "--valence 4 with --vertices 6 gives 24 half-edges, past the cap of 20",
+        ),
     ],
 )
 def test_usage_errors_name_the_option(capsys, argv, message):
@@ -319,7 +331,7 @@ def test_valence_two_has_only_the_planar_entry(capsys):
     code, out, _ = run(capsys, "--no-cache", "zg", "--nu", "1", "--g", "0")
     assert code == 0 and json.loads(out)["ratfn"] == {"var": "z0", "num": ["0", "1"], "den_base": ["1"], "den_pow": 0}
     code, out, err = run(capsys, "--no-cache", "zg", "--nu", "1", "--g", "1")
-    assert (code, out) == (2, "") and "nu >= 2" in err
+    assert (code, out, err) == (2, "", "usage error: --nu must be >= 2 (nu = 1 has no higher genus)\n")
 
 
 # every engine error with the exit code and stderr prefix the README gives it
@@ -967,15 +979,19 @@ def test_each_run_loads_exactly_its_modules(tmp_path, capsys, case):
 
 
 def test_trivalent_past_the_matching_cap_fails_before_the_golden_forms(monkeypatch, capsys):
-    # the map counts are taken first: 8 trivalent vertices (24 half-edges)
-    # exceed the cap before any golden form is expanded
+    # 8 trivalent vertices (24 half-edges) exceed the cap: the option is
+    # rejected before any golden form is expanded
     from mapgenus import continuum_odd
 
     def expanded(T):
         raise AssertionError("golden forms expanded to order %d" % T)
 
     monkeypatch.setattr(continuum_odd, "trivalent_closed_forms", expanded)
-    assert run(capsys, "trivalent", "--mmax", "400") == (2, "", "usage error: half-edge count 24 exceeds cap 20\n")
+    assert run(capsys, "trivalent", "--mmax", "400") == (
+        2,
+        "",
+        "usage error: --mmax must be <= 6: the map counts stop at 20 half-edges\n",
+    )
 
 
 def test_records_are_immutable():

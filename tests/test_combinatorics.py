@@ -12,13 +12,13 @@ from _box_reference import (
     reference_box_points,
     strict_partitions_in_box,
 )
+from _path_reference import lattice_paths, motzkin_entry, walk_entry
 from mapgenus.checks import box_coefficients, box_points
 from mapgenus.combinatorics import (
     LatticePolynomial,
     c_valence,
     higher_catalan,
     lattice_equation_exprs,
-    lattice_paths,
     operator_power_entry,
     painleve_a,
 )
@@ -35,8 +35,8 @@ def dyck_path_count(j, m1, m2):
 
 
 def specialize_counts(poly):
-    """b2[k] -> 1, a[k] -> 0, t -> 1: recovers the bare path count."""
-    return sum(coeff for (_, _, a_off), coeff in poly.terms.items() if not a_off)
+    """b2[k] -> 1, t -> 1: recovers the bare path count."""
+    return sum(poly.terms.values())
 
 
 def test_partitions_examples():
@@ -142,9 +142,9 @@ def test_lattice_path_counts():
                 assert len(lattice_paths(j, m1, m2)) == dyck_path_count(j, m1, m2)
 
 
-def monomial(coeff, b_offsets=(), a_offsets=(), t_deg=0):
-    """coeff t^t_deg prod b2[k] prod a[k] as a lattice polynomial."""
-    return LatticePolynomial({(t_deg, tuple(sorted(b_offsets)), tuple(sorted(a_offsets))): coeff})
+def monomial(coeff, b_offsets=(), t_deg=0):
+    """coeff t^t_deg prod b2[k] as a lattice polynomial."""
+    return LatticePolynomial({(t_deg, tuple(sorted(b_offsets))): coeff})
 
 
 def b2(*offsets):
@@ -154,9 +154,44 @@ def b2(*offsets):
 def test_operator_power_entries():
     assert operator_power_entry(2, 0, 0) == b2(0) + b2(1)
     assert operator_power_entry(1, 1, 0) == b2(1)
-    # Motzkin variant keeps flat-step weights
-    full = operator_power_entry(2, 0, 0, even_potential=False)
-    assert full == b2(0) + b2(1) + monomial(1, (), (0, 0))
+    # the reference's Motzkin variant keeps flat-step weights
+    assert motzkin_entry(2, 0, 0) == {((0,), ()): 1, ((1,), ()): 1, ((), (0, 0)): 1}
+
+
+def test_walk_matches_the_path_reference():
+    # every entry the string and Toda equations read, term by term and in
+    # the order of the walks that first reach each term
+    for nu in range(1, 9):
+        for j, m1, m2 in ((1, 1, 0), (2 * nu - 1, 1, 0), (2 * nu, 1, -1)):
+            got, want = operator_power_entry(j, m1, m2), walk_entry(j, m1, m2)
+            assert list(got.terms.items()) == list(want.terms.items()), (nu, j)
+    # empty, parity-mismatched and out-of-reach entries included
+    for j in range(7):
+        for m1 in range(-1, 2):
+            for m2 in range(-3, 4):
+                got, want = operator_power_entry(j, m1, m2), walk_entry(j, m1, m2)
+                assert list(got.terms.items()) == list(want.terms.items()), (j, m1, m2)
+    with pytest.raises(RejectedInput, match="path length"):
+        operator_power_entry(-1, 0, 0)
+
+
+def test_walk_hands_one_pair_per_term(monkeypatch):
+    # the nu = 8 string entry: 6,435 walks merge into 576 terms, and the
+    # polynomial is built from the merged counts, not from a pair per walk
+    from mapgenus import combinatorics
+
+    pairs = []
+    real = combinatorics.LatticePolynomial
+
+    def recording(terms):
+        terms = list(terms.items() if isinstance(terms, dict) else terms)
+        pairs.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(combinatorics, "LatticePolynomial", recording)
+    entry = operator_power_entry(15, 1, 0)
+    assert len(lattice_paths(15, 1, 0)) == 6435
+    assert pairs == [len(entry.terms)] == [576]
 
 
 def test_tetravalent_difference_string_combination():
@@ -188,7 +223,7 @@ def test_bandwidth_bound():
     for nu in (1, 2, 3):
         for kind in ("string", "toda"):
             expr = lattice_equation_exprs(nu, kind)
-            assert all(abs(k) <= nu + 1 for (_, b, a) in expr.terms for k in b + a)
+            assert all(abs(k) <= nu + 1 for (_, b) in expr.terms for k in b)
 
 
 def test_shift_invariance_of_generation():
@@ -226,7 +261,7 @@ def test_string_expression_normalises_each_coefficient_a_bounded_number_of_times
 
 def test_terms_sum_matches_sequential_addition_randomized():
     rng = random.Random(7)
-    keys = [(t, (b,), ()) for t in range(2) for b in range(-2, 3)]
+    keys = [(t, (b,)) for t in range(2) for b in range(-2, 3)]
     for _ in range(40):
         monos = [
             monomial(rng.randint(-3, 3), key[1], t_deg=key[0])

@@ -5,7 +5,7 @@ from math import factorial, gcd
 
 import pytest
 
-from mapgenus.combinatorics import operator_power_entry
+from _path_reference import motzkin_entry
 from mapgenus.errors import RejectedInput, VerificationFailure
 from mapgenus.exact_kernel import Q, Series
 from mapgenus.lattice_oracle import (
@@ -116,18 +116,18 @@ def test_corrupted_diagonal_fails_string_and_toda():
         verify_lattice_equations(table, "toda")
 
 
-def eval_path_polynomial(poly, table):
-    """A lattice polynomial at site 0 of the table, one product per factor
-    of every monomial: b2[k] -> b2_k, a[k] -> a_k, zero below level 0."""
+def eval_path_sum(entry, shift, table):
+    """A path sum at site 0 of the table with every offset moved by shift,
+    one product per factor of every monomial: b2[k] -> b2_k, a[k] -> a_k,
+    zero below level 0."""
     zero = BiSeries(table.T, {})
     total = zero
-    for (t_deg, b_off, a_off), coeff in poly.terms.items():
-        assert t_deg == 0
-        term = BiSeries.const(coeff, table.T)
+    for (b_off, a_off), count in entry.items():
+        term = BiSeries.const(Q(count), table.T)
         for k in b_off:
-            term = term * table.b2[k]
+            term = term * table.b2[k + shift]
         for k in a_off:
-            term = term * (table.a[k] if k >= 0 else zero)
+            term = term * (table.a[k + shift] if k + shift >= 0 else zero)
         total = total + term
     return total
 
@@ -136,12 +136,12 @@ def test_transfer_rows_match_path_sums():
     for nu in (1, 2, 3, 4):
         # (L^j)_{n+1, n+1+dc} as path sums, offsets relative to the site n
         entries = {
-            (j, dc): operator_power_entry(j, 1, 1 + dc, False)
+            (j, dc): motzkin_entry(j, 1, 1 + dc)
             for j in (2 * nu - 1, 2 * nu)
             for dc in (-2, -1)
         }
         # the highest offset they read is nu, which bounds the sites
-        assert max(k for e in entries.values() for (_, b, a) in e.terms for k in b + a) == nu
+        assert max(k for e in entries.values() for b, a in e for k in b + a) == nu
         for with_t1 in (False, True):
             n_max = nu + 2
             spec = WeightSpec(nu=nu, g_s=Q(1, 3), include_t1=with_t1)
@@ -149,7 +149,7 @@ def test_transfer_rows_match_path_sums():
             # rows n and n+1 of every site n = 1 .. n_max - nu
             for r in range(1, n_max - nu + 2):
                 for (j, dc), entry in entries.items():
-                    expected = eval_path_polynomial(entry.shift(r - 1), table)
+                    expected = eval_path_sum(entry, r - 1, table)
                     got = operator_power_row(table, r, j)[1][r + dc]
                     assert got == expected, (nu, with_t1, r, j, dc)
                     if (j, dc) == (2 * nu - 1, -1):
